@@ -14,6 +14,7 @@ from .bounds import (
     SensitivityEstimate,
     bound_under_defense,
     cramer_rao,
+    cramer_rao_gram,
     dp_delta,
     dp_lambda_star,
     estimate_sensitivity,
@@ -57,6 +58,7 @@ from .network import (
     forward,
     gradient,
     gradient_input_vjp,
+    input_gram,
     input_jacobian,
     sample_batch,
     sample_params,

@@ -8,6 +8,11 @@ rows are input coordinates, columns are observation coordinates):
     exact:  R^2 >= (1/B) * tr((J J^T)^{-1}) * sigma^2
     loose:  R^2 >= (1/B) * (B*d)^2 * sigma^2 / tr(J J^T)
 
+Both need only the (B*d, B*d) Gram matrix G = J J^T, so ``cramer_rao_gram``
+is the one implementation.  Trials take G in closed form from
+``network.input_gram`` without building J; ``cramer_rao`` and
+``bound_under_defense`` take a dense J and serve demos and test oracles.
+
 The loose form follows from the trace inequality tr(M) tr(M^{-1}) >= n^2 and
 never exceeds the exact one.  Defense records adjust the computation:
 clipping rescales the effective noise, masking defenses (pruning, dropout)
@@ -38,6 +43,7 @@ from .seeding import rng_from
 __all__ = [
     "BoundReport",
     "cramer_rao",
+    "cramer_rao_gram",
     "bound_under_defense",
     "dp_delta",
     "dp_lambda_star",
@@ -88,23 +94,24 @@ class BoundReport:
         }
 
 
-def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
-    """Exact and loosened lower bounds from the input Jacobian.
+def cramer_rao_gram(G: np.ndarray, n_obs: int, sigma: float, B: int) -> BoundReport:
+    """Exact and loosened lower bounds from the Gram matrix ``G = J J^T``.
 
-    Rank-deficient J J^T (legitimate under masking defenses) computes the
-    exact trace-inverse on the numerical range only and flags the
-    deficiency; with no observation coordinates at all both bounds are
+    ``n_obs`` is the number of observation coordinates (columns of J) that
+    went into G.  Rank-deficient G (legitimate under masking defenses)
+    computes the exact trace-inverse on the numerical range only and flags
+    the deficiency; with no observation coordinates at all both bounds are
     infinite.
     """
     if sigma <= 0:
         raise ConfigError("sigma must be > 0")
     if B < 1:
         raise ConfigError("B must be >= 1")
-    if J.ndim != 2:
-        raise DimensionError("J must be a matrix")
-    n_in, n_obs = J.shape
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise DimensionError("G must be a square matrix")
+    n_in = G.shape[0]
     flags: list[str] = []
-    if n_obs == 0 or not np.any(J):
+    if n_obs == 0 or not np.any(G):
         return BoundReport(
             rl2_exact=math.inf,
             rl2_loose=math.inf,
@@ -115,8 +122,7 @@ def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
             n_obs_coords=n_obs,
             flags=["no-information"],
         )
-    M = J @ J.T
-    evals = np.linalg.eigvalsh(M)
+    evals = np.linalg.eigvalsh(G)
     floor = evals[-1] * _RANK_FLOOR
     kept = evals[evals > floor]
     rank = int(kept.size)
@@ -136,6 +142,13 @@ def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
         n_obs_coords=n_obs,
         flags=flags,
     )
+
+
+def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
+    """``cramer_rao_gram`` on the Gram matrix of a dense input Jacobian."""
+    if J.ndim != 2:
+        raise DimensionError("J must be a matrix")
+    return cramer_rao_gram(J @ J.T, J.shape[1], sigma, B)
 
 
 def _kept_columns(record: DefenseRecord, n_obs: int) -> np.ndarray:

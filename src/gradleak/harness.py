@@ -28,10 +28,19 @@ import numpy as np
 
 from . import defenses as dfs
 from .activations import make_activation
-from .bounds import BoundReport, cramer_rao
+from .bounds import BoundReport, cramer_rao_gram
 from .errors import ConfigError, GradleakError
 from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
-from .network import DataBatch, GradientObservation, NetworkParams, gradient, input_jacobian, loss, sample_batch, sample_params
+from .network import (
+    DataBatch,
+    GradientObservation,
+    NetworkParams,
+    gradient,
+    input_gram,
+    loss,
+    sample_batch,
+    sample_params,
+)
 from .seeding import (
     DATA_STREAM,
     DEFENSE_STREAM,
@@ -270,16 +279,18 @@ def _observation_for_trial(config, params, batch, trial_seed):
 
 
 def bound_for_observation(
-    J: np.ndarray, sigma: float, B: int, obs: GradientObservation
+    params: NetworkParams, batch: DataBatch, sigma: float, obs: GradientObservation
 ) -> BoundReport:
     """Fold a whole defense chain into one bound report.
 
-    Mask records intersect (a coordinate zeroed anywhere stays zeroed),
-    clip factors multiply into the effective noise, and aggregation or
-    noise records only annotate.
+    ``batch`` holds every sample the observation depends on (B_eff columns
+    under fresh-batch local aggregation).  Mask records intersect (a
+    coordinate zeroed anywhere stays zeroed) and enter the closed-form Gram
+    ``J[:, keep] J[:, keep]^T``, so the dense Jacobian is never built; clip
+    factors multiply into the effective noise, and aggregation or noise
+    records only annotate.
     """
-    n_obs = J.shape[1]
-    keep = np.ones(n_obs, dtype=bool)
+    keep = np.ones(params.n_coords, dtype=bool)
     clip_factor = 1.0
     notes = {}
     flags = []
@@ -294,14 +305,14 @@ def bound_for_observation(
             flags.append("local-aggregation: same-order single-step bound")
         if rec.variant == "secure_aggregation":
             notes["clients"] = rec.params.get("batch_sizes")
-    rep = cramer_rao(J[:, keep], sigma / clip_factor, B)
+    G, total = input_gram(params, batch, keep)
+    rep = cramer_rao_gram(G, int(keep.sum()), sigma / clip_factor, batch.B)
     if clip_factor != 1.0:
         rep.adjustments["clip_factor"] = clip_factor
         rep.adjustments["sigma_effective"] = sigma / clip_factor
     if not keep.all():
-        total = float(np.sum(J * J))
         rep.adjustments["mass_fraction_destroyed"] = (
-            1.0 - float(np.sum(J[:, keep] ** 2)) / total if total > 0 else 0.0
+            1.0 - float(np.trace(G)) / total if total > 0 else 0.0
         )
     rep.adjustments.update(notes)
     rep.flags.extend(flags)
@@ -375,8 +386,9 @@ def run_trial(
 
     bound = None
     if config.compute_bounds:
-        J = input_jacobian(params, DataBatch(X=truth, y=truth_y))
-        bound = bound_for_observation(J, config.sigma, B_eff, obs).to_dict()
+        bound = bound_for_observation(
+            params, DataBatch(X=truth, y=truth_y), config.sigma, obs
+        ).to_dict()
 
     util = None
     if config.utility is not None:
@@ -509,8 +521,9 @@ def sweep(
     Emits results.csv (appended after every trial, so an interrupted sweep
     resumes without duplicating completed trials), results.json and
     manifest.json.  Output is a pure function of (sweep config, base seed)
-    apart from the wall-time column and the manifest timestamp.  Refuses to
-    touch an existing complete run unless ``force`` is set.
+    apart from the wall-time column and the manifest timestamp, which a
+    resume keeps.  Refuses to touch an existing complete run unless
+    ``force`` is set.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -524,8 +537,10 @@ def sweep(
     }
 
     done: set[tuple[str, int]] = set()
+    created_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if manifest_path.exists() and not force:
         manifest = json.loads(manifest_path.read_text())
+        created_utc = manifest.get("created_utc", created_utc)  # a resume keeps it
         if manifest.get("sweep_hash") != shash:
             raise ConfigError(
                 f"output dir {out} holds a different sweep (use force to overwrite)"
@@ -545,7 +560,7 @@ def sweep(
         "config": sweep_cfg,
         "points": [p.to_dict() for p in points],
         "point_hashes": [p.config_hash() for p in points],
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "created_utc": created_utc,
         "package": "gradleak 0.1.0",
     }
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

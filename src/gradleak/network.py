@@ -33,6 +33,7 @@ __all__ = [
     "forward",
     "gradient",
     "input_jacobian",
+    "input_gram",
     "gradient_input_vjp",
 ]
 
@@ -232,6 +233,87 @@ def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
         blk += (ri * params.a * s1i)[None, :, None] * eye[:, None, :]
         J[i * d:(i + 1) * d, m:] = blk.reshape(d, m * d)
     return J
+
+
+def input_gram(
+    params: NetworkParams, batch: DataBatch, keep: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """``J[:, keep] J[:, keep]^T`` and ``||J||_F^2`` without forming J.
+
+    ``keep`` is a boolean mask over the m + m*d observation coordinates
+    (None keeps all).  Per sample the Jacobian factors as (see
+    ``input_jacobian``)
+
+        a-block:  A_i = r_i W^T diag(s'_i) + 2 h_i s_i^T              (d, m)
+        W-block:  J_i[s, (j, t)] = P_i[s, j] x_i[t] + q_ij delta_st
+                  P_i = 2 h_i (a * s'_i)^T + r_i W^T diag(a * s''_i)  (d, m)
+                  q_ij = r_i a_j s'(z_ji)
+
+    so with mask weights w_a (m,) and w_W (m, d) the (i, k) Gram block is
+
+        A_i diag(w_a) A_k^T + P_i diag(w_W (x_i * x_k)) P_k^T
+        + (P_i diag(q_k) w_W) * x_i[u] + its (k, i) transpose
+        + diag(w_W^T (q_i * q_k)),
+
+    O(B^2 m d^2) time and O(B m d) memory instead of the dense Jacobian's
+    O(B m d^2) memory.  The unmasked Frobenius mass comes from the same
+    factors in O(B m d).  Requires the activation's analytic second
+    derivative.
+    """
+    Z, S0, S1, _, r = _batch_internals(params, batch)
+    S2 = params.activation.d2(Z)
+    m, d, B = params.m, params.d, batch.B
+    X, a = batch.X, params.a
+    if keep is None:
+        keep = np.ones(params.n_coords, dtype=bool)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (params.n_coords,):
+        raise DimensionError(f"mask has shape {keep.shape}, expected ({params.n_coords},)")
+    w_a = keep[:m].astype(float)
+    w_W = keep[m:].reshape(m, d).astype(float)
+    H = _input_gradients(params, S1)          # (d, B)
+    WT = np.ascontiguousarray(params.W.T)     # (d, m)
+    aS1, aS2 = a[:, None] * S1, a[:, None] * S2
+    A = np.empty((B, d, m))
+    P = np.empty((B, d, m))
+    for i in range(B):
+        np.multiply(WT, r[i] * S1[:, i], out=A[i])
+        A[i] += np.outer(2.0 * H[:, i], S0[:, i])
+        np.multiply(WT, r[i] * aS2[:, i], out=P[i])
+        P[i] += np.outer(2.0 * H[:, i], aS1[:, i])
+    Q = np.ascontiguousarray((aS1 * r).T)     # (B, m): q_ij
+
+    # unmasked mass, summed over (j, t) of (P_i[s, j] x_i[t] + q_ij delta_st)^2
+    PX = np.einsum("isj,si->ij", P, X)        # (B, m): (P_i^T x_i)[j]
+    mass = float(
+        np.vdot(A, A)
+        + sum(float(X[:, i] @ X[:, i]) * np.vdot(P[i], P[i]) for i in range(B))
+        + 2.0 * np.vdot(Q, PX)
+        + d * np.vdot(Q, Q)
+    )
+
+    A *= w_a
+    Af = A.reshape(B * d, m)
+    G = Af @ Af.T
+    G4 = G.reshape(B, d, B, d)                # view: G4[i, s, k, u]
+    # cross terms P_i diag(q_k) w_W, scaled by x_i[u], plus their transposes
+    R = (Q.T[:, :, None] * w_W[:, None, :]).reshape(m, B * d)
+    cross = (P.reshape(B * d, m) @ R).reshape(B, d, B, d) * X.T[:, None, None, :]
+    cross = cross.reshape(B * d, B * d)
+    G += cross + cross.T
+    # q_i q_k delta_su terms
+    idx = np.arange(d)
+    G4[:, idx, :, idx] += ((Q[:, None, :] * Q[None, :, :]) @ w_W).transpose(2, 0, 1)
+    # P_i diag(c_ik) P_k^T with c_ik = w_W (x_i * x_k); blocks k >= i, mirrored
+    wWT = np.ascontiguousarray(w_W.T)         # (d, m)
+    for i in range(B):
+        C = (X[:, i:i + 1] * X[:, i:]).T @ wWT  # (B - i, m)
+        blk = (P[i] @ (P[i:] * C[:, None, :]).reshape((B - i) * d, m).T).reshape(d, B - i, d)
+        G4[i, :, i:, :] += blk
+        G4[i + 1:, :, i, :] += blk[:, 1:, :].transpose(1, 2, 0)
+    # the diagonal blocks' products are symmetric only up to rounding
+    G = 0.5 * (G + G.T)
+    return G, mass
 
 
 def gradient_input_vjp(

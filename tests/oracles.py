@@ -11,7 +11,8 @@ import itertools
 
 import numpy as np
 
-from gradleak.network import DataBatch, NetworkParams, gradient, loss
+from gradleak.bounds import BoundReport, cramer_rao
+from gradleak.network import DataBatch, GradientObservation, NetworkParams, gradient, loss
 
 
 def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5) -> np.ndarray:
@@ -52,6 +53,45 @@ def fd_input_jacobian(params: NetworkParams, batch: DataBatch, step: float = 1e-
                     down = g
             J[i * d + s] = (up - down) / (2.0 * step)
     return J
+
+
+def dense_bound_for_observation(
+    J: np.ndarray, sigma: float, B: int, obs: GradientObservation
+) -> BoundReport:
+    """Fold a defense chain into a bound from the dense input Jacobian.
+
+    The column-deleting reference for ``harness.bound_for_observation``:
+    masks intersect and delete J's columns, clip factors multiply into the
+    effective noise, aggregation and noise records only annotate.
+    """
+    n_obs = J.shape[1]
+    keep = np.ones(n_obs, dtype=bool)
+    clip_factor = 1.0
+    notes = {}
+    flags = []
+    for rec in obs.provenance:
+        if rec.mask is not None:
+            keep &= rec.mask
+        if rec.clip_factor is not None:
+            clip_factor *= rec.clip_factor
+        if rec.variant == "noise":
+            notes["defense_sigma0"] = rec.params.get("sigma0")
+        if rec.variant == "local_aggregation":
+            flags.append("local-aggregation: same-order single-step bound")
+        if rec.variant == "secure_aggregation":
+            notes["clients"] = rec.params.get("batch_sizes")
+    rep = cramer_rao(J[:, keep], sigma / clip_factor, B)
+    if clip_factor != 1.0:
+        rep.adjustments["clip_factor"] = clip_factor
+        rep.adjustments["sigma_effective"] = sigma / clip_factor
+    if not keep.all():
+        total = float(np.sum(J * J))
+        rep.adjustments["mass_fraction_destroyed"] = (
+            1.0 - float(np.sum(J[:, keep] ** 2)) / total if total > 0 else 0.0
+        )
+    rep.adjustments.update(notes)
+    rep.flags.extend(flags)
+    return rep
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

@@ -18,7 +18,9 @@ from gradleak.harness import (
     utility_loss,
     aggregate_rows,
 )
-from gradleak.network import sample_batch, sample_params
+from gradleak.network import DataBatch, input_jacobian, sample_batch, sample_params
+from gradleak.seeding import DATA_STREAM, PARAMS_STREAM, derive_seed
+from oracles import dense_bound_for_observation
 
 SP = make_activation("softplus")
 
@@ -107,6 +109,77 @@ def test_aggregation_defense_must_lead_the_chain():
                 {"variant": "local_aggregation", "steps": 2},
             ]
         )
+
+
+# --- bound fold: closed-form Gram against the dense-Jacobian oracle -------------
+
+BOUND_CHAINS = {
+    "dropout+clip+noise": [
+        {"variant": "dropout", "rate": 0.5},
+        {"variant": "clip", "threshold": 1e-3},
+        {"variant": "noise", "sigma0": 0.01},
+    ],
+    "prune_ratio": [{"variant": "prune_ratio", "ratio": 0.9}],
+    "prune_threshold": [{"variant": "prune_threshold", "cutoff": 1e-4}],
+    "secure_aggregation": [{"variant": "secure_aggregation", "batch_sizes": [1, 1]}],
+    "local_aggregation_fresh": [
+        {"variant": "local_aggregation", "steps": 2, "fresh_batches": True}
+    ],
+    "mask-everything": [{"variant": "prune_threshold", "cutoff": 1e9}],
+}
+
+
+def _bound_and_dense_oracle(defenses):
+    """The trial's bound next to the dense-Jacobian fold of the same chain."""
+    cfg = small_config(defenses=defenses)
+    trial_seed = derive_seed(cfg.base_seed, 0)
+    params = sample_params(
+        cfg.d, cfg.m, derive_seed(trial_seed, PARAMS_STREAM), make_activation(**cfg.activation)
+    )
+    batch = sample_batch(cfg.d, cfg.B, derive_seed(trial_seed, DATA_STREAM))
+    obs, truth, truth_y = hz._observation_for_trial(cfg, params, batch, trial_seed)
+    full = DataBatch(X=truth, y=truth_y)
+    fast = hz.bound_for_observation(params, full, cfg.sigma, obs)
+    dense = dense_bound_for_observation(input_jacobian(params, full), cfg.sigma, full.B, obs)
+    return fast, dense, full.B
+
+
+@pytest.mark.parametrize("chain", sorted(BOUND_CHAINS))
+def test_bound_for_observation_matches_dense_fold(chain):
+    fast, dense, B_eff = _bound_and_dense_oracle(BOUND_CHAINS[chain])
+    if chain == "local_aggregation_fresh":
+        assert B_eff == 4  # two fresh batches of B = 2
+    for key in ("rl_exact", "rl_loose"):
+        a, b = getattr(fast, key), getattr(dense, key)
+        if math.isinf(b):
+            assert a == b
+        else:
+            assert a == pytest.approx(b, rel=1e-12, abs=0)
+    assert fast.rank == dense.rank
+    assert fast.n_obs_coords == dense.n_obs_coords
+    assert fast.flags == dense.flags
+    assert fast.adjustments.keys() == dense.adjustments.keys()
+    if "mass_fraction_destroyed" in dense.adjustments:
+        assert fast.adjustments["mass_fraction_destroyed"] == pytest.approx(
+            dense.adjustments["mass_fraction_destroyed"], abs=1e-12
+        )
+    if chain == "mask-everything":
+        assert fast.flags == ["no-information"]
+        assert fast.adjustments["mass_fraction_destroyed"] == 1.0
+
+
+def test_trial_bound_never_builds_the_dense_jacobian(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("dense input Jacobian built")
+
+    import gradleak
+    import gradleak.network
+
+    monkeypatch.setattr(gradleak.network, "input_jacobian", boom)
+    monkeypatch.setattr(gradleak, "input_jacobian", boom)
+    monkeypatch.setattr(hz, "input_jacobian", boom, raising=False)
+    rec = run_trial(small_config(defenses=BOUND_CHAINS["dropout+clip+noise"]), 0)
+    assert rec.bound is not None and math.isfinite(rec.bound["rl_exact"])
 
 
 # --- defense scoring ----------------------------------------------------------
@@ -264,6 +337,21 @@ def test_sweep_resume_without_duplicates(tmp_path, monkeypatch):
         sweep(cfg, tmp_path / "out")
     res2 = sweep(cfg, tmp_path / "out", force=True)
     assert res2["rows"] == 3
+
+
+def test_sweep_resume_keeps_manifest_timestamp(tmp_path):
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    csv_path, manifest_path = out / "results.csv", out / "manifest.json"
+    header, first = csv_path.read_text().splitlines()[:2]
+    csv_path.write_text(header + "\n" + first + "\n")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["created_utc"] = "1970-01-01T00:00:00Z"
+    manifest_path.write_text(json.dumps(manifest))
+    res = sweep(cfg, out)  # resume: one trial left
+    assert res["rows"] == 2 and res["new_records"] == 1
+    assert json.loads(manifest_path.read_text())["created_utc"] == "1970-01-01T00:00:00Z"
 
 
 def test_sweep_rejects_mismatched_directory(tmp_path):

@@ -9,6 +9,7 @@ from gradleak.network import (
     forward,
     gradient,
     gradient_input_vjp,
+    input_gram,
     input_jacobian,
     loss,
     sample_batch,
@@ -170,6 +171,48 @@ def test_vjp_matches_dense_jacobian():
     dense = (J @ u).reshape(b.B, p.d).T
     fast = gradient_input_vjp(p, b, u[:p.m], u[p.m:].reshape(p.m, p.d))
     assert np.linalg.norm(dense - fast) / np.linalg.norm(dense) < 1e-10
+
+
+GRAM_MASKS = ("all-kept", "all-dropped", "a-block-only", "W-block-only", "random-half")
+
+
+def _gram_mask(kind, m, n, rng):
+    keep = np.zeros(n, dtype=bool)
+    if kind == "all-kept":
+        keep[:] = True
+    elif kind == "a-block-only":
+        keep[:m] = True
+    elif kind == "W-block-only":
+        keep[m:] = True
+    elif kind == "random-half":
+        keep = rng.random(n) < 0.5
+    return keep
+
+
+@pytest.mark.parametrize("kind", ["softplus", "exp"])
+@pytest.mark.parametrize("seed", range(6))
+def test_input_gram_matches_dense_jacobian(kind, seed):
+    rng = np.random.default_rng(seed)
+    d, m, B = int(rng.integers(1, 9)), int(rng.integers(1, 65)), int(rng.integers(1, 5))
+    p = sample_params(d, m, seed=40 + seed, activation=make_activation(kind))
+    b = sample_batch(d, B, seed=80 + seed)
+    J = input_jacobian(p, b)
+    for mask in GRAM_MASKS:
+        keep = _gram_mask(mask, m, p.n_coords, rng)
+        G, mass = input_gram(p, b, keep)
+        dense = J[:, keep] @ J[:, keep].T
+        assert G.shape == (B * d, B * d)
+        assert np.linalg.norm(G - dense) <= 1e-12 * np.linalg.norm(dense), (mask, d, m, B)
+        assert mass == pytest.approx(np.sum(J * J), rel=1e-12)
+    G, mass = input_gram(p, b)
+    assert np.linalg.norm(G - J @ J.T) <= 1e-12 * np.linalg.norm(J @ J.T)
+
+
+def test_input_gram_rejects_a_mask_of_the_wrong_length():
+    p = sample_params(3, 8, seed=1, activation=SP)
+    b = sample_batch(3, 2, seed=2)
+    with pytest.raises(DimensionError):
+        input_gram(p, b, np.ones(p.n_coords - 1, dtype=bool))
 
 
 def test_jacobian_trace_scales_linearly_in_width():
