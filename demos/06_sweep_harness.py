@@ -37,11 +37,11 @@ config = {
     },
 }
 
-out = Path(tempfile.mkdtemp(prefix="gradleak_sweep_"))
-result = sweep(config, out)
-print("artifacts:", {k: str(v) for k, v in result.items()})
+with tempfile.TemporaryDirectory(prefix="gradleak_sweep_") as tmp:
+    result = sweep(config, Path(tmp))
+    print("artifacts:", {k: str(v) for k, v in result.items()})
+    rows = read_results_csv(result["csv"])
 
-rows = read_results_csv(result["csv"])
 print(f"\n{len(rows)} rows; first row:")
 print(json.dumps(rows[0], indent=2))
 

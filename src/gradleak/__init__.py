@@ -57,7 +57,6 @@ from .network import (
     NetworkParams,
     forward,
     gradient,
-    gradient_input_vjp,
     input_gram,
     input_jacobian,
     sample_batch,

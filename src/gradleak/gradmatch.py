@@ -7,10 +7,16 @@ moment-based attack's output).  Because those directions carry a sign
 ambiguity, the regularizer uses squared cosine similarity, which is exactly
 invariant to flipping any target column.
 
-The candidate gradient's derivative with respect to X is assembled through
-the network's input-Jacobian chain rule, evaluated as Jacobian-vector
-products so the dense (B*d) x (m + m*d) matrix is never built inside the
-optimization loop.
+The objective works from the rank-B factor of the candidate's W-block
+gradient, g_W = C^T X^T with C = r * (a * s'(X^T W^T)) of shape (B, m), and
+never forms the m x d g_W or the distance's cograd u_W = alpha t_W + beta g_W:
+
+    ||g_W||^2 = sum(C C^T * X^T X),     <g_W, t_W> = <C, X^T t_W^T>,
+    u_W x_i          = alpha t_W x_i + beta C^T (X^T x_i),
+    u_W^T (a * s'_i) = alpha t_W^T (a * s'_i) + beta X C (a * s'_i).
+
+Those two products are all that the input chain rule reads of u_W, so an
+iteration makes a few GEMM passes over W and t_W plus O(m B) work.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError
-from .network import DataBatch, GradientObservation, NetworkParams, gradient, gradient_input_vjp
+from .network import GradientObservation, NetworkParams
 from .seeding import rng_from
 from .tensor_attack import ReconstructionResult
 
@@ -77,47 +83,76 @@ class GradMatchConfig:
         self.optimizer.validate()
 
 
-def _group_weights(cfg: GradMatchConfig, target: GradientObservation):
-    """Per-group weights, normalized so the distance stays O(1).
+def _distance_groups(cfg: GradMatchConfig, target: GradientObservation):
+    """Blocks (0: grad_a, 1: grad_W) of each distance group, with its weight.
 
-    Reweighting uses each group's count of nonzero target entries (the
-    second layer has m coordinates, the first m*d, and defenses may zero
-    some); without it both groups merge into one global vector.
+    Without reweighting both blocks form one global vector; with it each is
+    a group weighted by its share of nonzero target entries (defenses may
+    zero some), so the distance stays O(1).
     """
     if not cfg.group_reweighting:
-        return None
+        return (((0, 1), 1.0),)
     na = int(np.count_nonzero(target.grad_a))
     nw = int(np.count_nonzero(target.grad_W))
     tot = max(na + nw, 1)
-    return na / tot, nw / tot
+    return ((0,), na / tot), ((1,), nw / tot)
 
 
-def _distance_and_cograd(cfg, g_a, g_W, t_a, t_W, weights):
-    """Distance value and its gradient with respect to (g_a, g_W)."""
+def _cosine_terms(gg: float, gt: float, tt: float):
+    """(value, alpha, beta) of the negative cosine; its cograd is alpha t + beta g."""
+    ng, nt = np.sqrt(gg), np.sqrt(tt)
+    if ng < 1e-300 or nt < 1e-300:
+        return 0.0, 0.0, 0.0
+    return -gt / (ng * nt), -1.0 / (ng * nt), gt / (ng**3 * nt)
 
-    def one(g, t):
-        if cfg.distance == "squared-l2":
-            diff = g - t
-            return float(np.sum(diff * diff)), 2.0 * diff
-        ng, nt = float(np.linalg.norm(g)), float(np.linalg.norm(t))
-        if ng < 1e-300 or nt < 1e-300:
-            return 0.0, np.zeros_like(g)
-        dot = float(np.sum(g * t))
-        val = -dot / (ng * nt)
-        grad = -(t / (ng * nt)) + (dot / (ng**3 * nt)) * g
-        return val, grad
 
-    if weights is None:
-        # single global vector
-        val, u = one(
-            np.concatenate([g_a, g_W.ravel()]), np.concatenate([t_a, t_W.ravel()])
-        )
-        m = g_a.shape[0]
-        return val, u[:m], u[m:].reshape(g_W.shape)
-    wa, ww = weights
-    la, ua = one(g_a, t_a)
-    lw, uw = one(g_W.ravel(), t_W.ravel())
-    return wa * la + ww * lw, wa * ua, ww * uw.reshape(g_W.shape)
+def _matching_objective(params: NetworkParams, target: GradientObservation, y, cfg):
+    """``X -> (distance, d distance / d X)``: the rank-B objective of the
+    module docstring, with what depends only on the target computed once.
+    The squared-l2 value comes from the explicit difference, which does not
+    cancel near a match."""
+    W, a, act = params.W, params.a, params.activation
+    t_a, t_W = target.grad_a, target.grad_W
+    squared = cfg.distance == "squared-l2"
+    groups = _distance_groups(cfg, target)
+    tt = (float(t_a @ t_a), float(np.vdot(t_W, t_W)))
+
+    def objective(X: np.ndarray):
+        if X.shape[0] != params.d or y.shape != (X.shape[1],):
+            raise DimensionError(f"candidate shape {X.shape} / labels {y.shape} "
+                                 f"inconsistent with d={params.d}")
+        Xt = X.T
+        Z = (W @ X).T.copy()                   # (B, m), like every hidden-unit array
+        S0, S1, S2 = act(Z), act.d1(Z), act.d2(Z)
+        r = 2.0 * (S0 @ a - y)
+        aS1 = a * S1
+        C = a * (S1 * r[:, None])              # g_W = C^T X^T, rounded as in gradient()
+        g_a = r @ S0
+        XX = Xt @ X
+        TX = (t_W @ X).T.copy()                # rows (t_W x_i)^T
+        if squared:
+            da, dW = g_a - t_a, C.T @ Xt - t_W
+            stats = ((float(da @ da),), (float(np.vdot(dW, dW)),))
+        else:
+            stats = ((float(g_a @ g_a), float(g_a @ t_a), tt[0]),
+                     (float(np.sum((C @ C.T) * XX)), float(np.vdot(C, TX)), tt[1]))
+        val, coef = 0.0, {}
+        for blocks, w in groups:
+            total = [sum(col) for col in zip(*(stats[k] for k in blocks))]
+            v, alpha, beta = (total[0], -2.0, 2.0) if squared else _cosine_terms(*total)
+            val += w * v
+            coef.update((k, (w * alpha, w * beta)) for k in blocks)
+        if not np.isfinite(val):
+            raise DivergenceError("gradient-matching loss is non-finite for this candidate")
+        (alpha_a, beta_a), (alpha_W, beta_W) = coef[0], coef[1]
+        u_a = alpha_a * t_a + beta_a * g_a
+        c = alpha_W * TX + beta_W * (XX @ C)   # rows (u_W x_i)^T
+        uW_aS1 = alpha_W * (aS1 @ t_W) + beta_W * ((aS1 @ C.T) @ Xt)
+        h = 2.0 * (S0 @ u_a + np.einsum("ij,ij->i", aS1, c))  # weight of h_i = W^T (a s'_i)
+        F = r[:, None] * (u_a * S1 + a * S2 * c) + h[:, None] * aS1
+        return val, (F @ W + r[:, None] * uW_aS1).T
+
+    return objective
 
 
 def grad_match_loss(
@@ -133,19 +168,7 @@ def grad_match_loss(
     Labels are taken as known to the attacker.  Raises DivergenceError on a
     non-finite loss.
     """
-    if X_cand.shape[0] != params.d or y.shape != (X_cand.shape[1],):
-        raise DimensionError(
-            f"candidate shape {X_cand.shape} / labels {y.shape} inconsistent with d={params.d}"
-        )
-    batch = DataBatch(X=X_cand, y=y)
-    g = gradient(params, batch)
-    val, u_a, u_W = _distance_and_cograd(
-        cfg, g.grad_a, g.grad_W, target.grad_a, target.grad_W, _group_weights(cfg, target)
-    )
-    if not np.isfinite(val):
-        raise DivergenceError("gradient-matching loss is non-finite for this candidate")
-    grad_X = gradient_input_vjp(params, batch, u_a, u_W)
-    return val, grad_X
+    return _matching_objective(params, target, y, cfg)(X_cand)
 
 
 def _greedy_pairing(X_cand: np.ndarray, Z_hat: np.ndarray) -> np.ndarray:
@@ -262,8 +285,10 @@ def grad_match_attack(
     iterations = 0
     loss_history: list[float] = []
 
+    match = _matching_objective(params, obs, labels, cfg)
+
     def objective(Xc, pairing_in):
-        val, grad = grad_match_loss(Xc, labels, params, obs, cfg)
+        val, grad = match(Xc)
         if use_feature:
             fval, fgrad, pairing_out = feature_regularizer(
                 Xc, feature_targets, cfg.feature_mode, pairing_in

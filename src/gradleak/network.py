@@ -34,7 +34,6 @@ __all__ = [
     "gradient",
     "input_jacobian",
     "input_gram",
-    "gradient_input_vjp",
 ]
 
 
@@ -315,34 +314,3 @@ def input_gram(
     G = 0.5 * (G + G.T)
     return G, mass
 
-
-def gradient_input_vjp(
-    params: NetworkParams,
-    batch: DataBatch,
-    u_a: np.ndarray,
-    u_W: np.ndarray,
-) -> np.ndarray:
-    """J @ u without materializing J; returns (d, B).
-
-    Column i is the gradient of <flattened gradient, u> with respect to
-    x_i.  Used by the gradient-matching attack, where m*(d+1) is too large
-    to rebuild the dense Jacobian every iteration.  Agreement with
-    ``input_jacobian`` is covered by a regression test.
-    """
-    Z, S0, S1, _, r = _batch_internals(params, batch)
-    S2 = params.activation.d2(Z)
-    H = _input_gradients(params, S1)
-    out = np.empty((params.d, batch.B))
-    a = params.a
-    for i in range(batch.B):
-        s0i, s1i, s2i = S0[:, i], S1[:, i], S2[:, i]
-        ri, hi = r[i], H[:, i]
-        c = u_W @ batch.X[:, i]  # (m,) inner products x_i . u_W[j]
-        out[:, i] = (
-            ri * (params.W.T @ (u_a * s1i))
-            + 2.0 * float(u_a @ s0i) * hi
-            + 2.0 * float(np.sum(a * s1i * c)) * hi
-            + ri * (params.W.T @ (a * s2i * c))
-            + ri * (u_W.T @ (a * s1i))
-        )
-    return out

@@ -29,7 +29,14 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Mix ``base_seed`` with each index in turn; stable across runs."""
+    """Mix ``base_seed`` with each index in turn; stable across runs.
+
+    The index is XORed in before mixing, so ``b ^ i == b2 ^ j`` gives equal
+    seeds: base seeds 4k..4k+3 run the same trials 0-3 (``derive_seed(3, 1)
+    == derive_seed(0, 2)``).  Base seeds that are multiples of a power of two
+    at least the trial count share no trial.  Kept: a new mix would change
+    every record hash.
+    """
     s = base_seed & _MASK
     for idx in indices:
         s = splitmix64(s ^ (idx & _MASK))

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from gradleak.bounds import BoundReport, cramer_rao
+from gradleak.errors import DivergenceError
 from gradleak.network import DataBatch, GradientObservation, NetworkParams, gradient, loss
 
 
@@ -92,6 +93,81 @@ def dense_bound_for_observation(
     rep.adjustments.update(notes)
     rep.flags.extend(flags)
     return rep
+
+
+def gradient_input_vjp(
+    params: NetworkParams,
+    batch: DataBatch,
+    u_a: np.ndarray,
+    u_W: np.ndarray,
+) -> np.ndarray:
+    """J @ u without materializing J, one sample at a time; returns (d, B).
+
+    Column i is the gradient of <flattened gradient, u> with respect to
+    x_i, with the cograd u given as dense (m,) and (m, d) blocks.
+    """
+    a, act = params.a, params.activation
+    Z = params.W @ batch.X
+    S0, S1, S2 = act(Z), act.d1(Z), act.d2(Z)
+    r = 2.0 * (S0.T @ a - batch.y)
+    H = params.W.T @ (a[:, None] * S1)  # column i: grad_x f(x_i)
+    out = np.empty((params.d, batch.B))
+    for i in range(batch.B):
+        s0i, s1i, s2i = S0[:, i], S1[:, i], S2[:, i]
+        ri, hi = r[i], H[:, i]
+        c = u_W @ batch.X[:, i]  # (m,) inner products x_i . u_W[j]
+        out[:, i] = (
+            ri * (params.W.T @ (u_a * s1i))
+            + 2.0 * float(u_a @ s0i) * hi
+            + 2.0 * float(np.sum(a * s1i * c)) * hi
+            + ri * (params.W.T @ (a * s2i * c))
+            + ri * (u_W.T @ (a * s1i))
+        )
+    return out
+
+
+def dense_grad_match_loss(X_cand, y, params: NetworkParams, target: GradientObservation, cfg):
+    """Gradient-matching distance and its gradient over X_cand, built from
+    the dense m x d candidate gradient and cograd.
+
+    The reference for ``gradmatch.grad_match_loss``: forms the candidate
+    gradient with ``network.gradient``, the distance's cograd coordinate by
+    coordinate, and pulls it back with the per-sample ``gradient_input_vjp``.
+    """
+    weights = None
+    if cfg.group_reweighting:
+        na = int(np.count_nonzero(target.grad_a))
+        nw = int(np.count_nonzero(target.grad_W))
+        tot = max(na + nw, 1)
+        weights = na / tot, nw / tot
+
+    def one(g, t):
+        if cfg.distance == "squared-l2":
+            diff = g - t
+            return float(np.sum(diff * diff)), 2.0 * diff
+        ng, nt = float(np.linalg.norm(g)), float(np.linalg.norm(t))
+        if ng < 1e-300 or nt < 1e-300:
+            return 0.0, np.zeros_like(g)
+        dot = float(np.sum(g * t))
+        return -dot / (ng * nt), -(t / (ng * nt)) + (dot / (ng**3 * nt)) * g
+
+    batch = DataBatch(X=X_cand, y=y)
+    g = gradient(params, batch)
+    m = params.m
+    if weights is None:  # one global vector
+        val, u = one(
+            np.concatenate([g.grad_a, g.grad_W.ravel()]),
+            np.concatenate([target.grad_a, target.grad_W.ravel()]),
+        )
+        u_a, u_W = u[:m], u[m:].reshape(m, params.d)
+    else:
+        la, ua = one(g.grad_a, target.grad_a)
+        lw, uw = one(g.grad_W.ravel(), target.grad_W.ravel())
+        val, u_a, u_W = weights[0] * la + weights[1] * lw, weights[0] * ua, weights[1] * uw
+        u_W = u_W.reshape(m, params.d)
+    if not np.isfinite(val):
+        raise DivergenceError("gradient-matching loss is non-finite for this candidate")
+    return val, gradient_input_vjp(params, batch, u_a, u_W)
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

@@ -13,6 +13,7 @@ from gradleak.gradmatch import (
 )
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import score_reconstruction
+from oracles import dense_grad_match_loss
 
 SP = make_activation("softplus")
 
@@ -55,6 +56,49 @@ def test_loss_gradient_matches_finite_differences(distance, reweight):
     _, grad = grad_match_loss(X, b.y, p, g, cfg)
     fd = fd_loss_grad(X, b.y, p, g, cfg)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _oracle_targets(p, b, rng):
+    """Clean, noisy, pruned and W-block-zero targets for one batch."""
+    g = gradient(p, b)
+    scale = np.abs(g.flatten()).max()
+    noisy = GradientObservation(
+        grad_a=g.grad_a + 0.1 * scale * rng.standard_normal(g.grad_a.shape),
+        grad_W=g.grad_W + 0.1 * scale * rng.standard_normal(g.grad_W.shape),
+    )
+    pruned = GradientObservation(
+        grad_a=np.where(rng.random(g.grad_a.shape) < 0.5, 0.0, g.grad_a),
+        grad_W=np.where(rng.random(g.grad_W.shape) < 0.5, 0.0, g.grad_W),
+    )
+    w_zero = GradientObservation(grad_a=g.grad_a, grad_W=np.zeros_like(g.grad_W))
+    return {"clean": g, "noisy": noisy, "pruned": pruned, "W-zero": w_zero}
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_loss_matches_dense_oracle(case):
+    """The rank-B objective against the dense m x d one, value and gradient.
+
+    Cubic is homogeneous, so at d = 1 every candidate gradient is a multiple
+    of one vector and the cosine distance is flat in X: its gradient is pure
+    rounding there, and cubic cases draw d >= 2.  Likewise m >= 2, since a
+    reweighted one-coordinate a-block has a flat cosine.
+    """
+    rng = np.random.default_rng(1000 + case)
+    kind = ("softplus", "exp", "cubic")[case % 3]
+    d = int(rng.integers(2 if kind == "cubic" else 1, 9))
+    m, B = int(rng.integers(2, 65)), int(rng.integers(1, 5))
+    p = sample_params(d, m, seed=case, activation=make_activation(kind))
+    b = sample_batch(d, B, seed=case + 100)
+    X = rng.standard_normal((d, B))
+    for name, target in _oracle_targets(p, b, rng).items():
+        for distance in ("squared-l2", "negative-cosine"):
+            for reweight in (False, True):
+                cfg = GradMatchConfig(distance=distance, group_reweighting=reweight)
+                val, grad = grad_match_loss(X, b.y, p, target, cfg)
+                ref_val, ref_grad = dense_grad_match_loss(X, b.y, p, target, cfg)
+                where = (name, distance, reweight)
+                assert abs(val - ref_val) <= 1e-12 * abs(ref_val), where
+                assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad), where
 
 
 def test_cosine_distance_target_scale_invariant():

@@ -8,14 +8,13 @@ from gradleak.network import (
     GradientObservation,
     forward,
     gradient,
-    gradient_input_vjp,
     input_gram,
     input_jacobian,
     loss,
     sample_batch,
     sample_params,
 )
-from oracles import fd_input_jacobian, fd_loss_gradient
+from oracles import fd_input_jacobian, fd_loss_gradient, gradient_input_vjp
 
 SP = make_activation("softplus")
 
