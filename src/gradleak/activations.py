@@ -9,6 +9,7 @@ activation itself; no derivatives beyond order 2 are ever required.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,11 +83,15 @@ def make_activation(kind: str, scale: float = 1.0) -> Activation:
         raise ConfigError(f"activation scale must be positive, got {scale}")
     c = float(scale)
     if kind == "softplus":
+        def softplus_d2(z):
+            s = _sigmoid(z)
+            return c * s * (1.0 - s)
+
         act = Activation(
             name="softplus" if c == 1.0 else f"softplus*{c:g}",
             value=lambda z: c * np.logaddexp(0.0, z),
             derivative=lambda z: c * _sigmoid(z),
-            second_derivative=lambda z: c * _sigmoid(z) * (1.0 - _sigmoid(z)),
+            second_derivative=softplus_d2,
         )
     elif kind == "exp":
         act = Activation(
@@ -134,10 +139,19 @@ def _hermite_eval(k: int, z: np.ndarray) -> np.ndarray:
     return hermeval(z, coeffs)
 
 
-def gauss_hermite_expectation(f, quad_nodes: int = 128) -> float:
-    """E[f(z)] for z ~ N(0, 1) by Gauss-Hermite quadrature."""
+@functools.lru_cache(maxsize=8)
+def _gauss_hermite_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only standard-normal nodes sqrt(2) x and weights w of hermgauss."""
     x, w = hermgauss(quad_nodes)
     z = np.sqrt(2.0) * x
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
+
+
+def gauss_hermite_expectation(f, quad_nodes: int = 128) -> float:
+    """E[f(z)] for z ~ N(0, 1) by Gauss-Hermite quadrature."""
+    z, w = _gauss_hermite_rule(quad_nodes)
     return float(np.sum(w * f(z)) / np.sqrt(np.pi))
 
 

@@ -11,7 +11,6 @@ seed).
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,12 +239,16 @@ class DefenseRecord:
     clip_factor: float | None = None      # realized min{1, C/||G||}
     mask: np.ndarray | None = None        # True where the coordinate was kept
     steps: int | None = None
-    noise_digest: str | None = None       # hash of the realized draw
     extra: dict = field(default_factory=dict)
 
 
-def _digest(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+def _on_flat(flat: np.ndarray, obs: GradientObservation) -> GradientObservation:
+    """An observation whose blocks are views of ``flat`` (canonical layout)."""
+    return GradientObservation(
+        grad_a=flat[:obs.m],
+        grad_W=flat[obs.m:].reshape(obs.m, obs.d),
+        provenance=list(obs.provenance),
+    )
 
 
 def apply_noise(
@@ -263,10 +266,9 @@ def apply_noise(
         return out
     rng = rng_from(seed)
     draw = rng.normal(0.0, sigma0 * clip_scale, size=obs.m * (1 + obs.d))
-    record.noise_digest = _digest(draw)
-    out = GradientObservation.from_flat(
-        obs.flatten() + draw, obs.m, obs.d, obs.provenance
-    )
+    out = _on_flat(draw, obs)
+    out.grad_a += obs.grad_a  # the draw buffer becomes the output, no copies
+    out.grad_W += obs.grad_W
     out.provenance.append(record)
     return out
 
@@ -294,9 +296,9 @@ def apply_clip(obs: GradientObservation, threshold: float) -> GradientObservatio
 
 def _masked(obs: GradientObservation, keep: np.ndarray, record: DefenseRecord):
     record.mask = keep
-    out = GradientObservation.from_flat(
-        obs.flatten() * keep, obs.m, obs.d, obs.provenance
-    )
+    flat = obs.flatten()
+    flat *= keep
+    out = _on_flat(flat, obs)
     out.provenance.append(record)
     return out
 

@@ -505,6 +505,14 @@ def _write_csv_row(writer, row: dict):
     writer.writerow({k: _fmt(row[k]) for k in CSV_FIELDS})
 
 
+def _drop_torn_tail(path: Path):
+    """Cut the file back to its last newline: a kill mid-write leaves a
+    partial last row, which would otherwise count as a finished trial or
+    fail to parse, and the next append would continue it."""
+    with open(path, "rb+") as fh:
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def read_results_csv(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -519,7 +527,8 @@ def sweep(
     """Run the cross-product of the grid axes; one record per (point, trial).
 
     Emits results.csv (appended after every trial, so an interrupted sweep
-    resumes without duplicating completed trials), results.json and
+    resumes without duplicating completed trials; a torn last row is cut
+    off and its trial rerun), results.json and
     manifest.json.  Output is a pure function of (sweep config, base seed)
     apart from the wall-time column and the manifest timestamp, which a
     resume keeps.  Refuses to touch an existing complete run unless
@@ -546,6 +555,7 @@ def sweep(
                 f"output dir {out} holds a different sweep (use force to overwrite)"
             )
         if csv_path.exists():
+            _drop_torn_tail(csv_path)
             for row in read_results_csv(csv_path):
                 done.add((row["config_hash"], int(row["trial"])))
         if done >= expected:
@@ -574,7 +584,7 @@ def sweep(
         if (p.config_hash(), t) not in done
     ]
 
-    new_file = not csv_path.exists()
+    new_file = not csv_path.exists() or csv_path.stat().st_size == 0
     records: list[TrialRecord] = []
     with open(csv_path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)

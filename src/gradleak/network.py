@@ -294,10 +294,12 @@ def input_gram(
     A *= w_a
     Af = A.reshape(B * d, m)
     G = Af @ Af.T
+    del A, Af                                 # working set: P plus one (B, d, m) temporary
     G4 = G.reshape(B, d, B, d)                # view: G4[i, s, k, u]
     # cross terms P_i diag(q_k) w_W, scaled by x_i[u], plus their transposes
     R = (Q.T[:, :, None] * w_W[:, None, :]).reshape(m, B * d)
     cross = (P.reshape(B * d, m) @ R).reshape(B, d, B, d) * X.T[:, None, None, :]
+    del R
     cross = cross.reshape(B * d, B * d)
     G += cross + cross.T
     # q_i q_k delta_su terms

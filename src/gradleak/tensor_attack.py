@@ -18,6 +18,15 @@ use the next-higher Hermite tensor contracted with a unit probe vector;
 the contraction is carried out entirely in the projected space, so no
 d^3 object is ever materialized.
 
+The order-3 contraction sum_j g_j v_j^(x3) is summed term by term: each
+term is ((g_j v_jp) v_jq) v_jr and each entry adds the terms one at a time
+in ascending j, exactly as ``np.einsum("j,jp,jq,jr->pqr", ...)`` does for
+B >= 2 (at B = 1 the einsum itself is kept, see ``_cube_contraction``).  A
+GEMM, a pairwise or a symmetry-folded sum agrees to about 1e-14 relative,
+but the decomposition's restart selection is sensitive enough for that to
+pick another restart and move the reported rmse, so the summation order is
+part of the contract (tests/oracles.py holds the literal einsum).
+
 Recovered samples carry an inherent sign and ordering ambiguity; both are
 resolved only at scoring time.  The whole pipeline is invariant to
 positive rescaling of the observation, which is why norm clipping alone
@@ -108,6 +117,36 @@ def _sym_matrix_vector(M: np.ndarray, v: np.ndarray) -> np.ndarray:
         + np.einsum("pr,q->pqr", M, v)
         + np.einsum("qr,p->pqr", M, v)
     )
+
+
+# products per chunk of the order-3 contraction: 512 KiB of float64, so a
+# chunk stays in L2
+_CHUNK_TERMS = 1 << 16
+
+
+def _cube_contraction(g: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """sum_j g_j v_j^(x3), bit for bit as np.einsum("j,jp,jq,jr->pqr", g, vw, vw, vw).
+
+    Row 0 of each chunk's buffer holds the running total and rows 1.. the
+    chunk's terms ((g_j v_jp) v_jq) v_jr; np.add.reduce over the leading
+    axis then adds the rows strictly in order.  At B = 1 that reduction
+    would be pairwise and the einsum itself sums in 8192-term buffer
+    blocks, so the einsum is kept there (it is a single O(m) dot product).
+    """
+    m, B = vw.shape
+    if B == 1:
+        return np.einsum("j,jp,jq,jr->pqr", g, vw, vw, vw)
+    chunk = max(1, _CHUNK_TERMS // B**3)
+    total = np.zeros((B, B, B))
+    buf = np.empty((min(chunk, m) + 1, B, B, B))
+    for j0 in range(0, m, chunk):
+        v = vw[j0:j0 + chunk]
+        rows = buf[:len(v) + 1]
+        rows[0] = total
+        gvv = (g[j0:j0 + chunk, None] * v)[:, :, None] * v[:, None, :]
+        np.multiply(gvv[..., None], v[:, None, None, :], out=rows[1:])
+        np.add.reduce(rows, axis=0, out=total)
+    return total
 
 
 def build_moment_matrix(
@@ -213,7 +252,7 @@ def build_projected_tensor(
         raise DimensionError("V must have orthonormal columns")
     vw = W @ V  # (m, B) rows v_j
     if moments.tensor_order == 3:
-        T = np.einsum("j,jp,jq,jr->pqr", grad_a, vw, vw, vw) / m
+        T = _cube_contraction(grad_a, vw) / m
         T -= _sym_outer_identity((grad_a @ vw) / m)
         return T
     if probe is None:
@@ -226,7 +265,7 @@ def build_projected_tensor(
         )
     s = W @ probe
     gs = grad_a * s
-    T = np.einsum("j,jp,jq,jr->pqr", gs, vw, vw, vw) / m
+    T = _cube_contraction(gs, vw) / m
     T -= _sym_outer_identity((gs @ vw) / m)
     T -= _sym_matrix_vector((vw.T * grad_a) @ vw / m, at)
     T += float(np.mean(grad_a)) * _sym_outer_identity(at)

@@ -235,6 +235,45 @@ def hermite_tensor4(w: np.ndarray) -> np.ndarray:
     return T
 
 
+def einsum_projected_tensor(grad_a, W, V, moments, probe=None) -> np.ndarray:
+    """The projected tensor as one literal einsum per order-3 contraction.
+
+    Bitwise reference for ``build_projected_tensor``: same formula, same
+    term products and the einsum's own summation order.
+    """
+    m = W.shape[0]
+    B = V.shape[1]
+    eye = np.eye(B)
+
+    def outer_identity(v):
+        return (
+            np.einsum("p,qr->pqr", v, eye)
+            + np.einsum("q,pr->pqr", v, eye)
+            + np.einsum("r,pq->pqr", v, eye)
+        )
+
+    vw = W @ V
+    if moments.tensor_order == 3:
+        T = np.einsum("j,jp,jq,jr->pqr", grad_a, vw, vw, vw) / m
+        T -= outer_identity((grad_a @ vw) / m)
+        return T
+    if probe is None:
+        probe = V[:, 0].copy()
+    probe = probe / np.linalg.norm(probe)
+    at = V.T @ probe
+    gs = grad_a * (W @ probe)
+    M = (vw.T * grad_a) @ vw / m
+    T = np.einsum("j,jp,jq,jr->pqr", gs, vw, vw, vw) / m
+    T -= outer_identity((gs @ vw) / m)
+    T -= (
+        np.einsum("pq,r->pqr", M, at)
+        + np.einsum("pr,q->pqr", M, at)
+        + np.einsum("qr,p->pqr", M, at)
+    )
+    T += float(np.mean(grad_a)) * outer_identity(at)
+    return T
+
+
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
     lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))

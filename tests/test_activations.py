@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.stats import norm, qmc
 
 from gradleak.activations import (
     Activation,
     ZERO_MOMENT_THRESHOLD,
+    _gauss_hermite_rule,
+    _sigmoid,
+    gauss_hermite_expectation,
     hermite_moments,
     make_activation,
 )
@@ -114,3 +118,22 @@ def test_stein_self_consistency_sampling():
         est = float(np.mean(act(z) * he))
         assert abs(est - mo.raw[k]) < 1e-3, f"order {k}"
         he, he_prev = z * he - k * he_prev, he
+
+
+def test_softplus_second_derivative_bitwise():
+    z = np.linspace(-30.0, 30.0, 1001)
+    for c in (1.0, 0.3):
+        expected = c * _sigmoid(z) * (1.0 - _sigmoid(z))
+        assert np.array_equal(make_activation("softplus", c).d2(z), expected)
+
+
+def test_quadrature_rule_is_cached_and_read_only():
+    z, w = _gauss_hermite_rule(128)
+    assert _gauss_hermite_rule(128)[0] is z
+    x, w_ref = hermgauss(128)
+    assert np.array_equal(z, np.sqrt(2.0) * x) and np.array_equal(w, w_ref)
+    for arr in (z, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    expected = float(np.sum(w_ref * np.cos(np.sqrt(2.0) * x)) / np.sqrt(np.pi))
+    assert gauss_hermite_expectation(np.cos) == expected

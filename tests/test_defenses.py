@@ -19,6 +19,7 @@ from gradleak.defenses import (
 )
 from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError, LayoutMismatchError
 from gradleak.network import DataBatch, GradientObservation, gradient, sample_batch, sample_params
+from gradleak.seeding import rng_from
 
 SP = make_activation("softplus")
 
@@ -61,6 +62,15 @@ def test_noise_clip_scale_parameterization():
     scaled = apply_noise(g, 0.1, seed=3, clip_scale=4.0).flatten() - g.flatten()
     plain = apply_noise(g, 0.4, seed=3).flatten() - g.flatten()
     assert np.allclose(scaled, plain, rtol=1e-12)
+
+
+def test_noise_equals_flat_sum_bitwise():
+    _, _, g = obs_of(d=5, m=64)
+    out = apply_noise(g, 0.2, seed=4, clip_scale=1.5)
+    draw = rng_from(4).normal(0.0, 0.2 * 1.5, size=g.m * (1 + g.d))
+    old = GradientObservation.from_flat(g.flatten() + draw, g.m, g.d)
+    assert np.array_equal(out.grad_a, old.grad_a)
+    assert np.array_equal(out.grad_W, old.grad_W)
 
 
 # --- clipping ------------------------------------------------------------
@@ -307,3 +317,37 @@ def test_defense_validation():
         defense_from_dict({"variant": "prune_ratio", "ratio": 1.0})
     with pytest.raises(ConfigError):
         defense_from_dict({"variant": "mixup"})
+
+
+# --- copy-free outputs -----------------------------------------------------
+
+TRANSFORMS = {
+    "noise": lambda g: apply_noise(g, 0.3, seed=2),
+    "clip": lambda g: apply_clip(g, threshold=0.5 * g.norm()),
+    "prune_ratio": lambda g: apply_prune_ratio(g, 0.4),
+    "prune_threshold": lambda g: apply_prune_threshold(g, 1e-3),
+    "dropout": lambda g: apply_dropout(g, 0.5, seed=3),
+    "dropout_coords": lambda g: apply_dropout(g, 0.5, seed=3, node_level=False),
+}
+MASKING = ("prune_ratio", "prune_threshold", "dropout", "dropout_coords")
+
+
+@pytest.mark.parametrize("name", MASKING)
+def test_mask_equals_flat_product_bitwise(name):
+    _, _, g = obs_of(d=5, m=64)
+    out = TRANSFORMS[name](g)
+    old = GradientObservation.from_flat(g.flatten() * out.provenance[-1].mask, g.m, g.d)
+    assert np.array_equal(out.grad_a, old.grad_a)
+    assert np.array_equal(out.grad_W, old.grad_W)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_writing_to_output_leaves_input_unchanged(name):
+    _, _, g = obs_of(d=5, m=64)
+    before = g.copy()
+    out = TRANSFORMS[name](g)
+    out.grad_a[:] = 7.0
+    out.grad_W[:] = 7.0
+    assert np.array_equal(g.grad_a, before.grad_a)
+    assert np.array_equal(g.grad_W, before.grad_W)
+    assert len(g.provenance) == len(before.provenance)

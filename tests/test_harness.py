@@ -354,6 +354,27 @@ def test_sweep_resume_keeps_manifest_timestamp(tmp_path):
     assert json.loads(manifest_path.read_text())["created_utc"] == "1970-01-01T00:00:00Z"
 
 
+@pytest.mark.parametrize(
+    "tear",
+    [
+        lambda row: row[:5],                             # inside config_hash
+        lambda row: ",".join(row.split(",")[:3]),        # after the trial column
+    ],
+    ids=["inside-config-hash", "after-trial-column"],
+)
+def test_sweep_resume_drops_torn_csv_tail(tmp_path, tear):
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    csv_path = out / "results.csv"
+    clean = csv_path.read_text()
+    header, first, second = clean.splitlines()
+    csv_path.write_text(header + "\n" + first + "\n" + tear(second))  # killed mid-write
+    res = sweep(cfg, out)  # resume reruns the torn trial
+    assert res["rows"] == 2 and res["new_records"] == 1
+    assert strip_wall(csv_path.read_text()) == strip_wall(clean)
+
+
 def test_sweep_rejects_mismatched_directory(tmp_path):
     sweep(sweep_config(), tmp_path / "out")
     with pytest.raises(ConfigError):

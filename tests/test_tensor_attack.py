@@ -6,6 +6,7 @@ from gradleak.defenses import apply_clip, apply_prune_ratio
 from gradleak.errors import AttackStageError, DimensionError, ProbeError
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import (
+    _CHUNK_TERMS,
     TensorAttackConfig,
     build_moment_matrix,
     build_projected_tensor,
@@ -14,7 +15,7 @@ from gradleak.tensor_attack import (
     score_reconstruction,
     tensor_attack,
 )
-from oracles import hermite_tensor3, hermite_tensor4, loglog_slope
+from oracles import einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope
 
 SP = make_activation("softplus")
 EXP = make_activation("exp")
@@ -208,6 +209,23 @@ def test_projected_tensor_order4_stein_oracle():
     at = V.T @ V[:, 0]
     expected = SP_MO.raw[4] * float(x @ V[:, 0]) * np.einsum("p,q,r->pqr", xt, xt, xt)
     assert np.abs(T - expected).max() < 5e-2
+
+
+@pytest.mark.parametrize("B", range(1, 9))
+@pytest.mark.parametrize("moments", [EXP_MO, SP_MO], ids=["order3", "order4"])
+def test_projected_tensor_matches_einsum_bitwise(B, moments):
+    # below, at and off a multiple of the chunk length
+    chunk = _CHUNK_TERMS // B**3
+    rng = np.random.default_rng(100 + B)
+    d = B + 2
+    V = np.linalg.qr(rng.standard_normal((d, B)))[0]
+    probe = rng.standard_normal(d)
+    for m in (chunk - 1, chunk, 2 * chunk + 3):
+        W = rng.standard_normal((m, d))
+        g = rng.standard_normal(m)
+        for pr in (None, probe):
+            T = build_projected_tensor(g, W, V, moments, probe=pr)
+            assert np.array_equal(T, einsum_projected_tensor(g, W, V, moments, probe=pr)), m
 
 
 def test_projected_tensor_probe_orthogonal_error():
