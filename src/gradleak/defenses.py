@@ -87,7 +87,12 @@ class ClipDefense:
 
 @dataclass(frozen=True)
 class PruneRatioDefense:
-    """Zero the floor(ratio * len) smallest-magnitude coordinates."""
+    """Zero the floor(ratio * len) smallest-magnitude coordinates.
+
+    The kept set equals a stable argsort's: ties in magnitude go by
+    ascending index and NaN sorts last.  ``apply_prune_ratio`` finds it by
+    linear-time selection, not by sorting.
+    """
 
     ratio: float
     variant: str = "prune_ratio"
@@ -294,9 +299,12 @@ def apply_clip(obs: GradientObservation, threshold: float) -> GradientObservatio
     return out
 
 
-def _masked(obs: GradientObservation, keep: np.ndarray, record: DefenseRecord):
+def _masked(
+    obs: GradientObservation, flat: np.ndarray, keep: np.ndarray, record: DefenseRecord
+):
+    """Zero ``flat`` (a fresh ``obs.flatten()``, owned here) where ``keep``
+    is False and return it as the output observation."""
     record.mask = keep
-    flat = obs.flatten()
     flat *= keep
     out = _on_flat(flat, obs)
     out.provenance.append(record)
@@ -304,17 +312,38 @@ def _masked(obs: GradientObservation, keep: np.ndarray, record: DefenseRecord):
 
 
 def apply_prune_ratio(obs: GradientObservation, ratio: float) -> GradientObservation:
-    """Zero the floor(ratio*len) smallest-|.| coordinates of the flattened
-    vector (both blocks jointly); ties broken by ascending index."""
+    """Zero the k = floor(ratio*len) smallest-|.| coordinates of the
+    flattened vector (both blocks jointly).
+
+    The kept set is exactly the one a stable argsort of the magnitudes
+    gives: ties go by ascending index, and NaN sorts last, after +-inf.
+    It is found in O(len) time: the k-th smallest magnitude t comes from
+    a partition (introselect); every entry below t is dropped, then the entries
+    equal to t, lowest index first, until k are dropped.  If t is NaN,
+    fewer than k entries are numbers: all of them are dropped, then the
+    lowest-index NaNs.
+    """
     if not 0 <= ratio < 1:
         raise ConfigError("prune ratio must be in [0, 1)")
     flat = obs.flatten()
     k = int(np.floor(ratio * flat.size))
-    keep = np.ones(flat.size, dtype=bool)
-    if k > 0:
-        order = np.argsort(np.abs(flat), kind="stable")
-        keep[order[:k]] = False
-    return _masked(obs, keep, DefenseRecord(variant="prune_ratio", params={"ratio": ratio}))
+    if k == 0:
+        keep = np.ones(flat.size, dtype=bool)
+    else:
+        mag = np.abs(flat)
+        mag.partition(k - 1)
+        t = mag[k - 1]
+        np.abs(flat, out=mag)  # in index order again: one scratch buffer, not two
+        if np.isnan(t):
+            keep = np.isnan(mag)
+            ties = np.flatnonzero(keep)
+        else:
+            keep = ~(mag < t)  # not mag >= t: NaN compares False and must stay
+            ties = np.flatnonzero(mag == t)
+        keep[ties[:k - (keep.size - np.count_nonzero(keep))]] = False
+    return _masked(
+        obs, flat, keep, DefenseRecord(variant="prune_ratio", params={"ratio": ratio})
+    )
 
 
 def apply_prune_threshold(obs: GradientObservation, cutoff: float) -> GradientObservation:
@@ -325,7 +354,7 @@ def apply_prune_threshold(obs: GradientObservation, cutoff: float) -> GradientOb
     flat = obs.flatten()
     keep = np.abs(flat) >= cutoff
     return _masked(
-        obs, keep, DefenseRecord(variant="prune_threshold", params={"cutoff": cutoff})
+        obs, flat, keep, DefenseRecord(variant="prune_threshold", params={"cutoff": cutoff})
     )
 
 
@@ -354,6 +383,7 @@ def apply_dropout(
             raise DegenerateObservationError("dropout removed every coordinate")
     return _masked(
         obs,
+        obs.flatten(),
         keep,
         DefenseRecord(variant="dropout", params={"rate": rate, "node_level": node_level}),
     )

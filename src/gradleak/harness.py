@@ -20,6 +20,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -602,10 +603,16 @@ def sweep(
             for pi, t in todo:
                 emit(run_trial(points[pi], t))
         else:
+            # at most 4*workers trials submitted and not yet emitted; emitted
+            # in the original order, not completion order
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run_trial, points[pi], t) for pi, t in todo]
-                for fut in futures:  # original order, not completion order
-                    emit(fut.result())
+                pending = deque()
+                for pi, t in todo:
+                    if len(pending) == 4 * workers:
+                        emit(pending.popleft().result())
+                    pending.append(pool.submit(run_trial, points[pi], t))
+                while pending:
+                    emit(pending.popleft().result())
 
     all_rows = read_results_csv(csv_path)
     json_path.write_text(

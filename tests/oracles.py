@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from gradleak.bounds import BoundReport, cramer_rao
+from gradleak.defenses import DefenseRecord
 from gradleak.errors import DivergenceError
 from gradleak.network import DataBatch, GradientObservation, NetworkParams, gradient, loss
 
@@ -168,6 +169,30 @@ def dense_grad_match_loss(X_cand, y, params: NetworkParams, target: GradientObse
     if not np.isfinite(val):
         raise DivergenceError("gradient-matching loss is non-finite for this candidate")
     return val, gradient_input_vjp(params, batch, u_a, u_W)
+
+
+def argsort_prune_mask(flat: np.ndarray, ratio: float) -> np.ndarray:
+    """Keep-mask of a joint magnitude prune by a full stable argsort: the
+    floor(ratio*len) smallest |.| are dropped, ties by ascending index and
+    NaN last, as numpy sorts."""
+    k = int(np.floor(ratio * flat.size))
+    keep = np.ones(flat.size, dtype=bool)
+    if k > 0:
+        order = np.argsort(np.abs(flat), kind="stable")
+        keep[order[:k]] = False
+    return keep
+
+
+def argsort_prune_ratio(obs: GradientObservation, ratio: float) -> GradientObservation:
+    """``defenses.apply_prune_ratio`` with its mask taken from
+    ``argsort_prune_mask`` and its output built by copying."""
+    flat = obs.flatten()
+    keep = argsort_prune_mask(flat, ratio)
+    out = GradientObservation.from_flat(flat * keep, obs.m, obs.d, obs.provenance)
+    out.provenance.append(
+        DefenseRecord(variant="prune_ratio", params={"ratio": ratio}, mask=keep)
+    )
+    return out
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

@@ -19,7 +19,8 @@ from gradleak.defenses import (
 )
 from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError, LayoutMismatchError
 from gradleak.network import DataBatch, GradientObservation, gradient, sample_batch, sample_params
-from gradleak.seeding import rng_from
+from gradleak.seeding import derive_seed, rng_from
+from oracles import argsort_prune_mask
 
 SP = make_activation("softplus")
 
@@ -143,6 +144,75 @@ def test_prune_threshold_idempotent():
     once = apply_prune_threshold(g, 1e-4)
     twice = apply_prune_threshold(once, 1e-4)
     assert np.array_equal(once.flatten(), twice.flatten())
+
+
+PRUNE_KINDS = ("gauss", "rounded", "zeros", "signed_zeros", "inf", "nan", "mostly_nan")
+
+
+def _prune_input(kind: str, m: int, d: int, seed: int) -> GradientObservation:
+    """A flattened gradient of m(1+d) coordinates shaped to stress the tie
+    order and NaN placement of a magnitude prune."""
+    n = m * (1 + d)
+    rng = rng_from(seed)
+    if n >= 100:
+        p = sample_params(d, m, seed=seed, activation=SP)
+        g = gradient(p, sample_batch(d, 2, seed=seed + 1)).flatten()
+        g /= np.abs(g).max()
+    else:
+        g = rng.standard_normal(n)
+    if kind == "rounded":
+        g = np.round(g, 3)  # many equal magnitudes
+    elif kind == "zeros":
+        g[rng.random(n) < 0.3] = 0.0
+    elif kind == "signed_zeros":
+        g[rng.random(n) < 0.3] = 0.0
+        g[rng.random(n) < 0.3] = -0.0
+    elif kind == "inf":
+        g[rng.random(n) < 0.1] = np.inf
+        g[rng.random(n) < 0.1] = -np.inf
+        g[0] = -np.inf
+    elif kind == "nan":
+        g[rng.random(n) < 0.1] = np.nan
+        g[rng.random(n) < 0.05] = np.inf
+        g[-1] = np.nan
+    elif kind == "mostly_nan":  # k exceeds the non-NaN count from ratio 0.5 on
+        g[rng.random(n) < 0.6] = np.nan
+        g[rng.random(n) < 0.1] = -0.0
+        g[0] = np.nan
+    return GradientObservation.from_flat(g, m, d)
+
+
+@pytest.mark.parametrize("m,d", [(1, 0), (1, 1), (200, 14)])
+@pytest.mark.parametrize("kind", PRUNE_KINDS)
+def test_prune_ratio_matches_stable_argsort(kind, m, d):
+    obs = _prune_input(kind, m, d, seed=11 * m + d)
+    flat = obs.flatten()
+    n = flat.size
+    for ratio in (0.0, 1e-4, 0.1, 0.5, 0.9, 0.99, (n - 0.5) / n):
+        keep = argsort_prune_mask(flat, ratio)
+        # a pruned +-inf becomes NaN (inf * 0) on both sides
+        with np.errstate(invalid="ignore"):
+            out = apply_prune_ratio(obs, ratio)
+            expect = flat * keep
+        assert np.array_equal(out.provenance[-1].mask, keep), (kind, ratio)
+        assert out.flatten().tobytes() == expect.tobytes(), (kind, ratio)
+
+
+def test_prune_ratio_nan_beyond_the_numbers():
+    flat = np.array([1.0, np.nan, 0.5, np.nan, 2.0])
+    out = apply_prune_ratio(GradientObservation.from_flat(flat, 5, 0), 0.8)
+    assert np.array_equal(out.provenance[-1].mask, [False, False, False, True, False])
+    assert np.array_equal(argsort_prune_mask(flat, 0.8), out.provenance[-1].mask)
+
+
+def test_prune_ratio_matches_stable_argsort_on_criterion_06_gradients():
+    exp = make_activation("exp")
+    d, m = 16, 2**14
+    for seed in range(600, 610):
+        p = sample_params(d, m, seed=seed, activation=exp)
+        g = gradient(p, sample_batch(d, 2, seed=derive_seed(seed, 1)))
+        mask = apply_prune_ratio(g, 0.9).provenance[-1].mask
+        assert np.array_equal(mask, argsort_prune_mask(g.flatten(), 0.9)), seed
 
 
 # --- dropout -------------------------------------------------------------

@@ -1,12 +1,14 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import gradleak.defenses as dfs
 import gradleak.harness as hz
 from gradleak.activations import make_activation
-from gradleak.defenses import NoiseDefense, PruneRatioDefense
+from gradleak.defenses import ClipDefense, NoiseDefense, PruneRatioDefense
 from gradleak.errors import ConfigError
 from gradleak.harness import (
     CSV_FIELDS,
@@ -20,7 +22,7 @@ from gradleak.harness import (
 )
 from gradleak.network import DataBatch, input_jacobian, sample_batch, sample_params
 from gradleak.seeding import DATA_STREAM, PARAMS_STREAM, derive_seed
-from oracles import dense_bound_for_observation
+from oracles import argsort_prune_ratio, dense_bound_for_observation
 
 SP = make_activation("softplus")
 
@@ -243,6 +245,24 @@ def test_utility_noise_hurts_and_prune_mild():
     assert np.median(pruned) <= 1.5 * np.median(clean)
 
 
+def test_prune_chain_matches_argsort_oracle(monkeypatch):
+    chain = [ClipDefense(threshold=1.0), PruneRatioDefense(ratio=0.9)]
+    p = sample_params(8, 256, seed=3, activation=SP)
+    b = sample_batch(8, 4, seed=103)
+    cfg = small_config(
+        defenses=[{"variant": "prune_ratio", "ratio": 0.9}], utility={"steps": 50}
+    )
+
+    def run():
+        rec = run_trial(cfg, 0).to_dict()
+        del rec["wall_ms"]
+        return utility_loss(p, chain, b, steps=100, seed=3), rec
+
+    fast = run()
+    monkeypatch.setattr(dfs, "apply_prune_ratio", argsort_prune_ratio)
+    assert run() == fast
+
+
 def test_utility_divergence_returns_inf():
     p = sample_params(4, 16, seed=0, activation=SP)
     b = sample_batch(4, 2, seed=1)
@@ -309,6 +329,34 @@ def test_sweep_is_worker_count_invariant(tmp_path):
     a = strip_wall((tmp_path / "w1" / "results.csv").read_text())
     b = strip_wall((tmp_path / "w3" / "results.csv").read_text())
     assert a == b
+
+
+def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
+    # trial 0 stalls until 8 trials have started and then a little longer,
+    # so an unbounded pool runs a 9th trial before any row is emitted
+    cfg = sweep_config(trials=20)
+    csv_path = tmp_path / "out" / "results.csv"
+    real = hz.run_trial
+    lock = threading.Lock()
+    started = {n: threading.Event() for n in (8, 9)}
+    ahead = []
+
+    def tracked(point, trial):
+        with lock:
+            emitted = csv_path.read_text().count("\n") - 1  # minus the header
+            ahead.append(len(ahead) + 1 - emitted)
+            if len(ahead) in started:
+                started[len(ahead)].set()
+        if trial == 0:
+            assert started[8].wait(timeout=10)
+            started[9].wait(timeout=0.25)
+        return real(point, trial)
+
+    monkeypatch.setattr(hz, "run_trial", tracked)
+    res = sweep(cfg, tmp_path / "out", workers=2)
+    assert res["rows"] == 20
+    assert max(ahead) <= 8
+    assert [int(r["trial"]) for r in read_results_csv(csv_path)] == list(range(20))
 
 
 def test_sweep_resume_without_duplicates(tmp_path, monkeypatch):
