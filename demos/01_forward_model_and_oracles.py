@@ -12,7 +12,7 @@ import numpy as np
 from gradleak import (
     gradient,
     hermite_moments,
-    input_jacobian,
+    input_gram,
     make_activation,
     sample_batch,
     sample_params,
@@ -45,11 +45,13 @@ fd = (
 ) / (2 * h)
 print(f"d loss / d a[{j}]: analytic {obs.grad_a[j]:+.8f}  finite-diff {fd:+.8f}")
 
-# the input Jacobian says how the observation responds to the inputs; it is
-# the object the information-theoretic bounds consume
-J = input_jacobian(params, batch)
-print("\ninput Jacobian shape:", J.shape, "(batch coords x observation coords)")
-print("tr(J J^T):", round(float(np.sum(J * J)), 3))
+# the input Jacobian J says how the observation responds to the inputs; the
+# information-theoretic bounds consume its Gram matrix J J^T, built in closed
+# form without forming J
+G, mass = input_gram(params, batch)
+J_shape = (G.shape[0], params.n_coords)
+print("\ninput Jacobian shape:", J_shape, "(batch coords x observation coords)")
+print("tr(J J^T):", round(mass, 3))
 
 # which Hermite orders of the activation carry the moment attack's signal
 for kind in ("softplus", "exp", "cubic"):

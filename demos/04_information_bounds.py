@@ -1,20 +1,19 @@
 """No-free-lunch side: how well could ANY attack do, and what privacy costs.
 
 Modeling the released gradient as signal plus isotropic Gaussian noise,
-the estimation limit follows from the input Jacobian; defense records
-adjust it (clipping rescales the effective noise, masking deletes
+the estimation limit follows from the input Jacobian's Gram matrix, which
+``bound_for_observation`` builds in closed form; the observation's defense
+records adjust it (clipping rescales the effective noise, masking deletes
 observation coordinates).  The same noise model prices a formal privacy
 guarantee, and the price grows linearly with the width.
 """
 from gradleak import (
     apply_clip,
     apply_prune_ratio,
-    bound_under_defense,
-    cramer_rao,
+    bound_for_observation,
     dp_delta,
     estimate_sensitivity,
     gradient,
-    input_jacobian,
     make_activation,
     required_sigma,
     sample_batch,
@@ -28,22 +27,21 @@ print("estimation lower bound vs width (sigma = 0.1):")
 for m in (2**9, 2**10, 2**11, 2**12):
     params = sample_params(d, m, seed=0, activation=act)
     batch = sample_batch(d, B, seed=1)
-    rep = cramer_rao(input_jacobian(params, batch), sigma, B)
+    rep = bound_for_observation(params, batch, sigma, gradient(params, batch))
     print(f"  m = {m:5d}   exact {rep.rl_exact:.5f}   loose {rep.rl_loose:.5f}")
 
 params = sample_params(d, 2**11, seed=0, activation=act)
 batch = sample_batch(d, B, seed=1)
-J = input_jacobian(params, batch)
 obs = gradient(params, batch)
-base = cramer_rao(J, sigma, B)
+base = bound_for_observation(params, batch, sigma, obs)
 
 clipped = apply_clip(obs, obs.norm() / 4.0)
-rep = bound_under_defense(J, sigma, B, clipped.provenance[-1], obs)
+rep = bound_for_observation(params, batch, sigma, clipped)
 print(f"\nclipping at ||G||/4 rescales the effective noise: "
       f"{base.rl_exact:.5f} -> {rep.rl_exact:.5f}")
 
 pruned = apply_prune_ratio(obs, 0.95)
-rep = bound_under_defense(J, sigma, B, pruned.provenance[-1], obs)
+rep = bound_for_observation(params, batch, sigma, pruned)
 print(f"pruning 95% of coordinates destroys "
       f"{rep.adjustments['mass_fraction_destroyed']:.1%} of the Jacobian mass: "
       f"{base.rl_exact:.5f} -> {rep.rl_exact:.5f}")

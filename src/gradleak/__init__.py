@@ -12,8 +12,7 @@ from .activations import Activation, HermiteMoments, hermite_moments, make_activ
 from .bounds import (
     BoundReport,
     SensitivityEstimate,
-    bound_under_defense,
-    cramer_rao,
+    bound_for_observation,
     cramer_rao_gram,
     dp_delta,
     dp_lambda_star,
@@ -44,7 +43,6 @@ from .harness import (
     ExperimentConfig,
     TrialRecord,
     aggregate_rows,
-    bound_for_observation,
     defense_score,
     run_trial,
     sweep,
@@ -58,7 +56,6 @@ from .network import (
     forward,
     gradient,
     input_gram,
-    input_jacobian,
     sample_batch,
     sample_params,
 )

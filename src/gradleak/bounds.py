@@ -9,9 +9,9 @@ rows are input coordinates, columns are observation coordinates):
     loose:  R^2 >= (1/B) * (B*d)^2 * sigma^2 / tr(J J^T)
 
 Both need only the (B*d, B*d) Gram matrix G = J J^T, so ``cramer_rao_gram``
-is the one implementation.  Trials take G in closed form from
-``network.input_gram`` without building J; ``cramer_rao`` and
-``bound_under_defense`` take a dense J and serve demos and test oracles.
+is the one implementation, and ``bound_for_observation`` is the one way to
+fold a defense chain into it: it takes G in closed form from
+``network.input_gram`` and never builds J.
 
 The loose form follows from the trace inequality tr(M) tr(M^{-1}) >= n^2 and
 never exceeds the exact one.  Defense records adjust the computation:
@@ -35,16 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defenses import DefenseRecord
 from .errors import ConfigError, DimensionError
-from .network import DataBatch, GradientObservation, NetworkParams, gradient
+from .network import DataBatch, GradientObservation, NetworkParams, gradient, input_gram
 from .seeding import rng_from
 
 __all__ = [
     "BoundReport",
-    "cramer_rao",
     "cramer_rao_gram",
-    "bound_under_defense",
+    "bound_for_observation",
     "dp_delta",
     "dp_lambda_star",
     "required_sigma",
@@ -144,95 +142,45 @@ def cramer_rao_gram(G: np.ndarray, n_obs: int, sigma: float, B: int) -> BoundRep
     )
 
 
-def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
-    """``cramer_rao_gram`` on the Gram matrix of a dense input Jacobian."""
-    if J.ndim != 2:
-        raise DimensionError("J must be a matrix")
-    return cramer_rao_gram(J @ J.T, J.shape[1], sigma, B)
-
-
-def _kept_columns(record: DefenseRecord, n_obs: int) -> np.ndarray:
-    if record.mask is None or record.mask.shape != (n_obs,):
-        raise DimensionError("defense record mask does not match the observation layout")
-    return record.mask
-
-
-def bound_under_defense(
-    J: np.ndarray,
-    sigma: float,
-    B: int,
-    record: DefenseRecord,
-    obs: GradientObservation,
+def bound_for_observation(
+    params: NetworkParams, batch: DataBatch, sigma: float, obs: GradientObservation
 ) -> BoundReport:
-    """Lower bound adjusted for one applied defense.
+    """Fold a whole defense chain into one bound report.
 
-    clip:     with realized factor R < 1 the useful signal shrank by R, so
-              the effective noise grows to sigma / R.
-    pruning / dropout:
-              masked observation coordinates carry no information; the
-              matching Jacobian columns are deleted (exact form).  The
-              report also carries the closed-form width heuristics: the
-              baseline loose bound scaled by 1/sqrt(1-p) for dropout and
-              1/sqrt(1-p_hat) for pruning, where p_hat is the fraction of
-              Jacobian Frobenius mass destroyed by the mask.
-    noise:    the defense's own noise is the observation noise; bound
-              unchanged at the configured sigma.
-    local aggregation:
-              same-order bound as the undefended case in the analyzed
-              learning-rate regime; flagged rather than re-derived.  (An
-              exact multi-step Jacobian is available separately via finite
-              differences on the rollout.)
+    ``batch`` holds every sample the observation depends on (B_eff columns
+    under fresh-batch local aggregation).  Mask records intersect (a
+    coordinate zeroed anywhere stays zeroed) and enter the closed-form Gram
+    ``J[:, keep] J[:, keep]^T``, so the dense Jacobian is never built; clip
+    factors multiply into the effective noise, and aggregation or noise
+    records only annotate.
     """
-    n_obs = J.shape[1]
-    m, d = obs.m, obs.d
-    if n_obs != m * (1 + d):
-        raise DimensionError("Jacobian width does not match the observation layout")
-    variant = record.variant
-    if variant == "clip":
-        factor = record.clip_factor if record.clip_factor is not None else 1.0
-        sigma_eff = sigma / factor
-        rep = cramer_rao(J, sigma_eff, B)
-        rep.adjustments["clip_factor"] = factor
-        rep.adjustments["sigma_effective"] = sigma_eff
-        return rep
-    if variant in ("prune_ratio", "prune_threshold", "dropout"):
-        keep = _kept_columns(record, n_obs)
-        total_mass = float(np.sum(J * J))
-        kept_mass = float(np.sum(J[:, keep] ** 2))
-        destroyed = 1.0 - (kept_mass / total_mass if total_mass > 0 else 0.0)
-        rep = cramer_rao(J[:, keep], sigma, B)
-        base = cramer_rao(J, sigma, B)
-        rep.adjustments["mass_fraction_destroyed"] = destroyed
-        if variant == "dropout":
-            p = float(record.params.get("rate", 0.0))
-            rep.adjustments["closed_form_rl"] = (
-                base.rl_loose / math.sqrt(1.0 - p) if p < 1 else math.inf
-            )
-            rep.adjustments["effective_width"] = (1.0 - p) * m
-        else:
-            rep.adjustments["closed_form_rl"] = (
-                base.rl_loose / math.sqrt(1.0 - destroyed)
-                if destroyed < 1
-                else math.inf
-            )
-        return rep
-    if variant == "noise":
-        rep = cramer_rao(J, sigma, B)
-        rep.adjustments["defense_sigma0"] = record.params.get("sigma0")
-        return rep
-    if variant == "local_aggregation":
-        rep = cramer_rao(J, sigma, B)
-        rep.flags.append(
-            "local-aggregation: single-step Jacobian; same-order bound in the "
-            "analyzed learning-rate regime"
+    keep = np.ones(params.n_coords, dtype=bool)
+    clip_factor = 1.0
+    notes = {}
+    flags = []
+    for rec in obs.provenance:
+        if rec.mask is not None:
+            keep &= rec.mask
+        if rec.clip_factor is not None:
+            clip_factor *= rec.clip_factor
+        if rec.variant == "noise":
+            notes["defense_sigma0"] = rec.params.get("sigma0")
+        if rec.variant == "local_aggregation":
+            flags.append("local-aggregation: same-order single-step bound")
+        if rec.variant == "secure_aggregation":
+            notes["clients"] = rec.params.get("batch_sizes")
+    G, total = input_gram(params, batch, keep)
+    rep = cramer_rao_gram(G, int(keep.sum()), sigma / clip_factor, batch.B)
+    if clip_factor != 1.0:
+        rep.adjustments["clip_factor"] = clip_factor
+        rep.adjustments["sigma_effective"] = sigma / clip_factor
+    if not keep.all():
+        rep.adjustments["mass_fraction_destroyed"] = (
+            1.0 - float(np.trace(G)) / total if total > 0 else 0.0
         )
-        rep.adjustments["steps"] = record.steps
-        return rep
-    if variant == "secure_aggregation":
-        rep = cramer_rao(J, sigma, B)
-        rep.adjustments["clients"] = record.params.get("batch_sizes")
-        return rep
-    raise ConfigError(f"no bound adjustment for defense variant '{variant}'")
+    rep.adjustments.update(notes)
+    rep.flags.extend(flags)
+    return rep
 
 
 def dp_lambda_star(epsilon: float, sigma_sq: float, sensitivity: float) -> float:
@@ -315,36 +263,3 @@ def estimate_sensitivity(
             best = gap
     return SensitivityEstimate(value=best, trials=trials)
 
-
-def local_aggregation_jacobian_fd(
-    params: NetworkParams,
-    batches: list[DataBatch],
-    eta_a: float | None,
-    eta_w: float | None,
-    steps: int,
-    eps: float = 1e-6,
-) -> np.ndarray:
-    """Exact multi-step Jacobian by central finite differences on the
-    rollout observation; expensive opt-in for small problems."""
-    from .defenses import local_aggregation
-
-    base_batches = [DataBatch(X=b.X.copy(), y=b.y.copy()) for b in batches]
-    all_X = [b.X for b in base_batches]
-    n_cols = sum(X.shape[1] for X in all_X)
-    d = params.d
-    J = np.empty((n_cols * d, params.n_coords))
-    row = 0
-    for bi, X in enumerate(all_X):
-        for col in range(X.shape[1]):
-            for s in range(d):
-                for sign, out in ((1.0, "plus"), (-1.0, "minus")):
-                    X[s, col] += sign * eps
-                    obs = local_aggregation(params, base_batches, eta_a, eta_w, steps)
-                    if sign > 0:
-                        plus = obs.flatten()
-                    else:
-                        minus = obs.flatten()
-                    X[s, col] -= sign * eps
-                J[row] = (plus - minus) / (2.0 * eps)
-                row += 1
-    return J

@@ -29,15 +29,13 @@ import numpy as np
 
 from . import defenses as dfs
 from .activations import make_activation
-from .bounds import BoundReport, cramer_rao_gram
+from .bounds import bound_for_observation
 from .errors import ConfigError, GradleakError
 from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
-    GradientObservation,
     NetworkParams,
     gradient,
-    input_gram,
     loss,
     sample_batch,
     sample_params,
@@ -129,6 +127,14 @@ class ExperimentConfig:
         unknown = set(self.attacks) - {"tensor", "gradmatch"}
         if unknown:
             raise ConfigError(f"unknown attacks {sorted(unknown)}")
+        # key names only: value checks stay inside each attack's error record
+        try:
+            if "tensor" in self.attacks:
+                _tensor_config(self.attacks["tensor"], 0)
+            if "gradmatch" in self.attacks:
+                _gradmatch_config(self.attacks["gradmatch"], 0)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad attack parameters: {e}") from e
         for k, cfg in enumerate(self.defenses):
             cfg.validate()
             if cfg.variant in _AGGREGATORS and k != 0:
@@ -138,10 +144,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
         spec = dict(spec)
-        defense_specs = spec.pop("defenses", [])
-        cfg = cls(
-            defenses=tuple(dfs.defense_from_dict(s) for s in defense_specs), **spec
-        )
+        defenses = tuple(dfs.defense_from_dict(s) for s in spec.pop("defenses", []))
+        try:
+            cfg = cls(defenses=defenses, **spec)
+        except TypeError as e:
+            raise ConfigError(f"bad experiment config: {e}") from e
         cfg.validate()
         return cfg
 
@@ -242,6 +249,21 @@ class TrialRecord:
         }
 
 
+def _tensor_config(spec: dict, seed: int) -> TensorAttackConfig:
+    spec = dict(spec)
+    spec.pop("seed", None)
+    return TensorAttackConfig(seed=seed, **spec)
+
+
+def _gradmatch_config(spec: dict, seed: int) -> GradMatchConfig:
+    """The gradmatch attack config; ``feature_source`` is read by run_trial."""
+    spec = dict(spec)
+    spec.pop("seed", None)
+    spec.pop("feature_source", None)
+    opt_spec = spec.pop("optimizer", {})
+    return GradMatchConfig(seed=seed, optimizer=OptimizerConfig(**opt_spec), **spec)
+
+
 def _observation_for_trial(config, params, batch, trial_seed):
     """Base observation plus defended variant; returns (obs, truth_X, truth_y)."""
     transforms = list(config.defenses)
@@ -279,47 +301,6 @@ def _observation_for_trial(config, params, batch, trial_seed):
     return obs, truth, truth_y
 
 
-def bound_for_observation(
-    params: NetworkParams, batch: DataBatch, sigma: float, obs: GradientObservation
-) -> BoundReport:
-    """Fold a whole defense chain into one bound report.
-
-    ``batch`` holds every sample the observation depends on (B_eff columns
-    under fresh-batch local aggregation).  Mask records intersect (a
-    coordinate zeroed anywhere stays zeroed) and enter the closed-form Gram
-    ``J[:, keep] J[:, keep]^T``, so the dense Jacobian is never built; clip
-    factors multiply into the effective noise, and aggregation or noise
-    records only annotate.
-    """
-    keep = np.ones(params.n_coords, dtype=bool)
-    clip_factor = 1.0
-    notes = {}
-    flags = []
-    for rec in obs.provenance:
-        if rec.mask is not None:
-            keep &= rec.mask
-        if rec.clip_factor is not None:
-            clip_factor *= rec.clip_factor
-        if rec.variant == "noise":
-            notes["defense_sigma0"] = rec.params.get("sigma0")
-        if rec.variant == "local_aggregation":
-            flags.append("local-aggregation: same-order single-step bound")
-        if rec.variant == "secure_aggregation":
-            notes["clients"] = rec.params.get("batch_sizes")
-    G, total = input_gram(params, batch, keep)
-    rep = cramer_rao_gram(G, int(keep.sum()), sigma / clip_factor, batch.B)
-    if clip_factor != 1.0:
-        rep.adjustments["clip_factor"] = clip_factor
-        rep.adjustments["sigma_effective"] = sigma / clip_factor
-    if not keep.all():
-        rep.adjustments["mass_fraction_destroyed"] = (
-            1.0 - float(np.trace(G)) / total if total > 0 else 0.0
-        )
-    rep.adjustments.update(notes)
-    rep.flags.extend(flags)
-    return rep
-
-
 def run_trial(
     config: ExperimentConfig, trial_idx: int, keep_samples: bool = False
 ) -> TrialRecord:
@@ -342,9 +323,7 @@ def run_trial(
     attack_out = {}
     tensor_result = None
     if "tensor" in config.attacks:
-        spec = dict(config.attacks["tensor"])
-        spec.pop("seed", None)
-        cfg = TensorAttackConfig(seed=derive_seed(trial_seed, TENSOR_STREAM), **spec)
+        cfg = _tensor_config(config.attacks["tensor"], derive_seed(trial_seed, TENSOR_STREAM))
         try:
             tensor_result = score_reconstruction(
                 tensor_attack(obs, params, B_eff, cfg), truth, sign_resolve=True
@@ -360,17 +339,10 @@ def run_trial(
         except GradleakError as e:
             attack_out["tensor"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
     if "gradmatch" in config.attacks:
-        spec = dict(config.attacks["gradmatch"])
-        spec.pop("seed", None)
-        feature_source = spec.pop("feature_source", None)
-        opt_spec = spec.pop("optimizer", {})
-        cfg = GradMatchConfig(
-            seed=derive_seed(trial_seed, GRADMATCH_STREAM),
-            optimizer=OptimizerConfig(**opt_spec),
-            **spec,
-        )
+        spec = config.attacks["gradmatch"]
+        cfg = _gradmatch_config(spec, derive_seed(trial_seed, GRADMATCH_STREAM))
         targets = None
-        if feature_source == "tensor" and tensor_result is not None:
+        if spec.get("feature_source") == "tensor" and tensor_result is not None:
             targets = tensor_result.samples
         try:
             res = grad_match_attack(obs, params, truth_y, cfg, feature_targets=targets)

@@ -1,4 +1,4 @@
-"""Two-layer random network: forward model, exact gradients, input Jacobian.
+"""Two-layer random network: forward model, exact gradients, input Gram matrix.
 
 Model and conventions (shared by every other module):
 
@@ -12,7 +12,8 @@ Model and conventions (shared by every other module):
 Observations flatten as ``grad_a`` first, then ``grad_W`` row-major, giving
 m + m*d coordinates.  The input Jacobian stacks per-sample blocks: row
 (i, s) holds the derivative of every gradient coordinate with respect to
-component s of sample x_i, so J has shape (B*d, m + m*d).
+component s of sample x_i, so J has shape (B*d, m + m*d).  The library
+never forms J: ``input_gram`` builds J J^T from per-sample factors.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "sample_batch",
     "forward",
     "gradient",
-    "input_jacobian",
     "input_gram",
 ]
 
@@ -199,49 +199,14 @@ def _input_gradients(params, S1):
     return params.W.T @ (params.a[:, None] * S1)
 
 
-def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
-    """Jacobian of the flattened gradient with respect to the batch inputs.
-
-    Returns J with shape (B*d, m + m*d); row (i, s) differentiates every
-    gradient coordinate by component s of x_i.  Per-sample blocks (the
-    batched Jacobian is their vertical concatenation):
-
-        d grad_a[j] / d x_i = r_i s'(z_ji) W[j] + 2 s(z_ji) h_i
-        d grad_W[j] / d x_i = a_j [ 2 s'(z_ji) h_i x_i^T
-                                    + r_i s''(z_ji) W[j] x_i^T
-                                    + r_i s'(z_ji) I_d ]
-
-    Requires the activation's analytic second derivative.
-    """
-    Z, S0, S1, _, r = _batch_internals(params, batch)
-    S2 = params.activation.d2(Z)
-    m, d, B = params.m, params.d, batch.B
-    H = _input_gradients(params, S1)  # (d, B)
-    J = np.empty((B * d, m + m * d))
-    eye = np.eye(d)
-    for i in range(B):
-        xi = batch.X[:, i]
-        ri = r[i]
-        hi = H[:, i]
-        s0i, s1i, s2i = S0[:, i], S1[:, i], S2[:, i]
-        # a-block: (d, m)
-        J[i * d:(i + 1) * d, :m] = ri * (params.W * s1i[:, None]).T + 2.0 * np.outer(hi, s0i)
-        # W-block: (d, m, d) -> (d, m*d)
-        u = 2.0 * np.outer(hi, params.a * s1i)  # (d, m): 2 a_j s'(z_ji) h_i[s]
-        blk = np.einsum("sj,t->sjt", u + ri * (params.a * s2i)[None, :] * params.W.T, xi)
-        blk += (ri * params.a * s1i)[None, :, None] * eye[:, None, :]
-        J[i * d:(i + 1) * d, m:] = blk.reshape(d, m * d)
-    return J
-
-
 def input_gram(
     params: NetworkParams, batch: DataBatch, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """``J[:, keep] J[:, keep]^T`` and ``||J||_F^2`` without forming J.
 
     ``keep`` is a boolean mask over the m + m*d observation coordinates
-    (None keeps all).  Per sample the Jacobian factors as (see
-    ``input_jacobian``)
+    (None keeps all).  Per sample the Jacobian (its dense form is the test
+    oracle ``tests/oracles.py::input_jacobian``) factors as
 
         a-block:  A_i = r_i W^T diag(s'_i) + 2 h_i s_i^T              (d, m)
         W-block:  J_i[s, (j, t)] = P_i[s, j] x_i[t] + q_ij delta_st

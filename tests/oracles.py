@@ -2,8 +2,11 @@
 
 Everything here is deliberately slow and obvious: finite differences for
 derivatives, explicit enumeration for assignments, literal Hermite-tensor
-algebra for the projected builders.  None of it shares code paths with the
-implementations it validates.
+algebra for the projected builders, the dense input Jacobian for the
+closed-form Gram.  None of it shares code paths with the implementations it
+validates, except that ``input_jacobian`` reads the network's forward
+internals (activation values and residuals) as ``input_gram`` does; the
+finite-difference Jacobian checks those independently.
 """
 from __future__ import annotations
 
@@ -11,10 +14,18 @@ import itertools
 
 import numpy as np
 
-from gradleak.bounds import BoundReport, cramer_rao
-from gradleak.defenses import DefenseRecord
-from gradleak.errors import DivergenceError
-from gradleak.network import DataBatch, GradientObservation, NetworkParams, gradient, loss
+from gradleak.bounds import BoundReport, cramer_rao_gram
+from gradleak.defenses import DefenseRecord, local_aggregation
+from gradleak.errors import DimensionError, DivergenceError
+from gradleak.network import (
+    DataBatch,
+    GradientObservation,
+    NetworkParams,
+    _batch_internals,
+    _input_gradients,
+    gradient,
+    loss,
+)
 
 
 def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5) -> np.ndarray:
@@ -57,12 +68,86 @@ def fd_input_jacobian(params: NetworkParams, batch: DataBatch, step: float = 1e-
     return J
 
 
+def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
+    """Jacobian of the flattened gradient with respect to the batch inputs.
+
+    Returns J with shape (B*d, m + m*d); row (i, s) differentiates every
+    gradient coordinate by component s of x_i.  Per-sample blocks (the
+    batched Jacobian is their vertical concatenation):
+
+        d grad_a[j] / d x_i = r_i s'(z_ji) W[j] + 2 s(z_ji) h_i
+        d grad_W[j] / d x_i = a_j [ 2 s'(z_ji) h_i x_i^T
+                                    + r_i s''(z_ji) W[j] x_i^T
+                                    + r_i s'(z_ji) I_d ]
+
+    Requires the activation's analytic second derivative.
+    """
+    Z, S0, S1, _, r = _batch_internals(params, batch)
+    S2 = params.activation.d2(Z)
+    m, d, B = params.m, params.d, batch.B
+    H = _input_gradients(params, S1)  # (d, B)
+    J = np.empty((B * d, m + m * d))
+    eye = np.eye(d)
+    for i in range(B):
+        xi = batch.X[:, i]
+        ri = r[i]
+        hi = H[:, i]
+        s0i, s1i, s2i = S0[:, i], S1[:, i], S2[:, i]
+        # a-block: (d, m)
+        J[i * d:(i + 1) * d, :m] = ri * (params.W * s1i[:, None]).T + 2.0 * np.outer(hi, s0i)
+        # W-block: (d, m, d) -> (d, m*d)
+        u = 2.0 * np.outer(hi, params.a * s1i)  # (d, m): 2 a_j s'(z_ji) h_i[s]
+        blk = np.einsum("sj,t->sjt", u + ri * (params.a * s2i)[None, :] * params.W.T, xi)
+        blk += (ri * params.a * s1i)[None, :, None] * eye[:, None, :]
+        J[i * d:(i + 1) * d, m:] = blk.reshape(d, m * d)
+    return J
+
+
+def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
+    """``cramer_rao_gram`` on the Gram matrix of a dense input Jacobian."""
+    if J.ndim != 2:
+        raise DimensionError("J must be a matrix")
+    return cramer_rao_gram(J @ J.T, J.shape[1], sigma, B)
+
+
+def local_aggregation_jacobian_fd(
+    params: NetworkParams,
+    batches: list[DataBatch],
+    eta_a: float | None,
+    eta_w: float | None,
+    steps: int,
+    eps: float = 1e-6,
+) -> np.ndarray:
+    """Exact multi-step Jacobian by central finite differences on the
+    rollout observation; expensive opt-in for small problems."""
+    base_batches = [DataBatch(X=b.X.copy(), y=b.y.copy()) for b in batches]
+    all_X = [b.X for b in base_batches]
+    n_cols = sum(X.shape[1] for X in all_X)
+    d = params.d
+    J = np.empty((n_cols * d, params.n_coords))
+    row = 0
+    for bi, X in enumerate(all_X):
+        for col in range(X.shape[1]):
+            for s in range(d):
+                for sign, out in ((1.0, "plus"), (-1.0, "minus")):
+                    X[s, col] += sign * eps
+                    obs = local_aggregation(params, base_batches, eta_a, eta_w, steps)
+                    if sign > 0:
+                        plus = obs.flatten()
+                    else:
+                        minus = obs.flatten()
+                    X[s, col] -= sign * eps
+                J[row] = (plus - minus) / (2.0 * eps)
+                row += 1
+    return J
+
+
 def dense_bound_for_observation(
     J: np.ndarray, sigma: float, B: int, obs: GradientObservation
 ) -> BoundReport:
     """Fold a defense chain into a bound from the dense input Jacobian.
 
-    The column-deleting reference for ``harness.bound_for_observation``:
+    The column-deleting reference for ``bounds.bound_for_observation``:
     masks intersect and delete J's columns, clip factors multiply into the
     effective noise, aggregation and noise records only annotate.
     """

@@ -19,17 +19,12 @@ import json
 import numpy as np
 
 from gradleak.activations import hermite_moments, make_activation
-from gradleak.bounds import cramer_rao, dp_delta, estimate_sensitivity, required_sigma
+from gradleak.bounds import bound_for_observation, dp_delta, estimate_sensitivity, required_sigma
 from gradleak.defenses import apply_clip, apply_dropout, apply_noise, apply_prune_ratio, local_aggregation
 from gradleak.gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from gradleak.harness import read_results_csv, sweep
 from gradleak.metrics import min_perm_distance
-from gradleak.network import (
-    gradient,
-    input_jacobian,
-    sample_batch,
-    sample_params,
-)
+from gradleak.network import gradient, sample_batch, sample_params
 from gradleak.seeding import derive_seed
 from gradleak.tensor_attack import (
     TensorAttackConfig,
@@ -38,7 +33,13 @@ from gradleak.tensor_attack import (
     score_reconstruction,
     tensor_attack,
 )
-from oracles import brute_force_min_perm, fd_input_jacobian, fd_loss_gradient, loglog_slope
+from oracles import (
+    brute_force_min_perm,
+    fd_input_jacobian,
+    fd_loss_gradient,
+    input_jacobian,
+    loglog_slope,
+)
 
 SP = make_activation("softplus")
 EXP = make_activation("exp")
@@ -140,7 +141,7 @@ def test_criterion_04_lower_bound_scaling_and_ordering():
         for seed in range(5):
             p = sample_params(d, m, seed=400 + seed, activation=SP)
             b = sample_batch(d, B, seed=450 + seed)
-            vals.append(cramer_rao(input_jacobian(p, b), sigma, B).rl_loose)
+            vals.append(bound_for_observation(p, b, sigma, gradient(p, b)).rl_loose)
         medians.append(float(np.median(vals)))
     slope = loglog_slope(sizes, medians)
 
@@ -151,11 +152,12 @@ def test_criterion_04_lower_bound_scaling_and_ordering():
         dd, mm = 16, 2**12
         p = sample_params(dd, mm, seed=4000 + seed, activation=EXP)
         b = sample_batch(dd, B, seed=4500 + seed)
-        obs = apply_noise(gradient(p, b), sigma, seed=4600 + seed)
+        g = gradient(p, b)
+        obs = apply_noise(g, sigma, seed=4600 + seed)
         rmse = score_reconstruction(
             tensor_attack(obs, p, B, TensorAttackConfig(seed=seed)), b.X
         ).rmse
-        rl = cramer_rao(input_jacobian(p, b), sigma, B).rl_exact
+        rl = bound_for_observation(p, b, sigma, g).rl_exact
         held += rl <= rmse
     ok = (-0.65 <= slope <= -0.35) and held >= int(0.9 * trials)
     _report(

@@ -5,25 +5,26 @@ import pytest
 
 from gradleak.activations import make_activation
 from gradleak.bounds import (
-    bound_under_defense,
-    cramer_rao,
+    bound_for_observation,
     dp_delta,
     dp_lambda_star,
     estimate_sensitivity,
-    local_aggregation_jacobian_fd,
     required_sigma,
 )
 from gradleak.defenses import DefenseRecord, apply_clip, apply_dropout, apply_prune_ratio
 from gradleak.errors import ConfigError
-from gradleak.network import gradient, input_jacobian, sample_batch, sample_params
-from oracles import loglog_slope
+from gradleak.network import gradient, input_gram, sample_batch, sample_params
+from oracles import cramer_rao, input_jacobian, local_aggregation_jacobian_fd, loglog_slope
 
 SP = make_activation("softplus")
 
 
+def two_layer(d, m, B, seed):
+    return sample_params(d, m, seed=seed, activation=SP), sample_batch(d, B, seed=seed + 77)
+
+
 def two_layer_jacobian(d, m, B, seed):
-    p = sample_params(d, m, seed=seed, activation=SP)
-    b = sample_batch(d, B, seed=seed + 77)
+    p, b = two_layer(d, m, B, seed)
     return p, b, input_jacobian(p, b)
 
 
@@ -79,10 +80,10 @@ def test_two_layer_loose_bound_scales_with_width():
     sizes = (2**9, 2**10, 2**11, 2**12)
     med = []
     for m in sizes:
-        vals = [
-            cramer_rao(two_layer_jacobian(d, m, B, seed)[2], sigma, B).rl_loose
-            for seed in range(3)
-        ]
+        vals = []
+        for seed in range(3):
+            p, b = two_layer(d, m, B, seed)
+            vals.append(bound_for_observation(p, b, sigma, gradient(p, b)).rl_loose)
         med.append(np.median(vals))
     assert loglog_slope(sizes, med) == pytest.approx(-0.5, abs=0.15)
 
@@ -90,85 +91,90 @@ def test_two_layer_loose_bound_scales_with_width():
 # --- defense adjustments ------------------------------------------------------
 
 def test_clip_below_threshold_identity():
-    p, b, J = two_layer_jacobian(5, 32, 2, seed=5)
+    p, b = two_layer(5, 32, 2, seed=5)
     g = gradient(p, b)
-    rec = apply_clip(g, threshold=g.norm() * 2).provenance[-1]
-    rep = bound_under_defense(J, 0.1, 2, rec, g)
-    base = cramer_rao(J, 0.1, 2)
+    rep = bound_for_observation(p, b, 0.1, apply_clip(g, threshold=g.norm() * 2))
+    base = bound_for_observation(p, b, 0.1, g)
     assert rep.rl2_exact == base.rl2_exact
 
 
 def test_clip_factor_is_noise_rescaling():
-    p, b, J = two_layer_jacobian(5, 32, 2, seed=6)
+    p, b = two_layer(5, 32, 2, seed=6)
     g = gradient(p, b)
     clipped = apply_clip(g, threshold=g.norm() / 2.0)  # factor exactly 1/2
-    rep = bound_under_defense(J, 0.1, 2, clipped.provenance[-1], g)
-    doubled = cramer_rao(J, 0.2, 2)
+    rep = bound_for_observation(p, b, 0.1, clipped)
+    doubled = bound_for_observation(p, b, 0.2, g)
     assert rep.rl2_exact == doubled.rl2_exact  # formula-level identity
     assert rep.rl2_loose == doubled.rl2_loose
 
 
-def test_prune_mask_mass_ratio():
-    # synthetic J with known column masses: masking half the mass doubles
-    # the loose closed form by 1/sqrt(1 - 0.5)
-    m, d = 8, 1
-    n_obs = m * (1 + d)
-    J = np.zeros((2, n_obs))
-    J[0, :] = 1.0
-    J[1, :] = 1.0
-    from gradleak.network import GradientObservation
+def _assert_mass_law(masked, base):
+    # rank unchanged: the loose bound is rank * sigma / sqrt(B * kept mass),
+    # so it grows by exactly 1/sqrt(1 - destroyed fraction)
+    assert masked.rank == base.rank == base.n_input_coords
+    kept = 1.0 - masked.adjustments["mass_fraction_destroyed"]
+    assert masked.rl_loose * math.sqrt(kept) == pytest.approx(base.rl_loose, rel=1e-12)
 
-    obs = GradientObservation(grad_a=np.ones(m), grad_W=np.ones((m, d)))
-    mask = np.zeros(n_obs, dtype=bool)
-    mask[: n_obs // 2] = True  # keep half the (equal-mass) columns
-    rec = DefenseRecord(variant="prune_threshold", params={"cutoff": 0.1}, mask=mask)
-    rep = bound_under_defense(J, 0.1, 1, rec, obs)
-    assert rep.adjustments["mass_fraction_destroyed"] == pytest.approx(0.5)
-    base = cramer_rao(J, 0.1, 1)
-    assert rep.adjustments["closed_form_rl"] == pytest.approx(
-        base.rl_loose * math.sqrt(2.0), rel=1e-12
-    )
+
+def test_prune_mask_mass_ratio():
+    p, b = two_layer(4, 64, 2, seed=4)
+    g = gradient(p, b)
+    base = bound_for_observation(p, b, 0.1, g)
+    for ratio in (0.5, 0.9):
+        masked = bound_for_observation(p, b, 0.1, apply_prune_ratio(g, ratio))
+        assert 0.0 < masked.adjustments["mass_fraction_destroyed"] < 1.0
+        _assert_mass_law(masked, base)
 
 
 def test_dropout_closed_form_scaling():
-    p, b, J = two_layer_jacobian(4, 256, 1, seed=7)
+    p, b = two_layer(4, 256, 1, seed=7)
     g = gradient(p, b)
-    rec = apply_dropout(g, 0.75, seed=8).provenance[-1]
-    rep = bound_under_defense(J, 0.1, 1, rec, g)
-    base = cramer_rao(J, 0.1, 1)
-    assert rep.adjustments["closed_form_rl"] == pytest.approx(2.0 * base.rl_loose, rel=1e-12)
-    assert rep.adjustments["effective_width"] == pytest.approx(64.0)
+    base = bound_for_observation(p, b, 0.1, g)
+    rep = bound_for_observation(p, b, 0.1, apply_dropout(g, 0.75, seed=8))
+    _assert_mass_law(rep, base)
     # exact form on the surviving columns should also exceed the base
     assert rep.rl2_exact >= base.rl2_exact - 1e-12
+    # node dropout at rate p keeps about a (1 - p) share of the mass, so the
+    # width law rl / sqrt(1 - p) holds in the median over seeds
+    for rate in (0.5, 0.75):
+        ratios = []
+        for seed in range(5):
+            p, b = two_layer(8, 2048, 2, seed)
+            g = gradient(p, b)
+            base = bound_for_observation(p, b, 0.1, g)
+            rep = bound_for_observation(p, b, 0.1, apply_dropout(g, rate, seed=100 + seed))
+            ratios.append(rep.rl_loose * math.sqrt(1.0 - rate) / base.rl_loose)
+        assert np.median(ratios) == pytest.approx(1.0, abs=0.05), (rate, ratios)
 
 
 def test_masking_everything_is_infinite():
-    p, b, J = two_layer_jacobian(4, 16, 1, seed=9)
+    p, b = two_layer(4, 16, 1, seed=9)
     g = gradient(p, b)
-    rec = DefenseRecord(
-        variant="prune_threshold",
-        params={"cutoff": np.inf},
-        mask=np.zeros(J.shape[1], dtype=bool),
+    g.provenance.append(
+        DefenseRecord(
+            variant="prune_threshold",
+            params={"cutoff": np.inf},
+            mask=np.zeros(p.n_coords, dtype=bool),
+        )
     )
-    rep = bound_under_defense(J, 0.1, 1, rec, g)
+    rep = bound_for_observation(p, b, 0.1, g)
     assert math.isinf(rep.rl2_exact)
 
 
 def test_local_aggregation_flagged():
-    p, b, J = two_layer_jacobian(4, 16, 1, seed=10)
+    p, b = two_layer(4, 16, 1, seed=10)
     g = gradient(p, b)
-    rec = DefenseRecord(variant="local_aggregation", steps=2)
-    rep = bound_under_defense(J, 0.1, 1, rec, g)
+    g.provenance.append(DefenseRecord(variant="local_aggregation", steps=2))
+    rep = bound_for_observation(p, b, 0.1, g)
     assert any("local-aggregation" in f for f in rep.flags)
 
 
 def test_prune_bound_grows_with_ratio_on_real_gradient():
-    p, b, J = two_layer_jacobian(4, 64, 2, seed=11)
+    p, b = two_layer(4, 64, 2, seed=11)
     g = gradient(p, b)
     reps = []
     for ratio in (0.5, 0.9, 0.99):
-        rec = apply_prune_ratio(g, ratio).provenance[-1]
-        reps.append(bound_under_defense(J, 0.1, 2, rec, g).rl2_exact)
+        reps.append(bound_for_observation(p, b, 0.1, apply_prune_ratio(g, ratio)).rl2_exact)
     assert reps[0] <= reps[1] <= reps[2]
 
 
@@ -240,5 +246,5 @@ def test_rollout_jacobian_matches_single_step():
     p = sample_params(3, 8, seed=16, activation=SP)
     b = sample_batch(3, 2, seed=17)
     J_fd = local_aggregation_jacobian_fd(p, [b], eta_a=None, eta_w=None, steps=1)
-    J = input_jacobian(p, b)
-    assert np.linalg.norm(J_fd - J) / np.linalg.norm(J) < 1e-4
+    G, _ = input_gram(p, b)
+    assert np.linalg.norm(J_fd @ J_fd.T - G) / np.linalg.norm(G) < 1e-4

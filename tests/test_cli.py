@@ -57,6 +57,15 @@ def test_attack_and_report_round_trip(tmp_path, capsys):
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
+    bad_specs = [
+        {"d": 0, "m": 4, "B": 1},
+        {"d": 4, "m": 8, "B": 1, "bogus": 1},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {"bogus": 1}}},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"gradmatch": {"bogus": 1}}},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"gradmatch": {"optimizer": {"bogus": 1}}}},
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"d": 0, "m": 4, "B": 1}))
-    assert main(["attack", "--config", str(bad)]) == 2
+    for spec in bad_specs:
+        bad.write_text(json.dumps(spec))
+        assert main(["attack", "--config", str(bad)]) == 2, spec
+        assert capsys.readouterr().err.startswith("error: "), spec

@@ -9,12 +9,11 @@ from gradleak.network import (
     forward,
     gradient,
     input_gram,
-    input_jacobian,
     loss,
     sample_batch,
     sample_params,
 )
-from oracles import fd_input_jacobian, fd_loss_gradient, gradient_input_vjp
+from oracles import fd_input_jacobian, fd_loss_gradient, gradient_input_vjp, input_jacobian
 
 SP = make_activation("softplus")
 
@@ -158,7 +157,7 @@ def test_input_jacobian_requires_second_derivative():
     p = sample_params(3, 4, seed=0, activation=bare)
     b = sample_batch(3, 1, seed=0)
     with pytest.raises(UnsupportedActivationError):
-        input_jacobian(p, b)
+        input_gram(p, b)
 
 
 def test_vjp_matches_dense_jacobian():
@@ -223,8 +222,7 @@ def test_jacobian_trace_scales_linearly_in_width():
         for seed in range(10):
             p = sample_params(d, m, seed=seed, activation=SP)
             b = sample_batch(d, B, seed=100 + seed)
-            J = input_jacobian(p, b)
-            per_seed.append(np.sum(J * J) / m)
+            per_seed.append(input_gram(p, b)[1] / m)
         ratios.append(np.median(per_seed))
     assert max(ratios) / min(ratios) < 3.0
 
