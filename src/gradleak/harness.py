@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from collections import deque
@@ -116,6 +117,12 @@ class ExperimentConfig:
     utility: dict | None = None
 
     def validate(self):
+        for name in ("d", "m", "B", "trials", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+            raise ConfigError(f"sigma must be a number, got {self.sigma!r}")
         if self.d < 1 or self.m < 1 or self.B < 1:
             raise ConfigError("d, m and B must be positive")
         if self.trials < 1:

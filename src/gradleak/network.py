@@ -217,12 +217,24 @@ def input_gram(
 
         A_i diag(w_a) A_k^T + P_i diag(w_W (x_i * x_k)) P_k^T
         + (P_i diag(q_k) w_W) * x_i[u] + its (k, i) transpose
-        + diag(w_W^T (q_i * q_k)),
+        + diag(w_W^T (q_i * q_k)).
 
-    O(B^2 m d^2) time and O(B m d) memory instead of the dense Jacobian's
-    O(B m d^2) memory.  The unmasked Frobenius mass comes from the same
-    factors in O(B m d).  Requires the activation's analytic second
-    derivative.
+    When the W-block mask is constant along each hidden unit's row,
+    w_W[j, t] = w_j, the W-block terms collapse (``_add_w_block_rows``):
+    with Pw = P * w,
+
+        (x_i . x_k) (Pw_i Pw_k^T) + V[i, :, k] x_i[u] + its transpose
+        + ((q_i * q_k) . w) I,        V = Pw Q^T  (B*d, B).
+
+    No mask and node-level dropout, clip, noise, local and secure
+    aggregation all keep whole rows and take this path: one (B*d, m) GEMM
+    with its transpose and O(B m d) memory.  Pruning and coordinate-level
+    dropout break rows and take the per-coordinate path
+    (``_add_w_block_coords``): B(B+1)/2 block GEMMs with the scale
+    x_i * x_k inside the sum, plus an m x (B*d) cross operand.  Both cost
+    O(B^2 m d^2) time; the a-block Gram ``A diag(w_a) A^T`` is the same on
+    both.  The unmasked Frobenius mass comes from the same factors in
+    O(B m d).  Requires the activation's analytic second derivative.
     """
     Z, S0, S1, _, r = _batch_internals(params, batch)
     S2 = params.activation.d2(Z)
@@ -234,7 +246,6 @@ def input_gram(
     if keep.shape != (params.n_coords,):
         raise DimensionError(f"mask has shape {keep.shape}, expected ({params.n_coords},)")
     w_a = keep[:m].astype(float)
-    w_W = keep[m:].reshape(m, d).astype(float)
     H = _input_gradients(params, S1)          # (d, B)
     WT = np.ascontiguousarray(params.W.T)     # (d, m)
     aS1, aS2 = a[:, None] * S1, a[:, None] * S2
@@ -260,7 +271,46 @@ def input_gram(
     Af = A.reshape(B * d, m)
     G = Af @ Af.T
     del A, Af                                 # working set: P plus one (B, d, m) temporary
+    keep_W = keep[m:].reshape(m, d)
+    if (keep_W == keep_W[:, :1]).all():
+        _add_w_block_rows(G, P, Q, X, keep_W[:, 0])
+    else:
+        _add_w_block_coords(G, P, Q, X, keep_W)
+    # the diagonal blocks' products are symmetric only up to rounding
+    return 0.5 * (G + G.T), mass
+
+
+def _add_w_block_rows(G, P, Q, X, rows):
+    """Add the W-block terms to G (B*d, B*d) for a row-constant mask.
+
+    ``rows`` (m,) bool keeps or drops unit j's whole W row; P is (B, d, m)
+    and is overwritten with P * rows, Q is (B, m) and X (d, B).
+    """
+    B, d, m = P.shape
     G4 = G.reshape(B, d, B, d)                # view: G4[i, s, k, u]
+    w = rows.astype(float)
+    P *= w
+    Pw = P.reshape(B * d, m)
+    # cross terms V[i, s, k] x_i[u], V = Pw Q^T, plus their transposes
+    cross = ((Pw @ Q.T).reshape(B, d, B, 1) * X.T[:, None, None, :]).reshape(B * d, B * d)
+    G += cross + cross.T
+    # ((q_i * q_k) . w) delta_su
+    idx = np.arange(d)
+    G4[:, idx, :, idx] += (Q[:, None, :] * Q[None, :, :]) @ w
+    # (x_i . x_k) Pw_i Pw_k^T
+    PP = (Pw @ Pw.T).reshape(B, d, B, d)
+    PP *= (X.T @ X)[:, None, :, None]
+    G += PP.reshape(B * d, B * d)
+
+
+def _add_w_block_coords(G, P, Q, X, keep_W):
+    """Add the W-block terms to G (B*d, B*d) for any (m, d) bool mask.
+
+    P is (B, d, m), Q (B, m) and X (d, B).
+    """
+    B, d, m = P.shape
+    G4 = G.reshape(B, d, B, d)                # view: G4[i, s, k, u]
+    w_W = keep_W.astype(float)
     # cross terms P_i diag(q_k) w_W, scaled by x_i[u], plus their transposes
     R = (Q.T[:, :, None] * w_W[:, None, :]).reshape(m, B * d)
     cross = (P.reshape(B * d, m) @ R).reshape(B, d, B, d) * X.T[:, None, None, :]
@@ -277,7 +327,3 @@ def input_gram(
         blk = (P[i] @ (P[i:] * C[:, None, :]).reshape((B - i) * d, m).T).reshape(d, B - i, d)
         G4[i, :, i:, :] += blk
         G4[i + 1:, :, i, :] += blk[:, 1:, :].transpose(1, 2, 0)
-    # the diagonal blocks' products are symmetric only up to rounding
-    G = 0.5 * (G + G.T)
-    return G, mass
-

@@ -63,6 +63,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
         {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {"bogus": 1}}},
         {"d": 4, "m": 8, "B": 1, "attacks": {"gradmatch": {"bogus": 1}}},
         {"d": 4, "m": 8, "B": 1, "attacks": {"gradmatch": {"optimizer": {"bogus": 1}}}},
+        {"d": "4", "m": 8, "B": 1},
+        {"d": 4, "m": 8.0, "B": 1},
+        {"d": 4, "m": 8, "B": True},
+        {"d": 4, "m": 8, "B": 1, "trials": None},
+        {"d": 4, "m": 8, "B": 1, "sigma": "0.1"},
+        {"d": 4, "m": 8, "B": 1, "base_seed": [0]},
     ]
     bad = tmp_path / "bad.json"
     for spec in bad_specs:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradleak import defenses, network
 from gradleak.activations import Activation, make_activation
 from gradleak.errors import DimensionError, UnsupportedActivationError
 from gradleak.network import (
@@ -171,11 +172,23 @@ def test_vjp_matches_dense_jacobian():
     assert np.linalg.norm(dense - fast) / np.linalg.norm(dense) < 1e-10
 
 
-GRAM_MASKS = ("all-kept", "all-dropped", "a-block-only", "W-block-only", "random-half")
+# all but "random-half" keep or drop whole W rows, so they take the row path
+GRAM_MASKS = (
+    "all-kept", "all-dropped", "a-block-only", "W-block-only", "random-half",
+    "node-dropout", "rows-kept-a-dropped", "rows-mixed-a-random",
+)
+
+
+def _mixed_rows(m, rng):
+    rows = rng.random(m) < 0.5
+    rows[0] = True
+    rows[1:2] = False
+    return rows
 
 
 def _gram_mask(kind, m, n, rng):
     keep = np.zeros(n, dtype=bool)
+    d = n // m - 1
     if kind == "all-kept":
         keep[:] = True
     elif kind == "a-block-only":
@@ -184,6 +197,17 @@ def _gram_mask(kind, m, n, rng):
         keep[m:] = True
     elif kind == "random-half":
         keep = rng.random(n) < 0.5
+    elif kind == "node-dropout":
+        rows = _mixed_rows(m, rng)
+        keep[:m] = rows
+        keep[m:] = np.repeat(rows, d)
+    elif kind == "rows-kept-a-dropped":
+        rows = _mixed_rows(m, rng)
+        keep[:m] = ~rows
+        keep[m:] = np.repeat(rows, d)
+    elif kind == "rows-mixed-a-random":
+        keep[:m] = rng.random(m) < 0.5
+        keep[m:] = np.repeat(_mixed_rows(m, rng), d)
     return keep
 
 
@@ -204,6 +228,58 @@ def test_input_gram_matches_dense_jacobian(kind, seed):
         assert mass == pytest.approx(np.sum(J * J), rel=1e-12)
     G, mass = input_gram(p, b)
     assert np.linalg.norm(G - J @ J.T) <= 1e-12 * np.linalg.norm(J @ J.T)
+
+
+def _w_block_operands(d, m, B, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((B, d, m))
+    Q = rng.standard_normal((B, m))
+    X = rng.standard_normal((d, B))
+    return P, Q, X / np.linalg.norm(X, axis=0)
+
+
+@pytest.mark.parametrize(
+    "d, m, B, rate, seed",
+    [(1, 1, 1, 0.5, 0), (3, 7, 1, 0.5, 1), (5, 40, 3, 0.0, 2), (8, 64, 4, 0.5, 3),
+     (6, 33, 2, 0.9, 4), (2, 50, 5, 1.0, 5), (32, 16384, 4, 0.5, 6)],
+)
+def test_row_and_coordinate_w_block_terms_agree(d, m, B, rate, seed):
+    P, Q, X = _w_block_operands(d, m, B, seed)
+    rows = np.random.default_rng(100 + seed).random(m) >= rate
+    G_rows = np.zeros((B * d, B * d))
+    network._add_w_block_rows(G_rows, P.copy(), Q, X, rows)
+    G_coords = np.zeros((B * d, B * d))
+    network._add_w_block_coords(G_coords, P, Q, X, np.repeat(rows[:, None], d, axis=1))
+    assert np.linalg.norm(G_rows - G_coords) <= 1e-12 * np.linalg.norm(G_coords)
+
+
+@pytest.mark.parametrize(
+    "defend, path",
+    [
+        (lambda o: o, "rows"),
+        (lambda o: defenses.apply_clip(o, 1e-3), "rows"),
+        (lambda o: defenses.apply_noise(o, 0.01, seed=5), "rows"),
+        (lambda o: defenses.apply_dropout(o, 0.5, seed=5), "rows"),
+        (lambda o: defenses.apply_dropout(o, 0.5, seed=5, node_level=False), "coords"),
+        (lambda o: defenses.apply_prune_ratio(o, 0.5), "coords"),
+    ],
+    ids=["none", "clip", "noise", "node-dropout", "coordinate-dropout", "prune"],
+)
+def test_input_gram_takes_the_row_path_for_row_constant_masks(monkeypatch, defend, path):
+    p = sample_params(4, 32, seed=3, activation=SP)
+    b = sample_batch(4, 2, seed=4)
+    keep = np.ones(p.n_coords, dtype=bool)
+    for rec in defend(gradient(p, b)).provenance:
+        if rec.mask is not None:
+            keep &= rec.mask
+    taken = []
+    for name in ("rows", "coords"):
+        def spy(*args, _helper=getattr(network, f"_add_w_block_{name}"), _name=name):
+            taken.append(_name)
+            _helper(*args)
+        monkeypatch.setattr(network, f"_add_w_block_{name}", spy)
+    input_gram(p, b, keep)
+    assert taken == [path]
 
 
 def test_input_gram_rejects_a_mask_of_the_wrong_length():
