@@ -455,6 +455,52 @@ def test_config_round_trip_and_hash_stability():
     assert json.dumps(cfg.to_dict(), sort_keys=True)  # serializable
 
 
+PINNED_BASE = {
+    "d": 6, "m": 64, "B": 3, "activation": {"kind": "exp"}, "sigma": 0.1, "base_seed": 7,
+}
+# config_hash of PINNED_BASE with each defense chain; any change to the JSON
+# form of a config (field names, defaults, list/tuple handling) moves these
+PINNED_HASHES = {
+    "none": ([], "04d9ff934223"),
+    "noise": ([{"variant": "noise", "sigma0": 0.05}], "5cd99d5f9ec1"),
+    "noise-clip-scale": (
+        [{"variant": "noise", "sigma0": 0.05, "clip_scale": 2.0}], "7920faaa93e3"
+    ),
+    "clip": ([{"variant": "clip", "threshold": 1.5}], "206fc95fd014"),
+    "prune-ratio": ([{"variant": "prune_ratio", "ratio": 0.9}], "fc8e8745fb36"),
+    "prune-threshold": ([{"variant": "prune_threshold", "cutoff": 1e-3}], "fdea3995b72b"),
+    "node-dropout": ([{"variant": "dropout", "rate": 0.5}], "624082c32978"),
+    "coord-dropout": (
+        [{"variant": "dropout", "rate": 0.3, "node_level": False}], "51f363094ba0"
+    ),
+    "local-aggregation-fresh": (
+        [{"variant": "local_aggregation", "steps": 3, "fresh_batches": True}], "f7bba6ae95a0"
+    ),
+    "local-aggregation-rates": (
+        [{"variant": "local_aggregation", "steps": 2, "eta_a": 1e-4, "eta_w": 0.01}],
+        "a94230bffd44",
+    ),
+    "secure-aggregation": (
+        [{"variant": "secure_aggregation", "batch_sizes": [1, 2]}], "9c79c6740ce4"
+    ),
+    "clip+noise": (
+        [{"variant": "clip", "threshold": 1.0}, {"variant": "noise", "sigma0": 0.01}],
+        "035cf63b660b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_config_hash_is_pinned(name):
+    chain, expected = PINNED_HASHES[name]
+    cfg = ExperimentConfig.from_dict({**PINNED_BASE, "defenses": chain})
+    assert cfg.config_hash() == expected
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    assert again.to_dict() == cfg.to_dict()
+    assert again.config_hash() == expected
+
+
 def test_attack_failure_still_emits_partial_record():
     # B above d breaks the subspace stage; the trial records the error and
     # a NaN error value instead of dying
