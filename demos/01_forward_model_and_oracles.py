@@ -27,7 +27,7 @@ print("network: d =", params.d, " m =", params.m, " batch B =", batch.B)
 print("sample matrix condition, smallest singular value:", round(batch.min_singular_value, 4))
 
 obs = gradient(params, batch)
-print("\nflattened gradient length:", obs.flatten().size, "= m + m*d")
+print("\nflattened gradient length:", obs.flat.size, "= m + m*d")
 print("gradient norm:", round(obs.norm(), 4))
 
 # finite-difference spot check of one coordinate of the a-block

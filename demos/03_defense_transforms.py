@@ -11,11 +11,11 @@ Key punchlines reproduced here at desk scale:
 import numpy as np
 
 from gradleak import (
+    ClipDefense,
+    DropoutDefense,
+    NoiseDefense,
+    PruneRatioDefense,
     TensorAttackConfig,
-    apply_clip,
-    apply_dropout,
-    apply_noise,
-    apply_prune_ratio,
     compose,
     dp_sgd_preset,
     gradient,
@@ -43,24 +43,24 @@ def rmse_of(observation, n=B, truth=None):
 
 print(f"undefended             rmse = {rmse_of(obs):.4f}   ||G|| = {obs.norm():.2f}")
 
-clipped = apply_clip(obs, obs.norm() / 5.0)
+clipped = ClipDefense(obs.norm() / 5.0).apply(obs, 0)
 print(f"clip to ||G||/5        rmse = {rmse_of(clipped):.4f}   "
       f"(realized factor {clipped.provenance[-1].clip_factor:.3f})")
 
 for ratio in (0.5, 0.9, 0.99):
-    pruned = apply_prune_ratio(obs, ratio)
+    pruned = PruneRatioDefense(ratio).apply(obs, 0)
     touched = np.count_nonzero(pruned.grad_a == 0.0)
     print(f"prune ratio {ratio:<5}      rmse = {rmse_of(pruned):.4f}   "
           f"(second-layer entries zeroed: {touched})")
 
 for rate in (0.5, 0.9):
-    dropped = apply_dropout(obs, rate, seed=7)
+    dropped = DropoutDefense(rate).apply(obs, 7)
     print(f"node dropout {rate:<5}     rmse = {rmse_of(dropped):.4f}")
 
 # this activation puts the gradient entries around |g| ~ 5, so the noise
 # level must be compared against that scale
 for sigma0 in (0.5, 5.0, 50.0):
-    noisy = apply_noise(obs, sigma0, seed=8)
+    noisy = NoiseDefense(sigma0).apply(obs, 8)
     print(f"additive noise {sigma0:<5}   rmse = {rmse_of(noisy):.4f}")
 
 private = compose(dp_sgd_preset(threshold=2.0, sigma0=0.05), obs, seed=9)

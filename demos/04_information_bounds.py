@@ -8,8 +8,8 @@ observation coordinates).  The same noise model prices a formal privacy
 guarantee, and the price grows linearly with the width.
 """
 from gradleak import (
-    apply_clip,
-    apply_prune_ratio,
+    ClipDefense,
+    PruneRatioDefense,
     bound_for_observation,
     dp_delta,
     estimate_sensitivity,
@@ -35,12 +35,12 @@ batch = sample_batch(d, B, seed=1)
 obs = gradient(params, batch)
 base = bound_for_observation(params, batch, sigma, obs)
 
-clipped = apply_clip(obs, obs.norm() / 4.0)
+clipped = ClipDefense(obs.norm() / 4.0).apply(obs, 0)
 rep = bound_for_observation(params, batch, sigma, clipped)
 print(f"\nclipping at ||G||/4 rescales the effective noise: "
       f"{base.rl_exact:.5f} -> {rep.rl_exact:.5f}")
 
-pruned = apply_prune_ratio(obs, 0.95)
+pruned = PruneRatioDefense(0.95).apply(obs, 0)
 rep = bound_for_observation(params, batch, sigma, pruned)
 print(f"pruning 95% of coordinates destroys "
       f"{rep.adjustments['mass_fraction_destroyed']:.1%} of the Jacobian mass: "

@@ -10,9 +10,9 @@ import numpy as np
 
 from gradleak import (
     GradMatchConfig,
+    NoiseDefense,
     OptimizerConfig,
     TensorAttackConfig,
-    apply_noise,
     grad_match_attack,
     gradient,
     make_activation,
@@ -39,7 +39,7 @@ plain_errs, pulled_errs = [], []
 for seed in range(10):
     params = sample_params(d, m, seed=seed, activation=act)
     batch = sample_batch(d, B, seed=100 + seed)
-    obs = apply_noise(gradient(params, batch), 0.1, seed=200 + seed)
+    obs = NoiseDefense(0.1).apply(gradient(params, batch), 200 + seed)
     zhat = tensor_attack(obs, params, B, TensorAttackConfig(seed=seed)).samples
     common = dict(
         distance="negative-cosine",

@@ -8,6 +8,8 @@ optimization-based gradient-matching attack, six defense transforms, the
 Cramer-Rao limits each defense implies, a Gaussian-mechanism privacy
 calculator, and a reproducible sweep harness tying them together.
 """
+from types import ModuleType as _ModuleType
+
 from .activations import Activation, HermiteMoments, hermite_moments, make_activation
 from .bounds import (
     BoundReport,
@@ -28,11 +30,6 @@ from .defenses import (
     PruneRatioDefense,
     PruneThresholdDefense,
     SecureAggregationDefense,
-    apply_clip,
-    apply_dropout,
-    apply_noise,
-    apply_prune_ratio,
-    apply_prune_threshold,
     compose,
     dp_sgd_preset,
     local_aggregation,
@@ -71,4 +68,9 @@ from .tensor_attack import (
     tensor_attack,
 )
 
+# the public surface is exactly the names imported above
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)
 __version__ = "0.1.0"

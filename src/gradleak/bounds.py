@@ -256,8 +256,8 @@ def estimate_sensitivity(
         xs = rng.standard_normal((d, 2))
         xs /= np.linalg.norm(xs, axis=0)
         ys = rng.choice(np.array([-1.0, 1.0]), size=2)
-        g0 = gradient(params, DataBatch(X=xs[:, :1], y=ys[:1])).flatten()
-        g1 = gradient(params, DataBatch(X=xs[:, 1:], y=ys[1:])).flatten()
+        g0 = gradient(params, DataBatch(X=xs[:, :1], y=ys[:1])).flat
+        g1 = gradient(params, DataBatch(X=xs[:, 1:], y=ys[1:])).flat
         gap = float(np.sum((g0 - g1) ** 2))
         if gap > best:
             best = gap

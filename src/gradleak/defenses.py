@@ -1,17 +1,24 @@
-"""Observation transforms and training-side defenses.
+"""Defense configs that check their own parameters, and the defenses themselves.
 
-Observation transforms (noise, clipping, pruning, dropout) map one
-GradientObservation to another and append a DefenseRecord describing
-exactly what they did; the bounds module consumes those records.
-Training-side defenses (local aggregation, secure aggregation) produce the
-base observation instead of transforming one.
+Every defense is a frozen config that checks its fields on construction,
+so an invalid config cannot exist.  Observation transforms (noise,
+clipping, pruning, dropout) apply themselves: ``cfg.apply(obs, seed)``
+maps one GradientObservation to another through its flat buffer and
+appends a DefenseRecord describing exactly what it did; the bounds module
+consumes those records.  ``compose`` applies a chain of transforms left to
+right with one derived seed per step.  Training-side defenses
+(``AGGREGATORS``: local and secure aggregation) produce the base
+observation instead of transforming one, through the functions
+``local_aggregation`` and ``secure_aggregate``.
 
 All stochastic defenses are deterministic functions of (input, config,
 seed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,19 +39,49 @@ __all__ = [
     "DropoutDefense",
     "LocalAggregationDefense",
     "SecureAggregationDefense",
+    "AGGREGATORS",
     "DefenseRecord",
     "defense_from_dict",
     "defense_to_dict",
     "dp_sgd_preset",
-    "apply_noise",
-    "apply_clip",
-    "apply_prune_ratio",
-    "apply_prune_threshold",
-    "apply_dropout",
     "local_aggregation",
     "secure_aggregate",
     "compose",
 ]
+
+
+def _check(what: str, value, ok, kind=numbers.Real):
+    """ConfigError unless ``value`` is a ``kind`` number (bools excluded)
+    with ``ok(value)`` true; write ``ok`` so that NaN fails it."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ConfigError(f"{what}, got {value!r}")
+
+
+def _check_flag(what: str, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+
+
+@dataclass(frozen=True)
+class DefenseRecord:
+    """What a defense actually did to one observation."""
+
+    variant: str
+    params: dict = field(default_factory=dict)
+    clip_factor: float | None = None      # realized min{1, C/||G||}
+    mask: np.ndarray | None = None        # True where the coordinate was kept
+    steps: int | None = None
+    extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.mask is not None:
+            self.mask.flags.writeable = False
+
+
+def _masked(cfg, obs: GradientObservation, keep: np.ndarray) -> GradientObservation:
+    """The output of a masking transform: ``obs.flat * keep``, recorded with its mask."""
+    record = DefenseRecord(variant=cfg.variant, params=asdict(cfg), mask=keep)
+    return GradientObservation(obs.flat * keep, obs.m, obs.d, (*obs.provenance, record))
 
 
 @dataclass(frozen=True)
@@ -56,33 +93,52 @@ class NoiseDefense:
     with it); default keeps std = sigma0.
     """
 
+    variant: ClassVar[str] = "noise"
     sigma0: float
     clip_scale: float = 1.0
-    variant: str = "noise"
 
-    def validate(self):
-        if self.sigma0 < 0:
-            raise ConfigError("noise sigma0 must be >= 0")
-        if self.clip_scale <= 0:
-            raise ConfigError("noise clip_scale must be > 0")
+    def __post_init__(self):
+        _check("noise sigma0 must be a number >= 0", self.sigma0, lambda x: x >= 0)
+        _check("noise clip_scale must be a number > 0", self.clip_scale, lambda x: x > 0)
 
     @property
     def main_param(self) -> float:
         return self.sigma0
 
+    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+        """Add N(0, (sigma0*clip_scale)^2) to every flattened coordinate;
+        sigma0 = 0 shares the input's buffer."""
+        provenance = (*obs.provenance, DefenseRecord(variant=self.variant, params=asdict(self)))
+        if self.sigma0 == 0:
+            return GradientObservation(obs.flat, obs.m, obs.d, provenance)
+        rng = rng_from(seed)
+        draw = rng.normal(0.0, self.sigma0 * self.clip_scale, size=obs.m * (1 + obs.d))
+        draw += obs.flat  # the draw buffer becomes the output, no copies
+        return GradientObservation(draw, obs.m, obs.d, provenance)
+
 
 @dataclass(frozen=True)
 class ClipDefense:
+    variant: ClassVar[str] = "clip"
     threshold: float
-    variant: str = "clip"
 
-    def validate(self):
-        if self.threshold <= 0:
-            raise ConfigError("clip threshold must be > 0")
+    def __post_init__(self):
+        _check("clip threshold must be a number > 0", self.threshold, lambda x: x > 0)
 
     @property
     def main_param(self) -> float:
         return self.threshold
+
+    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+        """Scale the whole flattened vector by R = min{1, threshold/||G||}."""
+        norm = obs.norm()
+        factor = 1.0 if norm <= self.threshold else self.threshold / norm
+        record = DefenseRecord(
+            variant=self.variant,
+            params={**asdict(self), "observed_norm": norm},
+            clip_factor=factor,
+        )
+        return GradientObservation(obs.flat * factor, obs.m, obs.d, (*obs.provenance, record))
 
 
 @dataclass(frozen=True)
@@ -90,36 +146,69 @@ class PruneRatioDefense:
     """Zero the floor(ratio * len) smallest-magnitude coordinates.
 
     The kept set equals a stable argsort's: ties in magnitude go by
-    ascending index and NaN sorts last.  ``apply_prune_ratio`` finds it by
-    linear-time selection, not by sorting.
+    ascending index and NaN sorts last.  ``apply`` finds it by linear-time
+    selection, not by sorting.
     """
 
+    variant: ClassVar[str] = "prune_ratio"
     ratio: float
-    variant: str = "prune_ratio"
 
-    def validate(self):
-        if not 0 <= self.ratio < 1:
-            raise ConfigError("prune ratio must be in [0, 1)")
+    def __post_init__(self):
+        _check("prune ratio must be a number in [0, 1)", self.ratio, lambda x: 0 <= x < 1)
 
     @property
     def main_param(self) -> float:
         return self.ratio
+
+    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+        """Zero the k = floor(ratio*len) smallest-|.| coordinates of the
+        flattened vector (both blocks jointly).
+
+        The kept set is exactly the one a stable argsort of the magnitudes
+        gives: ties go by ascending index, and NaN sorts last, after +-inf.
+        It is found in O(len) time: the k-th smallest magnitude t comes from
+        a partition (introselect); every entry below t is dropped, then the
+        entries equal to t, lowest index first, until k are dropped.  If t is
+        NaN, fewer than k entries are numbers: all of them are dropped, then
+        the lowest-index NaNs.
+        """
+        flat = obs.flat
+        k = int(np.floor(self.ratio * flat.size))
+        if k == 0:
+            keep = np.ones(flat.size, dtype=bool)
+        else:
+            mag = np.abs(flat)
+            mag.partition(k - 1)
+            t = mag[k - 1]
+            np.abs(flat, out=mag)  # in index order again: one scratch buffer, not two
+            if np.isnan(t):
+                keep = np.isnan(mag)
+                ties = np.flatnonzero(keep)
+            else:
+                keep = ~(mag < t)  # not mag >= t: NaN compares False and must stay
+                ties = np.flatnonzero(mag == t)
+            keep[ties[:k - (keep.size - np.count_nonzero(keep))]] = False
+        return _masked(self, obs, keep)
 
 
 @dataclass(frozen=True)
 class PruneThresholdDefense:
     """Zero coordinates with magnitude strictly below ``cutoff``."""
 
+    variant: ClassVar[str] = "prune_threshold"
     cutoff: float
-    variant: str = "prune_threshold"
 
-    def validate(self):
-        if self.cutoff < 0:
-            raise ConfigError("prune cutoff must be >= 0")
+    def __post_init__(self):
+        _check("prune cutoff must be a number >= 0", self.cutoff, lambda x: x >= 0)
 
     @property
     def main_param(self) -> float:
         return self.cutoff
+
+    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+        """Zero coordinates with |g| < cutoff (entries exactly at the cutoff
+        survive)."""
+        return _masked(self, obs, np.abs(obs.flat) >= self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -132,17 +221,35 @@ class DropoutDefense:
     off by default.
     """
 
+    variant: ClassVar[str] = "dropout"
     rate: float
     node_level: bool = True
-    variant: str = "dropout"
 
-    def validate(self):
-        if not 0 <= self.rate < 1:
-            raise ConfigError("dropout rate must be in [0, 1)")
+    def __post_init__(self):
+        _check("dropout rate must be a number in [0, 1)", self.rate, lambda x: 0 <= x < 1)
+        _check_flag("dropout node_level", self.node_level)
 
     @property
     def main_param(self) -> float:
         return self.rate
+
+    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+        """Drop hidden units (or single coordinates) with probability ``rate``."""
+        rng = rng_from(seed)
+        if self.node_level:
+            dropped = rng.random(obs.m) < self.rate
+            if dropped.all():
+                raise DegenerateObservationError(
+                    "dropout removed every hidden unit; nothing observable remains"
+                )
+            keep = np.ones(obs.m * (1 + obs.d), dtype=bool)
+            keep[:obs.m][dropped] = False
+            keep[obs.m:] = np.repeat(~dropped, obs.d)
+        else:
+            keep = rng.random(obs.m * (1 + obs.d)) >= self.rate
+            if not keep.any():
+                raise DegenerateObservationError("dropout removed every coordinate")
+        return _masked(self, obs, keep)
 
 
 @dataclass(frozen=True)
@@ -154,18 +261,21 @@ class LocalAggregationDefense:
     steps*B-sample problem.
     """
 
+    variant: ClassVar[str] = "local_aggregation"
     steps: int
     eta_a: float | None = None  # default 1/m^2 at apply time
     eta_w: float | None = None  # default 0.1/sqrt(m)
     fresh_batches: bool = False
-    variant: str = "local_aggregation"
 
-    def validate(self):
-        if self.steps < 1:
-            raise ConfigError("local aggregation needs steps >= 1")
+    def __post_init__(self):
+        _check(
+            "local aggregation steps must be an integer >= 1",
+            self.steps, lambda n: n >= 1, numbers.Integral,
+        )
         for eta in (self.eta_a, self.eta_w):
-            if eta is not None and eta <= 0:
-                raise ConfigError("learning rates must be > 0")
+            if eta is not None:
+                _check("learning rates must be numbers > 0", eta, lambda x: x > 0)
+        _check_flag("local aggregation fresh_batches", self.fresh_batches)
 
     @property
     def main_param(self) -> float:
@@ -176,55 +286,55 @@ class LocalAggregationDefense:
 class SecureAggregationDefense:
     """Clients sum their gradients; only the batch-size-weighted mean leaks."""
 
+    variant: ClassVar[str] = "secure_aggregation"
     batch_sizes: tuple[int, ...]
-    variant: str = "secure_aggregation"
 
-    def validate(self):
-        if not self.batch_sizes or any(b < 1 for b in self.batch_sizes):
-            raise ConfigError("secure aggregation needs positive client batch sizes")
+    def __post_init__(self):
+        if not isinstance(self.batch_sizes, (list, tuple)) or not self.batch_sizes:
+            raise ConfigError("secure aggregation needs a nonempty list of client batch sizes")
+        object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
+        for b in self.batch_sizes:
+            _check(
+                "secure aggregation client batch sizes must be integers >= 1",
+                b, lambda n: n >= 1, numbers.Integral,
+            )
 
     @property
     def main_param(self) -> float:
         return float(len(self.batch_sizes))
 
 
-_DEFENSE_KINDS = {
-    "noise": NoiseDefense,
-    "clip": ClipDefense,
-    "prune_ratio": PruneRatioDefense,
-    "prune_threshold": PruneThresholdDefense,
-    "dropout": DropoutDefense,
-    "local_aggregation": LocalAggregationDefense,
-    "secure_aggregation": SecureAggregationDefense,
+AGGREGATORS = (LocalAggregationDefense, SecureAggregationDefense)
+
+_BY_VARIANT = {
+    cls.variant: cls
+    for cls in (
+        NoiseDefense,
+        ClipDefense,
+        PruneRatioDefense,
+        PruneThresholdDefense,
+        DropoutDefense,
+        *AGGREGATORS,
+    )
 }
 
 
 def defense_from_dict(spec: dict):
     """Build a defense config from its JSON form {"variant": ..., params}."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a defense is a JSON object with a 'variant', got {spec!r}")
     spec = dict(spec)
     variant = spec.pop("variant", None)
-    if variant not in _DEFENSE_KINDS:
+    if not isinstance(variant, str) or variant not in _BY_VARIANT:
         raise ConfigError(f"unknown defense variant '{variant}'")
-    if variant == "secure_aggregation" and "batch_sizes" in spec:
-        spec["batch_sizes"] = tuple(spec["batch_sizes"])
     try:
-        cfg = _DEFENSE_KINDS[variant](**spec)
+        return _BY_VARIANT[variant](**spec)
     except TypeError as e:
         raise ConfigError(f"bad parameters for defense '{variant}': {e}") from e
-    cfg.validate()
-    return cfg
 
 
 def defense_to_dict(cfg) -> dict:
-    out = {"variant": cfg.variant}
-    for name in cfg.__dataclass_fields__:
-        if name == "variant":
-            continue
-        val = getattr(cfg, name)
-        if isinstance(val, tuple):
-            val = list(val)
-        out[name] = val
-    return out
+    return {"variant": cfg.variant, **asdict(cfg)}
 
 
 def dp_sgd_preset(threshold: float, sigma0: float, scale_noise_by_clip: bool = False):
@@ -233,160 +343,6 @@ def dp_sgd_preset(threshold: float, sigma0: float, scale_noise_by_clip: bool = F
         ClipDefense(threshold=threshold),
         NoiseDefense(sigma0=sigma0, clip_scale=threshold if scale_noise_by_clip else 1.0),
     ]
-
-
-@dataclass
-class DefenseRecord:
-    """What a defense actually did to one observation."""
-
-    variant: str
-    params: dict = field(default_factory=dict)
-    clip_factor: float | None = None      # realized min{1, C/||G||}
-    mask: np.ndarray | None = None        # True where the coordinate was kept
-    steps: int | None = None
-    extra: dict = field(default_factory=dict)
-
-
-def _on_flat(flat: np.ndarray, obs: GradientObservation) -> GradientObservation:
-    """An observation whose blocks are views of ``flat`` (canonical layout)."""
-    return GradientObservation(
-        grad_a=flat[:obs.m],
-        grad_W=flat[obs.m:].reshape(obs.m, obs.d),
-        provenance=list(obs.provenance),
-    )
-
-
-def apply_noise(
-    obs: GradientObservation, sigma0: float, seed: int, clip_scale: float = 1.0
-) -> GradientObservation:
-    """Add N(0, (sigma0*clip_scale)^2) to every flattened coordinate."""
-    if sigma0 < 0:
-        raise ConfigError("sigma0 must be >= 0")
-    record = DefenseRecord(
-        variant="noise", params={"sigma0": sigma0, "clip_scale": clip_scale}
-    )
-    if sigma0 == 0:
-        out = obs.copy()
-        out.provenance.append(record)
-        return out
-    rng = rng_from(seed)
-    draw = rng.normal(0.0, sigma0 * clip_scale, size=obs.m * (1 + obs.d))
-    out = _on_flat(draw, obs)
-    out.grad_a += obs.grad_a  # the draw buffer becomes the output, no copies
-    out.grad_W += obs.grad_W
-    out.provenance.append(record)
-    return out
-
-
-def apply_clip(obs: GradientObservation, threshold: float) -> GradientObservation:
-    """Scale the whole flattened vector by R = min{1, threshold/||G||}."""
-    if threshold <= 0:
-        raise ConfigError("clip threshold must be > 0")
-    norm = obs.norm()
-    factor = 1.0 if norm <= threshold else threshold / norm
-    out = GradientObservation(
-        grad_a=obs.grad_a * factor,
-        grad_W=obs.grad_W * factor,
-        provenance=list(obs.provenance),
-    )
-    out.provenance.append(
-        DefenseRecord(
-            variant="clip",
-            params={"threshold": threshold, "observed_norm": norm},
-            clip_factor=factor,
-        )
-    )
-    return out
-
-
-def _masked(
-    obs: GradientObservation, flat: np.ndarray, keep: np.ndarray, record: DefenseRecord
-):
-    """Zero ``flat`` (a fresh ``obs.flatten()``, owned here) where ``keep``
-    is False and return it as the output observation."""
-    record.mask = keep
-    flat *= keep
-    out = _on_flat(flat, obs)
-    out.provenance.append(record)
-    return out
-
-
-def apply_prune_ratio(obs: GradientObservation, ratio: float) -> GradientObservation:
-    """Zero the k = floor(ratio*len) smallest-|.| coordinates of the
-    flattened vector (both blocks jointly).
-
-    The kept set is exactly the one a stable argsort of the magnitudes
-    gives: ties go by ascending index, and NaN sorts last, after +-inf.
-    It is found in O(len) time: the k-th smallest magnitude t comes from
-    a partition (introselect); every entry below t is dropped, then the entries
-    equal to t, lowest index first, until k are dropped.  If t is NaN,
-    fewer than k entries are numbers: all of them are dropped, then the
-    lowest-index NaNs.
-    """
-    if not 0 <= ratio < 1:
-        raise ConfigError("prune ratio must be in [0, 1)")
-    flat = obs.flatten()
-    k = int(np.floor(ratio * flat.size))
-    if k == 0:
-        keep = np.ones(flat.size, dtype=bool)
-    else:
-        mag = np.abs(flat)
-        mag.partition(k - 1)
-        t = mag[k - 1]
-        np.abs(flat, out=mag)  # in index order again: one scratch buffer, not two
-        if np.isnan(t):
-            keep = np.isnan(mag)
-            ties = np.flatnonzero(keep)
-        else:
-            keep = ~(mag < t)  # not mag >= t: NaN compares False and must stay
-            ties = np.flatnonzero(mag == t)
-        keep[ties[:k - (keep.size - np.count_nonzero(keep))]] = False
-    return _masked(
-        obs, flat, keep, DefenseRecord(variant="prune_ratio", params={"ratio": ratio})
-    )
-
-
-def apply_prune_threshold(obs: GradientObservation, cutoff: float) -> GradientObservation:
-    """Zero coordinates with |g| < cutoff (entries exactly at the cutoff
-    survive)."""
-    if cutoff < 0:
-        raise ConfigError("prune cutoff must be >= 0")
-    flat = obs.flatten()
-    keep = np.abs(flat) >= cutoff
-    return _masked(
-        obs, flat, keep, DefenseRecord(variant="prune_threshold", params={"cutoff": cutoff})
-    )
-
-
-def apply_dropout(
-    obs: GradientObservation,
-    rate: float,
-    seed: int,
-    node_level: bool = True,
-) -> GradientObservation:
-    """Drop hidden units (or single coordinates) with probability ``rate``."""
-    if not 0 <= rate < 1:
-        raise ConfigError("dropout rate must be in [0, 1)")
-    rng = rng_from(seed)
-    if node_level:
-        dropped = rng.random(obs.m) < rate
-        if dropped.all():
-            raise DegenerateObservationError(
-                "dropout removed every hidden unit; nothing observable remains"
-            )
-        keep = np.ones(obs.m * (1 + obs.d), dtype=bool)
-        keep[:obs.m][dropped] = False
-        keep[obs.m:] = np.repeat(~dropped, obs.d)
-    else:
-        keep = rng.random(obs.m * (1 + obs.d)) >= rate
-        if not keep.any():
-            raise DegenerateObservationError("dropout removed every coordinate")
-    return _masked(
-        obs,
-        obs.flatten(),
-        keep,
-        DefenseRecord(variant="dropout", params={"rate": rate, "node_level": node_level}),
-    )
 
 
 def local_aggregation(
@@ -427,23 +383,15 @@ def local_aggregation(
                 f"local aggregation rollout diverged at step {step + 1}", step=step + 1
             )
         snapshots.append((a.copy(), W.copy()))
-    out = GradientObservation(
-        grad_a=(params.a - a) / eta_a,
-        grad_W=(params.W - W) / eta_w,
+    delta_a, delta_W = params.a - a, params.W - W
+    record = DefenseRecord(
+        variant=LocalAggregationDefense.variant,
+        params={"eta_a": eta_a, "eta_w": eta_w},
+        steps=steps,
+        extra={"raw_delta_a": delta_a, "raw_delta_W": delta_W, "snapshots": snapshots},
     )
-    out.provenance.append(
-        DefenseRecord(
-            variant="local_aggregation",
-            params={"eta_a": eta_a, "eta_w": eta_w},
-            steps=steps,
-            extra={
-                "raw_delta_a": params.a - a,
-                "raw_delta_W": params.W - W,
-                "snapshots": snapshots,
-            },
-        )
-    )
-    return out
+    flat = np.concatenate([delta_a / eta_a, (delta_W / eta_w).ravel()])
+    return GradientObservation(flat, m, params.d, (record,))
 
 
 def secure_aggregate(
@@ -466,18 +414,12 @@ def secure_aggregate(
     for obs, _ in gradients:
         if not first.same_layout(obs):
             raise LayoutMismatchError("client gradients have different layouts")
-        flat += obs.flatten()
-    out = GradientObservation.from_flat(flat / total, first.m, first.d)
-    out.provenance.append(
-        DefenseRecord(
-            variant="secure_aggregation",
-            params={"batch_sizes": [b for _, b in gradients], "total": total},
-        )
+        flat += obs.flat
+    record = DefenseRecord(
+        variant=SecureAggregationDefense.variant,
+        params={"batch_sizes": [b for _, b in gradients], "total": total},
     )
-    return out
-
-
-_TRANSFORMS = ("noise", "clip", "prune_ratio", "prune_threshold", "dropout")
+    return GradientObservation(flat / total, first.m, first.d, (record,))
 
 
 def compose(defenses: list, obs: GradientObservation, seed: int) -> GradientObservation:
@@ -485,25 +427,13 @@ def compose(defenses: list, obs: GradientObservation, seed: int) -> GradientObse
 
     Only pure observation transforms are composable here; aggregation
     defenses produce the base observation and are handled by the harness.
-    Each stochastic transform gets its own derived seed.
+    Each transform gets its own derived seed.
     """
     if not defenses:
         raise ConfigError("compose needs a nonempty defense list")
     out = obs
     for k, cfg in enumerate(defenses):
-        if cfg.variant not in _TRANSFORMS:
-            raise ConfigError(
-                f"defense '{cfg.variant}' is not an observation transform"
-            )
-        sub = derive_seed(seed, k)
-        if cfg.variant == "noise":
-            out = apply_noise(out, cfg.sigma0, sub, cfg.clip_scale)
-        elif cfg.variant == "clip":
-            out = apply_clip(out, cfg.threshold)
-        elif cfg.variant == "prune_ratio":
-            out = apply_prune_ratio(out, cfg.ratio)
-        elif cfg.variant == "prune_threshold":
-            out = apply_prune_threshold(out, cfg.cutoff)
-        elif cfg.variant == "dropout":
-            out = apply_dropout(out, cfg.rate, sub, cfg.node_level)
+        if isinstance(cfg, AGGREGATORS):
+            raise ConfigError(f"defense '{cfg.variant}' is not an observation transform")
+        out = cfg.apply(out, derive_seed(seed, k))
     return out

@@ -81,8 +81,6 @@ CSV_FIELDS = [
 
 WORKERS_ENV = "GRADLEAK_WORKERS"
 
-_AGGREGATORS = ("local_aggregation", "secure_aggregation")
-
 
 def _fmt(x) -> str:
     """17-significant-digit float formatting; exact CSV round-trip."""
@@ -127,8 +125,12 @@ class ExperimentConfig:
             raise ConfigError("d, m and B must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be > 0")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be a finite number > 0, got {self.sigma!r}")
+        if not isinstance(self.compute_bounds, bool):
+            raise ConfigError(f"compute_bounds must be true or false, got {self.compute_bounds!r}")
+        if self.utility is not None and not isinstance(self.utility, dict):
+            raise ConfigError(f"utility must be an object or null, got {self.utility!r}")
         if not self.attacks:
             raise ConfigError("configure at least one attack")
         unknown = set(self.attacks) - {"tensor", "gradmatch"}
@@ -143,15 +145,24 @@ class ExperimentConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad attack parameters: {e}") from e
         for k, cfg in enumerate(self.defenses):
-            cfg.validate()
-            if cfg.variant in _AGGREGATORS and k != 0:
+            if isinstance(cfg, dfs.AGGREGATORS) and k != 0:
                 raise ConfigError("aggregation defenses must come first in the chain")
-        make_activation(**self.activation)  # raises on bad kind/scale
+        if not isinstance(self.activation, dict):
+            raise ConfigError(f"activation must be an object, got {self.activation!r}")
+        try:
+            make_activation(**self.activation)  # raises ConfigError on a bad kind/scale
+        except TypeError as e:
+            raise ConfigError(f"bad activation parameters: {e}") from e
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
+        if not isinstance(spec, dict):
+            raise ConfigError(f"an experiment config is a JSON object, got {spec!r}")
         spec = dict(spec)
-        defenses = tuple(dfs.defense_from_dict(s) for s in spec.pop("defenses", []))
+        specs = spec.pop("defenses", [])
+        if not isinstance(specs, (list, tuple)):
+            raise ConfigError(f"defenses must be a list of defense objects, got {specs!r}")
+        defenses = tuple(dfs.defense_from_dict(s) for s in specs)
         try:
             cfg = cls(defenses=defenses, **spec)
         except TypeError as e:
@@ -275,9 +286,9 @@ def _observation_for_trial(config, params, batch, trial_seed):
     """Base observation plus defended variant; returns (obs, truth_X, truth_y)."""
     transforms = list(config.defenses)
     truth, truth_y = batch.X, batch.y
-    if transforms and transforms[0].variant in _AGGREGATORS:
+    if transforms and isinstance(transforms[0], dfs.AGGREGATORS):
         agg = transforms.pop(0)
-        if agg.variant == "local_aggregation":
+        if isinstance(agg, dfs.LocalAggregationDefense):
             if agg.fresh_batches and agg.steps > 1:
                 batches = [batch] + [
                     sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
@@ -372,7 +383,7 @@ def run_trial(
 
     util = None
     if config.utility is not None:
-        transforms = [c for c in config.defenses if c.variant not in _AGGREGATORS]
+        transforms = [c for c in config.defenses if not isinstance(c, dfs.AGGREGATORS)]
         util = utility_loss(
             params,
             transforms,

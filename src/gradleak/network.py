@@ -9,15 +9,16 @@ Model and conventions (shared by every other module):
     d loss / d a[j]   = sum_i r_i s(W[j] . x_i)
     d loss / d W[j]   = sum_i r_i a[j] s'(W[j] . x_i) x_i
 
-Observations flatten as ``grad_a`` first, then ``grad_W`` row-major, giving
-m + m*d coordinates.  The input Jacobian stacks per-sample blocks: row
-(i, s) holds the derivative of every gradient coordinate with respect to
+An observation is one frozen, read-only flat buffer: ``grad_a`` first, then
+``grad_W`` row-major, giving m + m*d coordinates; ``gradient`` writes both
+blocks into it in place, and the blocks are views of it.  The input
+Jacobian stacks per-sample blocks: row (i, s) holds the derivative of every gradient coordinate with respect to
 component s of sample x_i, so J has shape (B*d, m + m*d).  The library
 never forms J: ``input_gram`` builds J J^T from per-sample factors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,51 +92,41 @@ class DataBatch:
         return float(np.linalg.svd(self.X, compute_uv=False)[-1])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GradientObservation:
-    """A (possibly defended) gradient with its flattening layout.
+    """A (possibly defended) gradient: one read-only flat buffer.
 
-    provenance records every defense applied, in order.
+    ``flat`` holds grad_a, then grad_W row-major (m + m*d coordinates).  The
+    constructor takes ownership of ``flat`` and marks it read-only;
+    ``grad_a`` and ``grad_W`` are read-only views of it.  ``provenance``
+    records every defense applied, in order.
     """
 
-    grad_a: np.ndarray  # (m,)
-    grad_W: np.ndarray  # (m, d)
-    provenance: list = field(default_factory=list)
+    flat: np.ndarray
+    m: int
+    d: int
+    provenance: tuple = ()
+
+    def __post_init__(self):
+        n = self.m * (1 + self.d)
+        if self.flat.shape != (n,):
+            raise DimensionError(f"flat vector has shape {self.flat.shape}, expected ({n},)")
+        self.flat.flags.writeable = False
+        object.__setattr__(self, "provenance", tuple(self.provenance))
 
     @property
-    def m(self) -> int:
-        return self.grad_a.shape[0]
+    def grad_a(self) -> np.ndarray:
+        return self.flat[:self.m]
 
     @property
-    def d(self) -> int:
-        return self.grad_W.shape[1]
-
-    def flatten(self) -> np.ndarray:
-        """Canonical layout: grad_a, then grad_W row-major."""
-        return np.concatenate([self.grad_a, self.grad_W.ravel()])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, m: int, d: int, provenance=None):
-        if flat.shape != (m * (1 + d),):
-            raise DimensionError(f"flat vector has shape {flat.shape}, expected ({m*(1+d)},)")
-        return cls(
-            grad_a=flat[:m].copy(),
-            grad_W=flat[m:].reshape(m, d).copy(),
-            provenance=list(provenance) if provenance else [],
-        )
+    def grad_W(self) -> np.ndarray:
+        return self.flat[self.m:].reshape(self.m, self.d)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.flatten()))
-
-    def copy(self) -> "GradientObservation":
-        return GradientObservation(
-            grad_a=self.grad_a.copy(),
-            grad_W=self.grad_W.copy(),
-            provenance=list(self.provenance),
-        )
+        return float(np.linalg.norm(self.flat))
 
     def same_layout(self, other: "GradientObservation") -> bool:
-        return self.grad_a.shape == other.grad_a.shape and self.grad_W.shape == other.grad_W.shape
+        return self.m == other.m and self.d == other.d
 
 
 def sample_params(d: int, m: int, seed: int, activation: Activation) -> NetworkParams:
@@ -183,9 +174,11 @@ def _batch_internals(params: NetworkParams, batch: DataBatch):
 def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
     """Exact gradient of the summed square loss at ``params`` on ``batch``."""
     _, S0, S1, _, r = _batch_internals(params, batch)
-    grad_a = S0 @ r
-    grad_W = (params.a[:, None] * (S1 * r[None, :])) @ batch.X.T
-    return GradientObservation(grad_a=grad_a, grad_W=grad_W)
+    m, d = params.m, params.d
+    flat = np.empty(params.n_coords)  # both blocks written in place, no concatenation
+    np.matmul(S0, r, out=flat[:m])
+    np.matmul(params.a[:, None] * (S1 * r[None, :]), batch.X.T, out=flat[m:].reshape(m, d))
+    return GradientObservation(flat, m, d)
 
 
 def loss(params: NetworkParams, batch: DataBatch) -> float:

@@ -59,7 +59,7 @@ def fd_input_jacobian(params: NetworkParams, batch: DataBatch, step: float = 1e-
             for sign in (1.0, -1.0):
                 X = batch.X.copy()
                 X[s, i] += sign * step
-                g = gradient(params, DataBatch(X=X, y=batch.y)).flatten()
+                g = gradient(params, DataBatch(X=X, y=batch.y)).flat
                 if sign > 0:
                     up = g
                 else:
@@ -133,9 +133,9 @@ def local_aggregation_jacobian_fd(
                     X[s, col] += sign * eps
                     obs = local_aggregation(params, base_batches, eta_a, eta_w, steps)
                     if sign > 0:
-                        plus = obs.flatten()
+                        plus = obs.flat
                     else:
-                        minus = obs.flatten()
+                        minus = obs.flat
                     X[s, col] -= sign * eps
                 J[row] = (plus - minus) / (2.0 * eps)
                 row += 1
@@ -269,15 +269,12 @@ def argsort_prune_mask(flat: np.ndarray, ratio: float) -> np.ndarray:
 
 
 def argsort_prune_ratio(obs: GradientObservation, ratio: float) -> GradientObservation:
-    """``defenses.apply_prune_ratio`` with its mask taken from
+    """``PruneRatioDefense.apply`` with its mask taken from
     ``argsort_prune_mask`` and its output built by copying."""
-    flat = obs.flatten()
+    flat = obs.flat
     keep = argsort_prune_mask(flat, ratio)
-    out = GradientObservation.from_flat(flat * keep, obs.m, obs.d, obs.provenance)
-    out.provenance.append(
-        DefenseRecord(variant="prune_ratio", params={"ratio": ratio}, mask=keep)
-    )
-    return out
+    record = DefenseRecord(variant="prune_ratio", params={"ratio": ratio}, mask=keep)
+    return GradientObservation(flat * keep, obs.m, obs.d, (*obs.provenance, record))
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

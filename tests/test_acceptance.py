@@ -20,7 +20,13 @@ import numpy as np
 
 from gradleak.activations import hermite_moments, make_activation
 from gradleak.bounds import bound_for_observation, dp_delta, estimate_sensitivity, required_sigma
-from gradleak.defenses import apply_clip, apply_dropout, apply_noise, apply_prune_ratio, local_aggregation
+from gradleak.defenses import (
+    ClipDefense,
+    DropoutDefense,
+    NoiseDefense,
+    PruneRatioDefense,
+    local_aggregation,
+)
 from gradleak.gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from gradleak.harness import read_results_csv, sweep
 from gradleak.metrics import min_perm_distance
@@ -72,7 +78,7 @@ def test_criterion_01_derivative_oracles():
         seed = int(rng.integers(0, 2**31))
         p = sample_params(d, m, seed=seed, activation=SP)
         b = sample_batch(d, B, seed=seed + 1)
-        g = gradient(p, b).flatten()
+        g = gradient(p, b).flat
         fd_g = fd_loss_gradient(p, b, step=1e-5)
         worst_g = max(worst_g, np.linalg.norm(g - fd_g) / np.linalg.norm(fd_g))
         J = input_jacobian(p, b)
@@ -153,7 +159,7 @@ def test_criterion_04_lower_bound_scaling_and_ordering():
         p = sample_params(dd, mm, seed=4000 + seed, activation=EXP)
         b = sample_batch(dd, B, seed=4500 + seed)
         g = gradient(p, b)
-        obs = apply_noise(g, sigma, seed=4600 + seed)
+        obs = NoiseDefense(sigma).apply(g, 4600 + seed)
         rmse = score_reconstruction(
             tensor_attack(obs, p, B, TensorAttackConfig(seed=seed)), b.X
         ).rmse
@@ -174,7 +180,7 @@ def test_criterion_05_clipping_neutrality():
         p = sample_params(8, 2**12, seed=seed, activation=EXP)
         b = sample_batch(8, 2, seed=seed + 50)
         obs = gradient(p, b)
-        clipped = apply_clip(obs, obs.norm() / 5.0)
+        clipped = ClipDefense(obs.norm() / 5.0).apply(obs, 0)
         r0 = tensor_attack(obs, p, 2, TensorAttackConfig(seed=seed))
         r1 = tensor_attack(clipped, p, 2, TensorAttackConfig(seed=seed))
         worst = max(worst, float(np.abs(r0.samples - r1.samples).max()))
@@ -191,7 +197,7 @@ def test_criterion_06_defense_potency_ordering():
     undef, dropped, pruned, kept_a = [], [], [], []
 
     def prune(o, p, b):
-        out = apply_prune_ratio(o, 0.9)
+        out = PruneRatioDefense(0.9).apply(o, 0)
         kept_a.append(int(np.count_nonzero(out.provenance[-1].mask[:m])))
         return out
 
@@ -202,7 +208,7 @@ def test_criterion_06_defense_potency_ordering():
         dropped.append(
             attack_rmse(
                 d, m, B, seed,
-                transform=lambda o, p, b: apply_dropout(o, 0.9, seed=derive_seed(seed, 9)),
+                transform=lambda o, p, b: DropoutDefense(0.9).apply(o, derive_seed(seed, 9)),
             )
         )
     mu, md, mp = (float(np.median(v)) for v in (undef, dropped, pruned))
@@ -233,7 +239,7 @@ def test_criterion_07_noise_monotonicity():
             errs.append(
                 attack_rmse(
                     d, m, B, seed, activation=act,
-                    transform=lambda o, p, b: apply_noise(o, sigma0, seed=derive_seed(seed, k)),
+                    transform=lambda o, p, b: NoiseDefense(sigma0).apply(o, derive_seed(seed, k)),
                 )
             )
         medians.append(float(np.median(errs)))
@@ -331,7 +337,7 @@ def test_criterion_11_gradient_matching():
         seed = 1150 + s
         p = sample_params(d, m, seed=seed, activation=EXP)
         b = sample_batch(d, B, seed=derive_seed(seed, 1))
-        obs = apply_noise(gradient(p, b), 0.1, seed=derive_seed(seed, 2))
+        obs = NoiseDefense(0.1).apply(gradient(p, b), derive_seed(seed, 2))
         zhat = tensor_attack(obs, p, B, TensorAttackConfig(seed=seed)).samples
         common = dict(
             distance="negative-cosine",

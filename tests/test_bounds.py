@@ -11,9 +11,9 @@ from gradleak.bounds import (
     estimate_sensitivity,
     required_sigma,
 )
-from gradleak.defenses import DefenseRecord, apply_clip, apply_dropout, apply_prune_ratio
+from gradleak.defenses import ClipDefense, DefenseRecord, DropoutDefense, PruneRatioDefense
 from gradleak.errors import ConfigError
-from gradleak.network import gradient, input_gram, sample_batch, sample_params
+from gradleak.network import GradientObservation, gradient, input_gram, sample_batch, sample_params
 from oracles import cramer_rao, input_jacobian, local_aggregation_jacobian_fd, loglog_slope
 
 SP = make_activation("softplus")
@@ -93,7 +93,7 @@ def test_two_layer_loose_bound_scales_with_width():
 def test_clip_below_threshold_identity():
     p, b = two_layer(5, 32, 2, seed=5)
     g = gradient(p, b)
-    rep = bound_for_observation(p, b, 0.1, apply_clip(g, threshold=g.norm() * 2))
+    rep = bound_for_observation(p, b, 0.1, ClipDefense(g.norm() * 2).apply(g, 0))
     base = bound_for_observation(p, b, 0.1, g)
     assert rep.rl2_exact == base.rl2_exact
 
@@ -101,7 +101,7 @@ def test_clip_below_threshold_identity():
 def test_clip_factor_is_noise_rescaling():
     p, b = two_layer(5, 32, 2, seed=6)
     g = gradient(p, b)
-    clipped = apply_clip(g, threshold=g.norm() / 2.0)  # factor exactly 1/2
+    clipped = ClipDefense(g.norm() / 2.0).apply(g, 0)  # factor exactly 1/2
     rep = bound_for_observation(p, b, 0.1, clipped)
     doubled = bound_for_observation(p, b, 0.2, g)
     assert rep.rl2_exact == doubled.rl2_exact  # formula-level identity
@@ -121,7 +121,7 @@ def test_prune_mask_mass_ratio():
     g = gradient(p, b)
     base = bound_for_observation(p, b, 0.1, g)
     for ratio in (0.5, 0.9):
-        masked = bound_for_observation(p, b, 0.1, apply_prune_ratio(g, ratio))
+        masked = bound_for_observation(p, b, 0.1, PruneRatioDefense(ratio).apply(g, 0))
         assert 0.0 < masked.adjustments["mass_fraction_destroyed"] < 1.0
         _assert_mass_law(masked, base)
 
@@ -130,7 +130,7 @@ def test_dropout_closed_form_scaling():
     p, b = two_layer(4, 256, 1, seed=7)
     g = gradient(p, b)
     base = bound_for_observation(p, b, 0.1, g)
-    rep = bound_for_observation(p, b, 0.1, apply_dropout(g, 0.75, seed=8))
+    rep = bound_for_observation(p, b, 0.1, DropoutDefense(0.75).apply(g, 8))
     _assert_mass_law(rep, base)
     # exact form on the surviving columns should also exceed the base
     assert rep.rl2_exact >= base.rl2_exact - 1e-12
@@ -142,7 +142,7 @@ def test_dropout_closed_form_scaling():
             p, b = two_layer(8, 2048, 2, seed)
             g = gradient(p, b)
             base = bound_for_observation(p, b, 0.1, g)
-            rep = bound_for_observation(p, b, 0.1, apply_dropout(g, rate, seed=100 + seed))
+            rep = bound_for_observation(p, b, 0.1, DropoutDefense(rate).apply(g, 100 + seed))
             ratios.append(rep.rl_loose * math.sqrt(1.0 - rate) / base.rl_loose)
         assert np.median(ratios) == pytest.approx(1.0, abs=0.05), (rate, ratios)
 
@@ -150,13 +150,12 @@ def test_dropout_closed_form_scaling():
 def test_masking_everything_is_infinite():
     p, b = two_layer(4, 16, 1, seed=9)
     g = gradient(p, b)
-    g.provenance.append(
-        DefenseRecord(
-            variant="prune_threshold",
-            params={"cutoff": np.inf},
-            mask=np.zeros(p.n_coords, dtype=bool),
-        )
+    record = DefenseRecord(
+        variant="prune_threshold",
+        params={"cutoff": np.inf},
+        mask=np.zeros(p.n_coords, dtype=bool),
     )
+    g = GradientObservation(g.flat, g.m, g.d, (record,))
     rep = bound_for_observation(p, b, 0.1, g)
     assert math.isinf(rep.rl2_exact)
 
@@ -164,7 +163,8 @@ def test_masking_everything_is_infinite():
 def test_local_aggregation_flagged():
     p, b = two_layer(4, 16, 1, seed=10)
     g = gradient(p, b)
-    g.provenance.append(DefenseRecord(variant="local_aggregation", steps=2))
+    record = DefenseRecord(variant="local_aggregation", steps=2)
+    g = GradientObservation(g.flat, g.m, g.d, (record,))
     rep = bound_for_observation(p, b, 0.1, g)
     assert any("local-aggregation" in f for f in rep.flags)
 
@@ -174,7 +174,7 @@ def test_prune_bound_grows_with_ratio_on_real_gradient():
     g = gradient(p, b)
     reps = []
     for ratio in (0.5, 0.9, 0.99):
-        reps.append(bound_for_observation(p, b, 0.1, apply_prune_ratio(g, ratio)).rl2_exact)
+        reps.append(bound_for_observation(p, b, 0.1, PruneRatioDefense(ratio).apply(g, 0)).rl2_exact)
     assert reps[0] <= reps[1] <= reps[2]
 
 

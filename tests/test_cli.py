@@ -69,6 +69,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
         {"d": 4, "m": 8, "B": 1, "trials": None},
         {"d": 4, "m": 8, "B": 1, "sigma": "0.1"},
         {"d": 4, "m": 8, "B": 1, "base_seed": [0]},
+        {"d": 4, "m": 8, "B": 1, "activation": "exp"},
+        {"d": 4, "m": 8, "B": 1, "activation": {"kind": "exp", "bogus": 1}},
+        {"d": 4, "m": 8, "B": 1, "defenses": [3]},
+        {"d": 4, "m": 8, "B": 1, "defenses": "dropout"},
+        {"d": 4, "m": 8, "B": 1, "utility": "x"},
+        {"d": 4, "m": 8, "B": 1, "compute_bounds": "false"},
+        {"d": 4, "m": 8, "B": 1, "sigma": float("nan")},
+        {"d": 4, "m": 8, "B": 1, "sigma": float("inf")},
+        {"d": 4, "m": 8, "B": 1, "defenses": [{"variant": "noise", "sigma0": "0.1"}]},
+        {"d": 4, "m": 8, "B": 1, "defenses": [{"variant": "prune_threshold", "cutoff": float("nan")}]},
+        [{"d": 4, "m": 8, "B": 1}],
     ]
     bad = tmp_path / "bad.json"
     for spec in bad_specs:

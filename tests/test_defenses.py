@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gradleak.activations import make_activation
 from gradleak.defenses import (
     ClipDefense,
+    DropoutDefense,
+    LocalAggregationDefense,
     NoiseDefense,
+    PruneRatioDefense,
     PruneThresholdDefense,
-    apply_clip,
-    apply_dropout,
-    apply_noise,
-    apply_prune_ratio,
-    apply_prune_threshold,
+    SecureAggregationDefense,
     compose,
     defense_from_dict,
     dp_sgd_preset,
@@ -35,41 +36,41 @@ def obs_of(d=6, m=32, B=2, seed=0):
 
 def test_noise_zero_is_identity():
     _, _, g = obs_of()
-    out = apply_noise(g, 0.0, seed=1)
-    assert np.array_equal(out.flatten(), g.flatten())
+    out = NoiseDefense(0.0).apply(g, 1)
+    assert np.array_equal(out.flat, g.flat)
     assert out.provenance[-1].variant == "noise"
 
 
 def test_noise_realized_std():
     # 10^5 coordinates: realized std within 1% of sigma0
     p, b, g = obs_of(d=4, m=20_000)
-    out = apply_noise(g, 0.1, seed=5)
-    diff = out.flatten() - g.flatten()
+    out = NoiseDefense(0.1).apply(g, 5)
+    diff = out.flat - g.flat
     assert 0.099 <= diff.std() <= 0.101
 
 
 def test_noise_deterministic_and_mean_preserving():
     _, _, g = obs_of()
-    a = apply_noise(g, 0.3, seed=9).flatten()
-    b = apply_noise(g, 0.3, seed=9).flatten()
+    a = NoiseDefense(0.3).apply(g, 9).flat
+    b = NoiseDefense(0.3).apply(g, 9).flat
     assert np.array_equal(a, b)
-    draws = np.stack([apply_noise(g, 0.3, seed=s).flatten() - g.flatten() for s in range(1000)])
+    draws = np.stack([NoiseDefense(0.3).apply(g, s).flat - g.flat for s in range(1000)])
     per_coord = np.abs(draws.mean(axis=0))
     assert per_coord[:16].max() < 4 * 0.3 / np.sqrt(1000)
 
 
 def test_noise_clip_scale_parameterization():
     _, _, g = obs_of()
-    scaled = apply_noise(g, 0.1, seed=3, clip_scale=4.0).flatten() - g.flatten()
-    plain = apply_noise(g, 0.4, seed=3).flatten() - g.flatten()
+    scaled = NoiseDefense(0.1, clip_scale=4.0).apply(g, 3).flat - g.flat
+    plain = NoiseDefense(0.4).apply(g, 3).flat - g.flat
     assert np.allclose(scaled, plain, rtol=1e-12)
 
 
 def test_noise_equals_flat_sum_bitwise():
     _, _, g = obs_of(d=5, m=64)
-    out = apply_noise(g, 0.2, seed=4, clip_scale=1.5)
+    out = NoiseDefense(0.2, clip_scale=1.5).apply(g, 4)
     draw = rng_from(4).normal(0.0, 0.2 * 1.5, size=g.m * (1 + g.d))
-    old = GradientObservation.from_flat(g.flatten() + draw, g.m, g.d)
+    old = GradientObservation(g.flat + draw, g.m, g.d)
     assert np.array_equal(out.grad_a, old.grad_a)
     assert np.array_equal(out.grad_W, old.grad_W)
 
@@ -78,23 +79,23 @@ def test_noise_equals_flat_sum_bitwise():
 
 def test_clip_identity_when_small():
     _, _, g = obs_of()
-    out = apply_clip(g, threshold=g.norm() * 2)
-    assert np.array_equal(out.flatten(), g.flatten())
+    out = ClipDefense(g.norm() * 2).apply(g, 0)
+    assert np.array_equal(out.flat, g.flat)
     assert out.provenance[-1].clip_factor == 1.0
 
 
 def test_clip_rescales_to_threshold():
     _, _, g = obs_of()
     scale = 10.0 / g.norm()
-    big = GradientObservation(grad_a=g.grad_a * scale, grad_W=g.grad_W * scale)
-    out = apply_clip(big, threshold=2.0)
+    big = GradientObservation(g.flat * scale, g.m, g.d)
+    out = ClipDefense(2.0).apply(big, 0)
     assert out.norm() == pytest.approx(2.0, rel=1e-12)
     assert out.provenance[-1].clip_factor == pytest.approx(0.2, rel=1e-12)
 
 
 def test_clip_zero_gradient_identity():
-    z = GradientObservation(grad_a=np.zeros(4), grad_W=np.zeros((4, 3)))
-    out = apply_clip(z, threshold=1.0)
+    z = GradientObservation(np.zeros(16), 4, 3)
+    out = ClipDefense(1.0).apply(z, 0)
     assert out.provenance[-1].clip_factor == 1.0
     assert out.norm() == 0.0
 
@@ -102,48 +103,48 @@ def test_clip_zero_gradient_identity():
 def test_clip_never_increases_norm():
     _, _, g = obs_of()
     for c in (0.1, 1.0, 10.0, 1000.0):
-        assert apply_clip(g, c).norm() <= g.norm() + 1e-12
+        assert ClipDefense(c).apply(g, 0).norm() <= g.norm() + 1e-12
 
 
 # --- pruning -------------------------------------------------------------
 
 def test_prune_ratio_zero_identity():
     _, _, g = obs_of()
-    out = apply_prune_ratio(g, 0.0)
-    assert np.array_equal(out.flatten(), g.flatten())
+    out = PruneRatioDefense(0.0).apply(g, 0)
+    assert np.array_equal(out.flat, g.flat)
 
 
 def test_prune_ratio_small_example():
-    g = GradientObservation(grad_a=np.array([3.0, -1.0]), grad_W=np.array([[2.0], [0.5]]))
-    out = apply_prune_ratio(g, 0.5)
-    assert np.array_equal(out.flatten(), np.array([3.0, 0.0, 2.0, 0.0]))
+    g = GradientObservation(np.array([3.0, -1.0, 2.0, 0.5]), 2, 1)
+    out = PruneRatioDefense(0.5).apply(g, 0)
+    assert np.array_equal(out.flat, np.array([3.0, 0.0, 2.0, 0.0]))
 
 
 def test_prune_masks_describe_zeroed_coordinates():
     _, _, g = obs_of()
-    out = apply_prune_ratio(g, 0.4)
+    out = PruneRatioDefense(0.4).apply(g, 0)
     mask = out.provenance[-1].mask
-    flat = out.flatten()
-    assert np.array_equal(flat == 0.0, ~mask | (g.flatten() == 0.0))
-    assert mask.sum() == g.flatten().size - int(0.4 * g.flatten().size)
+    flat = out.flat
+    assert np.array_equal(flat == 0.0, ~mask | (g.flat == 0.0))
+    assert mask.sum() == g.flat.size - int(0.4 * g.flat.size)
 
 
 def test_prune_ratio_threshold_consistency():
     _, _, g = obs_of(m=64)
-    flat = np.abs(g.flatten())
+    flat = np.abs(g.flat)
     k = int(0.3 * flat.size)
     srt = np.sort(flat)
     cutoff = 0.5 * (srt[k - 1] + srt[k])
-    by_ratio = apply_prune_ratio(g, 0.3).flatten()
-    by_threshold = apply_prune_threshold(g, cutoff).flatten()
+    by_ratio = PruneRatioDefense(0.3).apply(g, 0).flat
+    by_threshold = PruneThresholdDefense(cutoff).apply(g, 0).flat
     assert np.array_equal(by_ratio, by_threshold)
 
 
 def test_prune_threshold_idempotent():
     _, _, g = obs_of()
-    once = apply_prune_threshold(g, 1e-4)
-    twice = apply_prune_threshold(once, 1e-4)
-    assert np.array_equal(once.flatten(), twice.flatten())
+    once = PruneThresholdDefense(1e-4).apply(g, 0)
+    twice = PruneThresholdDefense(1e-4).apply(once, 0)
+    assert np.array_equal(once.flat, twice.flat)
 
 
 PRUNE_KINDS = ("gauss", "rounded", "zeros", "signed_zeros", "inf", "nan", "mostly_nan")
@@ -156,8 +157,8 @@ def _prune_input(kind: str, m: int, d: int, seed: int) -> GradientObservation:
     rng = rng_from(seed)
     if n >= 100:
         p = sample_params(d, m, seed=seed, activation=SP)
-        g = gradient(p, sample_batch(d, 2, seed=seed + 1)).flatten()
-        g /= np.abs(g).max()
+        g = gradient(p, sample_batch(d, 2, seed=seed + 1)).flat
+        g = g / np.abs(g).max()
     else:
         g = rng.standard_normal(n)
     if kind == "rounded":
@@ -179,28 +180,28 @@ def _prune_input(kind: str, m: int, d: int, seed: int) -> GradientObservation:
         g[rng.random(n) < 0.6] = np.nan
         g[rng.random(n) < 0.1] = -0.0
         g[0] = np.nan
-    return GradientObservation.from_flat(g, m, d)
+    return GradientObservation(g, m, d)
 
 
 @pytest.mark.parametrize("m,d", [(1, 0), (1, 1), (200, 14)])
 @pytest.mark.parametrize("kind", PRUNE_KINDS)
 def test_prune_ratio_matches_stable_argsort(kind, m, d):
     obs = _prune_input(kind, m, d, seed=11 * m + d)
-    flat = obs.flatten()
+    flat = obs.flat
     n = flat.size
     for ratio in (0.0, 1e-4, 0.1, 0.5, 0.9, 0.99, (n - 0.5) / n):
         keep = argsort_prune_mask(flat, ratio)
         # a pruned +-inf becomes NaN (inf * 0) on both sides
         with np.errstate(invalid="ignore"):
-            out = apply_prune_ratio(obs, ratio)
+            out = PruneRatioDefense(ratio).apply(obs, 0)
             expect = flat * keep
         assert np.array_equal(out.provenance[-1].mask, keep), (kind, ratio)
-        assert out.flatten().tobytes() == expect.tobytes(), (kind, ratio)
+        assert out.flat.tobytes() == expect.tobytes(), (kind, ratio)
 
 
 def test_prune_ratio_nan_beyond_the_numbers():
     flat = np.array([1.0, np.nan, 0.5, np.nan, 2.0])
-    out = apply_prune_ratio(GradientObservation.from_flat(flat, 5, 0), 0.8)
+    out = PruneRatioDefense(0.8).apply(GradientObservation(flat, 5, 0), 0)
     assert np.array_equal(out.provenance[-1].mask, [False, False, False, True, False])
     assert np.array_equal(argsort_prune_mask(flat, 0.8), out.provenance[-1].mask)
 
@@ -211,27 +212,27 @@ def test_prune_ratio_matches_stable_argsort_on_criterion_06_gradients():
     for seed in range(600, 610):
         p = sample_params(d, m, seed=seed, activation=exp)
         g = gradient(p, sample_batch(d, 2, seed=derive_seed(seed, 1)))
-        mask = apply_prune_ratio(g, 0.9).provenance[-1].mask
-        assert np.array_equal(mask, argsort_prune_mask(g.flatten(), 0.9)), seed
+        mask = PruneRatioDefense(0.9).apply(g, 0).provenance[-1].mask
+        assert np.array_equal(mask, argsort_prune_mask(g.flat, 0.9)), seed
 
 
 # --- dropout -------------------------------------------------------------
 
 def test_dropout_zero_identity():
     _, _, g = obs_of()
-    assert np.array_equal(apply_dropout(g, 0.0, seed=1).flatten(), g.flatten())
+    assert np.array_equal(DropoutDefense(0.0).apply(g, 1).flat, g.flat)
 
 
 def test_dropout_survivor_count():
     p, b, g = obs_of(d=3, m=10_000)
-    out = apply_dropout(g, 0.5, seed=2)
+    out = DropoutDefense(0.5).apply(g, 2)
     survivors = np.count_nonzero(out.provenance[-1].mask[:10_000])
     assert 4900 <= survivors <= 5100  # binomial band, fixed draw
 
 
 def test_dropout_is_node_level():
     _, _, g = obs_of(m=64)
-    out = apply_dropout(g, 0.5, seed=3)
+    out = DropoutDefense(0.5).apply(g, 3)
     dropped = ~out.provenance[-1].mask[:64]
     assert dropped.any()
     assert np.all(out.grad_a[dropped] == 0.0)
@@ -239,11 +240,11 @@ def test_dropout_is_node_level():
 
 
 def test_dropout_all_nodes_dropped_errors():
-    g = GradientObservation(grad_a=np.ones(1), grad_W=np.ones((1, 2)))
+    g = GradientObservation(np.ones(3), 1, 2)
     # a single unit at rate 0.9 is dropped for most seeds; find one
     for seed in range(50):
         try:
-            apply_dropout(g, 0.9, seed=seed)
+            DropoutDefense(0.9).apply(g, seed)
         except DegenerateObservationError:
             break
     else:
@@ -252,7 +253,7 @@ def test_dropout_all_nodes_dropped_errors():
 
 def test_dropout_coordinate_variant():
     _, _, g = obs_of(m=2000)
-    out = apply_dropout(g, 0.5, seed=4, node_level=False)
+    out = DropoutDefense(0.5, node_level=False).apply(g, 4)
     mask = out.provenance[-1].mask
     # coordinate-level masks do not respect unit boundaries
     per_unit = mask[2000:].reshape(2000, -1)
@@ -264,16 +265,16 @@ def test_dropout_coordinate_variant():
 def test_local_aggregation_one_step_is_gradient():
     p, b, g = obs_of()
     out = local_aggregation(p, [b], eta_a=None, eta_w=None, steps=1)
-    assert np.allclose(out.flatten(), g.flatten(), rtol=1e-9, atol=1e-12)
+    assert np.allclose(out.flat, g.flat, rtol=1e-9, atol=1e-12)
 
 
 def test_local_aggregation_two_steps_near_double():
     d, m = 8, 8192
     p = sample_params(d, m, seed=11, activation=SP)
     b = sample_batch(d, 2, seed=12)
-    g = gradient(p, b).flatten()
+    g = gradient(p, b).flat
     out = local_aggregation(p, [b], eta_a=1.0 / m**2, eta_w=0.1 / np.sqrt(m), steps=2)
-    rel = np.linalg.norm(out.flatten() - 2.0 * g) / np.linalg.norm(2.0 * g)
+    rel = np.linalg.norm(out.flat - 2.0 * g) / np.linalg.norm(2.0 * g)
     assert rel < 0.05
     assert out.provenance[-1].steps == 2
 
@@ -301,7 +302,7 @@ def test_local_aggregation_two_disjoint_batches():
     b2 = sample_batch(6, 2, seed=15)
     out = local_aggregation(p, [b1, b2], eta_a=None, eta_w=None, steps=2)
     assert out.provenance[-1].steps == 2
-    assert np.isfinite(out.flatten()).all()
+    assert np.isfinite(out.flat).all()
 
 
 # --- secure aggregation --------------------------------------------------
@@ -309,7 +310,7 @@ def test_local_aggregation_two_disjoint_batches():
 def test_secure_aggregate_single_client_scaling():
     p, b, g = obs_of(B=3)
     out = secure_aggregate([(g, 3)])
-    assert np.allclose(out.flatten(), g.flatten() / 3.0, rtol=1e-12)
+    assert np.allclose(out.flat, g.flat / 3.0, rtol=1e-12)
 
 
 def test_secure_aggregate_equals_union_batch():
@@ -319,8 +320,8 @@ def test_secure_aggregate_equals_union_batch():
     g1, g2 = gradient(p, b1), gradient(p, b2)
     agg = secure_aggregate([(g1, 2), (g2, 3)])
     union = DataBatch(X=np.concatenate([b1.X, b2.X], axis=1), y=np.concatenate([b1.y, b2.y]))
-    expected = gradient(p, union).flatten() / 5.0
-    assert np.linalg.norm(agg.flatten() - expected) <= 1e-12 * np.linalg.norm(expected)
+    expected = gradient(p, union).flat / 5.0
+    assert np.linalg.norm(agg.flat - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_secure_aggregate_layout_mismatch():
@@ -335,25 +336,25 @@ def test_secure_aggregate_layout_mismatch():
 def test_compose_identity_chain():
     _, _, g = obs_of()
     out = compose([ClipDefense(threshold=g.norm() * 2), NoiseDefense(sigma0=0.0)], g, seed=1)
-    assert np.array_equal(out.flatten(), g.flatten())
+    assert np.array_equal(out.flat, g.flat)
     assert [r.variant for r in out.provenance] == ["clip", "noise"]
 
 
 def test_compose_order_matters():
     _, _, g = obs_of()
     scale = 10.0 / g.norm()
-    big = GradientObservation(grad_a=g.grad_a * scale, grad_W=g.grad_W * scale)
+    big = GradientObservation(g.flat * scale, g.m, g.d)
     pre = dp_sgd_preset(threshold=2.0, sigma0=0.5)
-    clipped_first = compose(pre, big, seed=7).flatten()
-    noised_first = compose(list(reversed(pre)), big, seed=7).flatten()
+    clipped_first = compose(pre, big, seed=7).flat
+    noised_first = compose(list(reversed(pre)), big, seed=7).flat
     assert not np.allclose(clipped_first, noised_first)
 
 
 def test_compose_prune_idempotent_threshold():
     _, _, g = obs_of()
     cfg = PruneThresholdDefense(cutoff=1e-4)
-    once = compose([cfg], g, seed=0).flatten()
-    twice = compose([cfg, cfg], g, seed=0).flatten()
+    once = compose([cfg], g, seed=0).flat
+    twice = compose([cfg, cfg], g, seed=0).flat
     assert np.array_equal(once, twice)
 
 
@@ -389,15 +390,71 @@ def test_defense_validation():
         defense_from_dict({"variant": "mixup"})
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ClipDefense(threshold=NAN),
+        lambda: NoiseDefense(sigma0=NAN),
+        lambda: PruneThresholdDefense(cutoff=NAN),
+        lambda: LocalAggregationDefense(steps=2, eta_a=NAN),
+        lambda: NoiseDefense(sigma0="0.1"),
+        lambda: NoiseDefense(sigma0=0.1, clip_scale=-1.0),
+        lambda: ClipDefense(threshold=0.0),
+        lambda: PruneRatioDefense(ratio=NAN),
+        lambda: DropoutDefense(rate=-0.1),
+        lambda: DropoutDefense(rate=0.5, node_level="false"),
+        lambda: LocalAggregationDefense(steps=2.0),
+        lambda: LocalAggregationDefense(steps=2, fresh_batches=1),
+        lambda: SecureAggregationDefense(batch_sizes=[]),
+        lambda: SecureAggregationDefense(batch_sizes=[2, 0]),
+        lambda: SecureAggregationDefense(batch_sizes=3),
+    ],
+)
+def test_invalid_defense_cannot_be_constructed(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"variant": "noise", "sigma0": "0.1"},
+        {"variant": "prune_threshold", "cutoff": NAN},
+        {"variant": "clip", "threshold": NAN},
+        {"variant": "local_aggregation", "steps": 2, "eta_a": NAN},
+        {"variant": ["noise"], "sigma0": 0.1},
+        "noise",
+        3,
+    ],
+)
+def test_invalid_defense_spec_is_a_config_error(spec):
+    with pytest.raises(ConfigError):
+        defense_from_dict(spec)
+
+
+def test_variant_is_not_a_constructor_argument():
+    assert NoiseDefense(sigma0=0.1).variant == "noise"
+    with pytest.raises(TypeError):
+        NoiseDefense(sigma0=0.1, variant="clip")
+    assert "variant" not in {f.name for f in dataclasses.fields(NoiseDefense)}
+
+
+def test_secure_aggregation_sizes_become_a_tuple():
+    assert SecureAggregationDefense(batch_sizes=[2, 3]).batch_sizes == (2, 3)
+
+
 # --- copy-free outputs -----------------------------------------------------
 
 TRANSFORMS = {
-    "noise": lambda g: apply_noise(g, 0.3, seed=2),
-    "clip": lambda g: apply_clip(g, threshold=0.5 * g.norm()),
-    "prune_ratio": lambda g: apply_prune_ratio(g, 0.4),
-    "prune_threshold": lambda g: apply_prune_threshold(g, 1e-3),
-    "dropout": lambda g: apply_dropout(g, 0.5, seed=3),
-    "dropout_coords": lambda g: apply_dropout(g, 0.5, seed=3, node_level=False),
+    "noise": lambda g: NoiseDefense(0.3).apply(g, 2),
+    "clip": lambda g: ClipDefense(0.5 * g.norm()).apply(g, 0),
+    "prune_ratio": lambda g: PruneRatioDefense(0.4).apply(g, 0),
+    "prune_threshold": lambda g: PruneThresholdDefense(1e-3).apply(g, 0),
+    "dropout": lambda g: DropoutDefense(0.5).apply(g, 3),
+    "dropout_coords": lambda g: DropoutDefense(0.5, node_level=False).apply(g, 3),
 }
 MASKING = ("prune_ratio", "prune_threshold", "dropout", "dropout_coords")
 
@@ -406,7 +463,7 @@ MASKING = ("prune_ratio", "prune_threshold", "dropout", "dropout_coords")
 def test_mask_equals_flat_product_bitwise(name):
     _, _, g = obs_of(d=5, m=64)
     out = TRANSFORMS[name](g)
-    old = GradientObservation.from_flat(g.flatten() * out.provenance[-1].mask, g.m, g.d)
+    old = GradientObservation(g.flat * out.provenance[-1].mask, g.m, g.d)
     assert np.array_equal(out.grad_a, old.grad_a)
     assert np.array_equal(out.grad_W, old.grad_W)
 
@@ -414,10 +471,19 @@ def test_mask_equals_flat_product_bitwise(name):
 @pytest.mark.parametrize("name", sorted(TRANSFORMS))
 def test_writing_to_output_leaves_input_unchanged(name):
     _, _, g = obs_of(d=5, m=64)
-    before = g.copy()
+    before = g.flat.copy()
     out = TRANSFORMS[name](g)
-    out.grad_a[:] = 7.0
-    out.grad_W[:] = 7.0
-    assert np.array_equal(g.grad_a, before.grad_a)
-    assert np.array_equal(g.grad_W, before.grad_W)
-    assert len(g.provenance) == len(before.provenance)
+    for buf in (out.flat, out.grad_a, out.grad_W, g.flat, g.grad_a, g.grad_W):
+        assert not buf.flags.writeable
+        with pytest.raises(ValueError):
+            buf[...] = 7.0
+    record = out.provenance[-1]
+    if record.mask is not None:
+        with pytest.raises(ValueError):
+            record.mask[...] = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.mask = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.provenance = ()
+    assert np.array_equal(g.flat, before)
+    assert g.provenance == ()

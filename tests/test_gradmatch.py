@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradleak.activations import make_activation
-from gradleak.defenses import apply_noise
+from gradleak.defenses import NoiseDefense
 from gradleak.errors import ConfigError, DivergenceError
 from gradleak.gradmatch import (
     GradMatchConfig,
@@ -58,19 +58,23 @@ def test_loss_gradient_matches_finite_differences(distance, reweight):
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
 
+def _from_blocks(grad_a, grad_W):
+    return GradientObservation(np.concatenate([grad_a, grad_W.ravel()]), *grad_W.shape)
+
+
 def _oracle_targets(p, b, rng):
     """Clean, noisy, pruned and W-block-zero targets for one batch."""
     g = gradient(p, b)
-    scale = np.abs(g.flatten()).max()
-    noisy = GradientObservation(
-        grad_a=g.grad_a + 0.1 * scale * rng.standard_normal(g.grad_a.shape),
-        grad_W=g.grad_W + 0.1 * scale * rng.standard_normal(g.grad_W.shape),
+    scale = np.abs(g.flat).max()
+    noisy = _from_blocks(
+        g.grad_a + 0.1 * scale * rng.standard_normal(g.grad_a.shape),
+        g.grad_W + 0.1 * scale * rng.standard_normal(g.grad_W.shape),
     )
-    pruned = GradientObservation(
-        grad_a=np.where(rng.random(g.grad_a.shape) < 0.5, 0.0, g.grad_a),
-        grad_W=np.where(rng.random(g.grad_W.shape) < 0.5, 0.0, g.grad_W),
+    pruned = _from_blocks(
+        np.where(rng.random(g.grad_a.shape) < 0.5, 0.0, g.grad_a),
+        np.where(rng.random(g.grad_W.shape) < 0.5, 0.0, g.grad_W),
     )
-    w_zero = GradientObservation(grad_a=g.grad_a, grad_W=np.zeros_like(g.grad_W))
+    w_zero = _from_blocks(g.grad_a, np.zeros_like(g.grad_W))
     return {"clean": g, "noisy": noisy, "pruned": pruned, "W-zero": w_zero}
 
 
@@ -108,7 +112,7 @@ def test_cosine_distance_target_scale_invariant():
     X = rng.standard_normal(b.X.shape)
     X /= np.linalg.norm(X, axis=0)
     val, _ = grad_match_loss(X, b.y, p, g, cfg)
-    doubled = GradientObservation(grad_a=2.0 * g.grad_a, grad_W=2.0 * g.grad_W)
+    doubled = GradientObservation(2.0 * g.flat, g.m, g.d)
     val2, _ = grad_match_loss(X, b.y, p, doubled, cfg)
     assert val2 == val  # exact: scaling by a power of two is lossless
 
@@ -194,7 +198,7 @@ def test_attack_deterministic_trajectory():
 
 def test_feature_sign_flip_leaves_trajectory_unchanged():
     p, b, g = setup(d=8, m=64, seed=5)
-    noisy = apply_noise(g, 0.01, seed=99)
+    noisy = NoiseDefense(0.01).apply(g, 99)
     rng = np.random.default_rng(6)
     Z = rng.standard_normal((8, 2))
     Z /= np.linalg.norm(Z, axis=0)

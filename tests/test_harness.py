@@ -259,7 +259,9 @@ def test_prune_chain_matches_argsort_oracle(monkeypatch):
         return utility_loss(p, chain, b, steps=100, seed=3), rec
 
     fast = run()
-    monkeypatch.setattr(dfs, "apply_prune_ratio", argsort_prune_ratio)
+    monkeypatch.setattr(
+        dfs.PruneRatioDefense, "apply", lambda cfg, obs, seed: argsort_prune_ratio(obs, cfg.ratio)
+    )
     assert run() == fast
 
 

@@ -44,7 +44,7 @@ def test_sample_params_empirical_moments():
 def test_minimal_network_layout():
     p = sample_params(1, 1, seed=0, activation=SP)
     b = sample_batch(1, 1, seed=1)
-    assert gradient(p, b).flatten().shape == (2,)  # 1 + 1*1 coordinates
+    assert gradient(p, b).flat.shape == (2,)  # 1 + 1*1 coordinates
 
 
 def test_param_scaling_tails():
@@ -98,13 +98,13 @@ def test_gradient_zero_residual():
     b = sample_batch(6, 2, seed=4)
     fitted = DataBatch(X=b.X, y=np.array([forward(p, b.X[:, i]) for i in range(2)]))
     g = gradient(p, fitted)
-    assert np.abs(g.flatten()).max() < 1e-14
+    assert np.abs(g.flat).max() < 1e-14
 
 
 def test_gradient_matches_finite_differences():
     p = sample_params(6, 32, seed=5, activation=SP)
     b = sample_batch(6, 3, seed=6)
-    g = gradient(p, b).flatten()
+    g = gradient(p, b).flat
     fd = fd_loss_gradient(p, b, step=1e-5)
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
@@ -112,9 +112,9 @@ def test_gradient_matches_finite_differences():
 def test_gradient_batch_linearity():
     p = sample_params(5, 24, seed=9, activation=SP)
     b = sample_batch(5, 4, seed=10)
-    whole = gradient(p, b).flatten()
+    whole = gradient(p, b).flat
     parts = sum(
-        gradient(p, DataBatch(X=b.X[:, i:i + 1], y=b.y[i:i + 1])).flatten()
+        gradient(p, DataBatch(X=b.X[:, i:i + 1], y=b.y[i:i + 1])).flat
         for i in range(4)
     )
     assert np.linalg.norm(whole - parts) <= 1e-12 * np.linalg.norm(whole)
@@ -124,9 +124,16 @@ def test_flatten_round_trip_exact():
     p = sample_params(7, 20, seed=1, activation=SP)
     b = sample_batch(7, 2, seed=2)
     g = gradient(p, b)
-    back = GradientObservation.from_flat(g.flatten(), p.m, p.d)
+    buf = np.concatenate([g.grad_a, g.grad_W.ravel()])
+    back = GradientObservation(buf, p.m, p.d)
     assert np.array_equal(back.grad_a, g.grad_a)
     assert np.array_equal(back.grad_W, g.grad_W)
+    assert np.array_equal(back.flat, g.flat)
+    # the constructor owns the buffer it is given; the blocks are views of it
+    assert back.flat is buf and not buf.flags.writeable
+    assert np.shares_memory(back.grad_a, buf) and np.shares_memory(back.grad_W, buf)
+    with pytest.raises(DimensionError):
+        GradientObservation(buf[1:], p.m, p.d)
 
 
 def test_input_jacobian_matches_finite_differences():
@@ -257,11 +264,11 @@ def test_row_and_coordinate_w_block_terms_agree(d, m, B, rate, seed):
     "defend, path",
     [
         (lambda o: o, "rows"),
-        (lambda o: defenses.apply_clip(o, 1e-3), "rows"),
-        (lambda o: defenses.apply_noise(o, 0.01, seed=5), "rows"),
-        (lambda o: defenses.apply_dropout(o, 0.5, seed=5), "rows"),
-        (lambda o: defenses.apply_dropout(o, 0.5, seed=5, node_level=False), "coords"),
-        (lambda o: defenses.apply_prune_ratio(o, 0.5), "coords"),
+        (lambda o: defenses.ClipDefense(1e-3).apply(o, 0), "rows"),
+        (lambda o: defenses.NoiseDefense(0.01).apply(o, 5), "rows"),
+        (lambda o: defenses.DropoutDefense(0.5).apply(o, 5), "rows"),
+        (lambda o: defenses.DropoutDefense(0.5, node_level=False).apply(o, 5), "coords"),
+        (lambda o: defenses.PruneRatioDefense(0.5).apply(o, 0), "coords"),
     ],
     ids=["none", "clip", "noise", "node-dropout", "coordinate-dropout", "prune"],
 )

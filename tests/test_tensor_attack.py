@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradleak.activations import hermite_moments, make_activation
-from gradleak.defenses import apply_clip, apply_prune_ratio
+from gradleak.defenses import ClipDefense, PruneRatioDefense
 from gradleak.errors import AttackStageError, DimensionError, ProbeError
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import (
@@ -297,7 +297,7 @@ def test_clip_neutrality():
         p = sample_params(8, 2**12, seed=seed, activation=EXP)
         b = sample_batch(8, 2, seed=seed + 100)
         obs = gradient(p, b)
-        clipped = apply_clip(obs, obs.norm() / 5.0)
+        clipped = ClipDefense(obs.norm() / 5.0).apply(obs, 0)
         r0 = tensor_attack(obs, p, 2, TensorAttackConfig(seed=seed))
         r1 = tensor_attack(clipped, p, 2, TensorAttackConfig(seed=seed))
         assert np.abs(r0.samples - r1.samples).max() < 1e-9
@@ -307,7 +307,7 @@ def test_scale_invariance():
     p = sample_params(8, 2**12, seed=3, activation=EXP)
     b = sample_batch(8, 2, seed=103)
     obs = gradient(p, b)
-    scaled = GradientObservation(grad_a=obs.grad_a * 3.7, grad_W=obs.grad_W * 3.7)
+    scaled = GradientObservation(obs.flat * 3.7, obs.m, obs.d)
     r0 = tensor_attack(obs, p, 2, TensorAttackConfig(seed=3))
     r1 = tensor_attack(scaled, p, 2, TensorAttackConfig(seed=3))
     assert np.abs(r0.samples - r1.samples).max() < 1e-9
@@ -325,7 +325,7 @@ def test_heavy_pruning_degrades_reconstruction():
         p = sample_params(d, m, seed=seed, activation=EXP)
         b = sample_batch(d, B, seed=100 + seed)
         obs = gradient(p, b)
-        defended = apply_prune_ratio(obs, 0.99)
+        defended = PruneRatioDefense(0.99).apply(obs, 0)
         assert np.count_nonzero(defended.grad_a) < 0.25 * m  # a-block really hit
         r0 = score_reconstruction(tensor_attack(obs, p, B, TensorAttackConfig(seed=seed)), b.X)
         r1 = score_reconstruction(
@@ -343,7 +343,7 @@ def test_moderate_pruning_leaves_second_layer_essentially_untouched():
     p = sample_params(16, 2**13, seed=3, activation=EXP)
     b = sample_batch(16, 2, seed=103)
     obs = gradient(p, b)
-    defended = apply_prune_ratio(obs, 0.9)
+    defended = PruneRatioDefense(0.9).apply(obs, 0)
     survivors = np.count_nonzero(defended.grad_a)
     assert survivors >= 0.999 * obs.grad_a.size
     r0 = score_reconstruction(tensor_attack(obs, p, 2, TensorAttackConfig(seed=3)), b.X)
@@ -359,7 +359,7 @@ def test_batch_column_permutation_is_invisible():
 
     b2 = DataBatch(X=b.X[:, perm], y=b.y[perm])
     g1, g2 = gradient(p, b), gradient(p, b2)
-    assert np.allclose(g1.flatten(), g2.flatten(), rtol=1e-12)
+    assert np.allclose(g1.flat, g2.flat, rtol=1e-12)
     r1 = tensor_attack(g1, p, 3, TensorAttackConfig(seed=4))
     r2 = tensor_attack(g2, p, 3, TensorAttackConfig(seed=4))
     assert np.allclose(r1.samples, r2.samples, atol=1e-12)
