@@ -44,19 +44,22 @@ class Activation:
     value: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     second_derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    joint: Callable[[np.ndarray, int], tuple] | None = field(default=None, repr=False)
 
     def __call__(self, z):
         return self.value(z)
 
-    def d1(self, z):
-        return self.derivative(z)
-
-    def d2(self, z):
-        if self.second_derivative is None:
+    def derivatives(self, z, order: int):
+        """(s, s') at order 1 and (s, s', s'') at order 2, each bit for bit as
+        its own callable; ``joint`` computes them together when it is set."""
+        if order == 2 and self.second_derivative is None:
             raise UnsupportedActivationError(
                 f"activation '{self.name}' has no analytic second derivative"
             )
-        return self.second_derivative(z)
+        if self.joint is not None:
+            return self.joint(z, order)
+        head = self.value(z), self.derivative(z)
+        return head if order == 1 else (*head, self.second_derivative(z))
 
 
 def _sigmoid(z):
@@ -87,11 +90,17 @@ def make_activation(kind: str, scale: float = 1.0) -> Activation:
             s = _sigmoid(z)
             return c * s * (1.0 - s)
 
+        def softplus_joint(z, order):
+            sig = _sigmoid(z)
+            out = (c * np.logaddexp(0.0, z), c * sig)
+            return out if order == 1 else (*out, out[1] * (1.0 - sig))
+
         act = Activation(
             name="softplus" if c == 1.0 else f"softplus*{c:g}",
             value=lambda z: c * np.logaddexp(0.0, z),
             derivative=lambda z: c * _sigmoid(z),
             second_derivative=softplus_d2,
+            joint=softplus_joint,
         )
     elif kind == "exp":
         act = Activation(
@@ -99,6 +108,7 @@ def make_activation(kind: str, scale: float = 1.0) -> Activation:
             value=lambda z: c * np.exp(z),
             derivative=lambda z: c * np.exp(z),
             second_derivative=lambda z: c * np.exp(z),
+            joint=lambda z, order: (c * np.exp(z),) * (order + 1),  # one array for all
         )
     elif kind == "cubic":
         act = Activation(

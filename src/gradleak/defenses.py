@@ -79,9 +79,13 @@ class DefenseRecord:
 
 
 def _masked(cfg, obs: GradientObservation, keep: np.ndarray) -> GradientObservation:
-    """The output of a masking transform: ``obs.flat * keep``, recorded with its mask."""
+    """The output of a masking transform, recorded with its mask: a dropped
+    coordinate becomes a zero of its sign.  ``x * keep`` is that for finite
+    x; inf * 0 and NaN * 0 are NaN, so a non-finite input takes ``np.where``."""
     record = DefenseRecord(variant=cfg.variant, params=asdict(cfg), mask=keep)
-    return GradientObservation(obs.flat * keep, obs.m, obs.d, (*obs.provenance, record))
+    x = obs.flat
+    flat = x * keep if np.isfinite(x).all() else np.where(keep, x, np.copysign(0.0, x))
+    return GradientObservation(flat, obs.m, obs.d, (*obs.provenance, record))
 
 
 @dataclass(frozen=True)

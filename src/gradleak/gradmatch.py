@@ -123,7 +123,7 @@ def _matching_objective(params: NetworkParams, target: GradientObservation, y, c
                                  f"inconsistent with d={params.d}")
         Xt = X.T
         Z = (W @ X).T.copy()                   # (B, m), like every hidden-unit array
-        S0, S1, S2 = act(Z), act.d1(Z), act.d2(Z)
+        S0, S1, S2 = act.derivatives(Z, 2)
         r = 2.0 * (S0 @ a - y)
         aS1 = a * S1
         C = a * (S1 * r[:, None])              # g_W = C^T X^T, rounded as in gradient()

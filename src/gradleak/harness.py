@@ -129,8 +129,16 @@ class ExperimentConfig:
             raise ConfigError(f"sigma must be a finite number > 0, got {self.sigma!r}")
         if not isinstance(self.compute_bounds, bool):
             raise ConfigError(f"compute_bounds must be true or false, got {self.compute_bounds!r}")
-        if self.utility is not None and not isinstance(self.utility, dict):
-            raise ConfigError(f"utility must be an object or null, got {self.utility!r}")
+        util = {} if self.utility is None else self.utility
+        if not isinstance(util, dict) or set(util) - {"steps", "eta_a", "eta_w"}:
+            raise ConfigError(f"utility must be null or an object of steps, eta_a, eta_w, got {util!r}")
+        for key, value in util.items():
+            if key == "steps":
+                dfs._check("utility steps must be an integer >= 1", value, lambda x: x >= 1,
+                           numbers.Integral)
+            elif value is not None:
+                dfs._check(f"utility {key} must be null or a finite number > 0", value,
+                           lambda x: 0 < x < math.inf)
         if not self.attacks:
             raise ConfigError("configure at least one attack")
         unknown = set(self.attacks) - {"tensor", "gradmatch"}

@@ -157,23 +157,21 @@ def forward(params: NetworkParams, x: np.ndarray) -> float:
     return float(params.a @ params.activation(params.W @ x))
 
 
-def _batch_internals(params: NetworkParams, batch: DataBatch):
-    """Activation values / derivatives and residuals shared by the ops."""
+def _batch_internals(params: NetworkParams, batch: DataBatch, order: int = 1):
+    """Activation values and derivatives up to ``order`` and residuals shared by the ops."""
     if batch.d != params.d:
         raise DimensionError(
             f"batch dimension {batch.d} does not match network dimension {params.d}"
         )
-    Z = params.W @ batch.X            # (m, B)
-    S0 = params.activation(Z)
-    S1 = params.activation.d1(Z)
-    fx = S0.T @ params.a              # (B,)
+    S = params.activation.derivatives(params.W @ batch.X, order)
+    fx = S[0].T @ params.a            # (B,)
     r = 2.0 * (fx - batch.y)
-    return Z, S0, S1, fx, r
+    return S, fx, r
 
 
 def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
     """Exact gradient of the summed square loss at ``params`` on ``batch``."""
-    _, S0, S1, _, r = _batch_internals(params, batch)
+    (S0, S1), _, r = _batch_internals(params, batch)
     m, d = params.m, params.d
     flat = np.empty(params.n_coords)  # both blocks written in place, no concatenation
     np.matmul(S0, r, out=flat[:m])
@@ -183,7 +181,7 @@ def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
 
 def loss(params: NetworkParams, batch: DataBatch) -> float:
     """Summed square loss sum_i (y_i - f(x_i))^2."""
-    _, _, _, fx, _ = _batch_internals(params, batch)
+    _, fx, _ = _batch_internals(params, batch)
     return float(np.sum((batch.y - fx) ** 2))
 
 
@@ -229,8 +227,7 @@ def input_gram(
     both.  The unmasked Frobenius mass comes from the same factors in
     O(B m d).  Requires the activation's analytic second derivative.
     """
-    Z, S0, S1, _, r = _batch_internals(params, batch)
-    S2 = params.activation.d2(Z)
+    (S0, S1, S2), _, r = _batch_internals(params, batch, 2)
     m, d, B = params.m, params.d, batch.B
     X, a = batch.X, params.a
     if keep is None:

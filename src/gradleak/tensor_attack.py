@@ -21,7 +21,9 @@ d^3 object is ever materialized.
 The order-3 contraction sum_j g_j v_j^(x3) is summed term by term: each
 term is ((g_j v_jp) v_jq) v_jr and each entry adds the terms one at a time
 in ascending j, exactly as ``np.einsum("j,jp,jq,jr->pqr", ...)`` does for
-B >= 2 (at B = 1 the einsum itself is kept, see ``_cube_contraction``).  A
+B >= 2 (at B = 1 the einsum itself is kept, see ``_cube_contraction``).
+The terms are laid out [r, (p, q)] and may differ from the plain product
+only in the sign of a zero, which the +0-started running total absorbs.  A
 GEMM, a pairwise or a symmetry-folded sum agrees to about 1e-14 relative,
 but the decomposition's restart selection is sensitive enough for that to
 pick another restart and move the reported rmse, so the summation order is
@@ -128,25 +130,29 @@ def _cube_contraction(g: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """sum_j g_j v_j^(x3), bit for bit as np.einsum("j,jp,jq,jr->pqr", g, vw, vw, vw).
 
     Row 0 of each chunk's buffer holds the running total and rows 1.. the
-    chunk's terms ((g_j v_jp) v_jq) v_jr; np.add.reduce over the leading
-    axis then adds the rows strictly in order.  At B = 1 that reduction
-    would be pairwise and the einsum itself sums in 8192-term buffer
-    blocks, so the einsum is kept there (it is a single O(m) dot product).
+    chunk's terms ((g_j v_jp) v_jq) v_jr laid out [r, (p, q)], so the inner
+    loops run over B^2 entries; np.add.reduce over the leading axis adds the
+    rows strictly in order.  An einsum that sums no index writes a*b into a
+    zeroed output, so a term may be +0 where the product is -0; the running
+    total starts at +0, is never -0 and gets the same sum from either zero.
+    At B = 1 the reduction would be pairwise and the einsum itself sums in
+    8192-term buffer blocks, so the einsum is kept there (an O(m) dot product).
     """
     m, B = vw.shape
     if B == 1:
         return np.einsum("j,jp,jq,jr->pqr", g, vw, vw, vw)
     chunk = max(1, _CHUNK_TERMS // B**3)
-    total = np.zeros((B, B, B))
-    buf = np.empty((min(chunk, m) + 1, B, B, B))
+    total = np.zeros((B, B * B))
+    buf = np.empty((min(chunk, m) + 1, B, B * B))
+    gvv = np.empty((min(chunk, m), B, B))
     for j0 in range(0, m, chunk):
         v = vw[j0:j0 + chunk]
         rows = buf[:len(v) + 1]
         rows[0] = total
-        gvv = (g[j0:j0 + chunk, None] * v)[:, :, None] * v[:, None, :]
-        np.multiply(gvv[..., None], v[:, None, None, :], out=rows[1:])
+        pq = np.einsum("jp,jq->jpq", g[j0:j0 + chunk, None] * v, v, out=gvv[:len(v)])
+        np.einsum("jk,jr->jrk", pq.reshape(len(v), B * B), v, out=rows[1:])
         np.add.reduce(rows, axis=0, out=total)
-    return total
+    return np.ascontiguousarray(total.reshape(B, B, B).transpose(1, 2, 0))
 
 
 def build_moment_matrix(

@@ -21,7 +21,6 @@ from gradleak.network import (
     DataBatch,
     GradientObservation,
     NetworkParams,
-    _batch_internals,
     _input_gradients,
     gradient,
     loss,
@@ -82,8 +81,10 @@ def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
 
     Requires the activation's analytic second derivative.
     """
-    Z, S0, S1, _, r = _batch_internals(params, batch)
-    S2 = params.activation.d2(Z)
+    act = params.activation
+    Z = params.W @ batch.X
+    S0, S1, S2 = act.value(Z), act.derivative(Z), act.second_derivative(Z)
+    r = 2.0 * (S0.T @ params.a - batch.y)
     m, d, B = params.m, params.d, batch.B
     H = _input_gradients(params, S1)  # (d, B)
     J = np.empty((B * d, m + m * d))
@@ -194,7 +195,7 @@ def gradient_input_vjp(
     """
     a, act = params.a, params.activation
     Z = params.W @ batch.X
-    S0, S1, S2 = act(Z), act.d1(Z), act.d2(Z)
+    S0, S1, S2 = act.value(Z), act.derivative(Z), act.second_derivative(Z)
     r = 2.0 * (S0.T @ a - batch.y)
     H = params.W.T @ (a[:, None] * S1)  # column i: grad_x f(x_i)
     out = np.empty((params.d, batch.B))

@@ -13,6 +13,7 @@ from gradleak.activations import (
     make_activation,
 )
 from gradleak.errors import ConfigError, NoInformativeOrderError, UnsupportedActivationError
+from gradleak.network import gradient, loss, sample_batch, sample_params
 
 
 @pytest.mark.parametrize("kind", ["softplus", "exp", "cubic"])
@@ -22,7 +23,7 @@ def test_first_derivative_matches_finite_differences(kind):
     z = rng.uniform(-5.0, 5.0, size=100)
     h = 1e-6
     fd = (act(z + h) - act(z - h)) / (2.0 * h)
-    rel = np.abs(act.d1(z) - fd) / np.maximum(np.abs(fd), 1e-3)
+    rel = np.abs(act.derivative(z) - fd) / np.maximum(np.abs(fd), 1e-3)
     assert rel.max() < 1e-7
 
 
@@ -30,9 +31,7 @@ def test_first_derivative_matches_finite_differences(kind):
 def test_finite_on_wide_range(kind):
     act = make_activation(kind)
     z = np.linspace(-50.0, 50.0, 2001)
-    assert np.isfinite(act(z)).all()
-    assert np.isfinite(act.d1(z)).all()
-    assert np.isfinite(act.d2(z)).all()
+    assert all(np.isfinite(s).all() for s in act.derivatives(z, 2))
 
 
 def test_softplus_orders():
@@ -86,7 +85,32 @@ def test_scale_multiplies_moments():
 def test_missing_second_derivative_raises():
     act = Activation(name="abs", value=np.abs, derivative=np.sign)
     with pytest.raises(UnsupportedActivationError):
-        act.d2(np.zeros(3))
+        act.derivatives(np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("kind", ["exp", "softplus", "cubic"])
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_derivatives_match_the_separate_callables_bitwise(kind, scale):
+    act = make_activation(kind, scale)
+    z = np.linspace(-30.0, 30.0, 1001).reshape(7, 143)
+    separate = (act.value(z), act.derivative(z), act.second_derivative(z))
+    for order in (1, 2):
+        joint = act.derivatives(z, order)
+        assert len(joint) == order + 1
+        for got, want in zip(joint, separate):
+            assert np.array_equal(got, want), (order, kind, scale)
+
+
+def test_derivatives_without_second_derivative():
+    act = Activation(name="abs", value=np.abs, derivative=np.sign)
+    z = np.linspace(-1.0, 1.0, 5)
+    s, s1 = act.derivatives(z, 1)
+    assert np.array_equal(s, np.abs(z)) and np.array_equal(s1, np.sign(z))
+    # gradient and loss need only order 1 (order 2 raises, see the test above)
+    p = sample_params(3, 16, seed=1, activation=act)
+    b = sample_batch(3, 2, seed=2)
+    assert np.isfinite(gradient(p, b).flat).all()
+    assert loss(p, b) >= 0.0
 
 
 def test_parameter_validation():
@@ -124,7 +148,7 @@ def test_softplus_second_derivative_bitwise():
     z = np.linspace(-30.0, 30.0, 1001)
     for c in (1.0, 0.3):
         expected = c * _sigmoid(z) * (1.0 - _sigmoid(z))
-        assert np.array_equal(make_activation("softplus", c).d2(z), expected)
+        assert np.array_equal(make_activation("softplus", c).derivatives(z, 2)[2], expected)
 
 
 def test_quadrature_rule_is_cached_and_read_only():

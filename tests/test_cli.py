@@ -74,6 +74,15 @@ def test_cli_error_exit_code(tmp_path, capsys):
         {"d": 4, "m": 8, "B": 1, "defenses": [3]},
         {"d": 4, "m": 8, "B": 1, "defenses": "dropout"},
         {"d": 4, "m": 8, "B": 1, "utility": "x"},
+        {"d": 4, "m": 8, "B": 1, "utility": {"steps": "x"}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"steps": 2.0}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"steps": True}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"bogus": 1}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"eta_a": "y"}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"eta_a": 0.0}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"eta_w": float("nan")}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"eta_w": float("inf")}},
+        {"d": 4, "m": 8, "B": 1, "utility": {"eta_w": -1.0}},
         {"d": 4, "m": 8, "B": 1, "compute_bounds": "false"},
         {"d": 4, "m": 8, "B": 1, "sigma": float("nan")},
         {"d": 4, "m": 8, "B": 1, "sigma": float("inf")},

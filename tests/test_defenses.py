@@ -191,12 +191,32 @@ def test_prune_ratio_matches_stable_argsort(kind, m, d):
     n = flat.size
     for ratio in (0.0, 1e-4, 0.1, 0.5, 0.9, 0.99, (n - 0.5) / n):
         keep = argsort_prune_mask(flat, ratio)
-        # a pruned +-inf becomes NaN (inf * 0) on both sides
-        with np.errstate(invalid="ignore"):
-            out = PruneRatioDefense(ratio).apply(obs, 0)
-            expect = flat * keep
+        out = PruneRatioDefense(ratio).apply(obs, 0)
+        # a pruned coordinate, inf and NaN included, becomes a zero of its sign
+        expect = flat.copy()
+        expect[~keep] = np.copysign(0.0, flat[~keep])
         assert np.array_equal(out.provenance[-1].mask, keep), (kind, ratio)
         assert out.flat.tobytes() == expect.tobytes(), (kind, ratio)
+        finite = np.isfinite(flat)
+        assert out.flat[finite].tobytes() == (flat[finite] * keep[finite]).tobytes()
+
+
+@pytest.mark.parametrize("defense", [
+    PruneRatioDefense(0.99), PruneThresholdDefense(0.5),
+    DropoutDefense(0.5, node_level=False), DropoutDefense(0.5),
+], ids=["prune_ratio", "prune_threshold", "coord_dropout", "node_dropout"])
+def test_masked_defenses_zero_non_finite_coordinates(defense):
+    m, d = 64, 3
+    flat = rng_from(4).standard_normal(m * (1 + d))
+    flat[::5], flat[1::5], flat[2::7], flat[3::11] = np.inf, -np.inf, np.nan, -np.nan
+    obs = GradientObservation(flat.copy(), m, d)
+    out = defense.apply(obs, 3)  # RuntimeWarnings are errors in this suite
+    keep = out.provenance[-1].mask
+    dropped = out.flat[~keep]
+    assert not np.isfinite(flat[~keep]).all()
+    assert (dropped == 0.0).all()
+    assert np.array_equal(np.signbit(dropped), np.signbit(flat[~keep]))
+    assert out.flat[keep].tobytes() == flat[keep].tobytes()
 
 
 def test_prune_ratio_nan_beyond_the_numbers():

@@ -514,6 +514,23 @@ def test_attack_failure_still_emits_partial_record():
 
 # --- config errors ------------------------------------------------------------
 
+@pytest.mark.parametrize("utility", [
+    {"steps": 0}, {"steps": "x"}, {"steps": 2.0}, {"steps": True}, {"bogus": 1},
+    {"eta_a": "y"}, {"eta_a": 0.0}, {"eta_w": float("nan")}, {"eta_w": float("inf")},
+])
+def test_bad_utility_is_a_config_error(utility):
+    # rejected when the config is read, not when a sweep reaches the trial
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"d": 4, "m": 8, "B": 1, "utility": utility})
+
+
+def test_utility_accepts_null_and_positive_rates():
+    cfg = ExperimentConfig.from_dict(
+        {"d": 4, "m": 8, "B": 1, "utility": {"steps": 3, "eta_a": None, "eta_w": 0.01}}
+    )
+    assert run_trial(cfg, 0).utility_loss >= 0.0
+
+
 def test_attack_value_errors_stay_in_the_trial_record():
     # only key names are checked at config time; a bad value still becomes
     # that attack's error record

@@ -155,7 +155,7 @@ def test_input_jacobian_zero_second_layer():
     J = input_jacobian(p, b)
     assert np.abs(J[:, 6:]).max() == 0.0
     z = p.W @ b.X[:, 0]
-    expected = -2.0 * b.y[0] * (p.W * SP.d1(z)[:, None]).T
+    expected = -2.0 * b.y[0] * (p.W * SP.derivative(z)[:, None]).T
     assert np.allclose(J[:, :6], expected, atol=1e-12)
 
 

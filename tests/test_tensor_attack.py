@@ -7,6 +7,7 @@ from gradleak.errors import AttackStageError, DimensionError, ProbeError
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import (
     _CHUNK_TERMS,
+    _cube_contraction,
     TensorAttackConfig,
     build_moment_matrix,
     build_projected_tensor,
@@ -226,6 +227,22 @@ def test_projected_tensor_matches_einsum_bitwise(B, moments):
         for pr in (None, probe):
             T = build_projected_tensor(g, W, V, moments, probe=pr)
             assert np.array_equal(T, einsum_projected_tensor(g, W, V, moments, probe=pr)), m
+
+
+@pytest.mark.parametrize("B", range(1, 9))
+def test_cube_contraction_keeps_signed_zeros_bitwise(B):
+    # -0 terms must not leave a -0 or a different sum in the running total
+    rng = np.random.default_rng(200 + B)
+    m = 2 * (_CHUNK_TERMS // B**3) + 5
+    g = rng.standard_normal(m)
+    v = rng.standard_normal((m, B))
+    g[rng.random(m) < 0.2], g[rng.random(m) < 0.2] = 0.0, -0.0
+    v[rng.random((m, B)) < 0.2], v[rng.random((m, B)) < 0.1] = -0.0, 0.0
+    v[:, 0] = -0.0  # a whole entry of -0 terms only
+    for gg in (g, -np.abs(g)):
+        T = _cube_contraction(gg, v)
+        assert T.flags.c_contiguous
+        assert T.tobytes() == np.einsum("j,jp,jq,jr->pqr", gg, v, v, v).tobytes()
 
 
 def test_projected_tensor_probe_orthogonal_error():
