@@ -50,8 +50,8 @@ class Activation:
         return self.value(z)
 
     def derivatives(self, z, order: int):
-        """(s, s') at order 1 and (s, s', s'') at order 2, each bit for bit as
-        its own callable; ``joint`` computes them together when it is set."""
+        """(s, s') or (s, s', s''), bit for bit as the separate callables; ``joint``
+        computes them together when set (``exp`` returns one read-only array)."""
         if order == 2 and self.second_derivative is None:
             raise UnsupportedActivationError(
                 f"activation '{self.name}' has no analytic second derivative"
@@ -103,12 +103,16 @@ def make_activation(kind: str, scale: float = 1.0) -> Activation:
             joint=softplus_joint,
         )
     elif kind == "exp":
+        def exp_joint(z, order):
+            e = c * np.exp(z)
+            e.flags.writeable = False  # one array stands for every order
+            return (e,) * (order + 1)
         act = Activation(
             name="exp" if c == 1.0 else f"exp*{c:g}",
             value=lambda z: c * np.exp(z),
             derivative=lambda z: c * np.exp(z),
             second_derivative=lambda z: c * np.exp(z),
-            joint=lambda z, order: (c * np.exp(z),) * (order + 1),  # one array for all
+            joint=exp_joint,
         )
     elif kind == "cubic":
         act = Activation(

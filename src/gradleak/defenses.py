@@ -79,12 +79,10 @@ class DefenseRecord:
 
 
 def _masked(cfg, obs: GradientObservation, keep: np.ndarray) -> GradientObservation:
-    """The output of a masking transform, recorded with its mask: a dropped
-    coordinate becomes a zero of its sign.  ``x * keep`` is that for finite
-    x; inf * 0 and NaN * 0 are NaN, so a non-finite input takes ``np.where``."""
+    """The output of a masking transform, recorded with its mask: a dropped coordinate,
+    inf and NaN included, becomes a zero of its sign (``x * keep`` for finite x)."""
     record = DefenseRecord(variant=cfg.variant, params=asdict(cfg), mask=keep)
-    x = obs.flat
-    flat = x * keep if np.isfinite(x).all() else np.where(keep, x, np.copysign(0.0, x))
+    flat = np.where(keep, obs.flat, np.copysign(0.0, obs.flat))
     return GradientObservation(flat, obs.m, obs.d, (*obs.provenance, record))
 
 

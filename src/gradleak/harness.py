@@ -132,12 +132,11 @@ class ExperimentConfig:
         util = {} if self.utility is None else self.utility
         if not isinstance(util, dict) or set(util) - {"steps", "eta_a", "eta_w"}:
             raise ConfigError(f"utility must be null or an object of steps, eta_a, eta_w, got {util!r}")
-        for key, value in util.items():
-            if key == "steps":
-                dfs._check("utility steps must be an integer >= 1", value, lambda x: x >= 1,
-                           numbers.Integral)
-            elif value is not None:
-                dfs._check(f"utility {key} must be null or a finite number > 0", value,
+        dfs._check("utility steps must be an integer >= 1", util.get("steps", 1),
+                   lambda x: x >= 1, numbers.Integral)
+        for key in ("eta_a", "eta_w"):
+            if util.get(key) is not None:
+                dfs._check(f"utility {key} must be null or a finite number > 0", util[key],
                            lambda x: 0 < x < math.inf)
         if not self.attacks:
             raise ConfigError("configure at least one attack")

@@ -165,8 +165,7 @@ def _batch_internals(params: NetworkParams, batch: DataBatch, order: int = 1):
         )
     S = params.activation.derivatives(params.W @ batch.X, order)
     fx = S[0].T @ params.a            # (B,)
-    r = 2.0 * (fx - batch.y)
-    return S, fx, r
+    return S, fx, 2.0 * (fx - batch.y)
 
 
 def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:

@@ -134,9 +134,9 @@ def _cube_contraction(g: np.ndarray, vw: np.ndarray) -> np.ndarray:
     loops run over B^2 entries; np.add.reduce over the leading axis adds the
     rows strictly in order.  An einsum that sums no index writes a*b into a
     zeroed output, so a term may be +0 where the product is -0; the running
-    total starts at +0, is never -0 and gets the same sum from either zero.
-    At B = 1 the reduction would be pairwise and the einsum itself sums in
-    8192-term buffer blocks, so the einsum is kept there (an O(m) dot product).
+    total starts at +0, is never -0 and sums either zero alike.  At B = 1 the
+    reduction would be pairwise and the einsum sums in 8192-term buffer blocks,
+    so the einsum is kept there (an O(m) dot product).
     """
     m, B = vw.shape
     if B == 1:

@@ -31,7 +31,9 @@ def test_first_derivative_matches_finite_differences(kind):
 def test_finite_on_wide_range(kind):
     act = make_activation(kind)
     z = np.linspace(-50.0, 50.0, 2001)
-    assert all(np.isfinite(s).all() for s in act.derivatives(z, 2))
+    separate = (act(z), act.derivative(z), act.second_derivative(z))
+    for s in (*separate, *act.derivatives(z, 1), *act.derivatives(z, 2)):
+        assert np.isfinite(s).all()
 
 
 def test_softplus_orders():
@@ -99,6 +101,13 @@ def test_derivatives_match_the_separate_callables_bitwise(kind, scale):
         assert len(joint) == order + 1
         for got, want in zip(joint, separate):
             assert np.array_equal(got, want), (order, kind, scale)
+
+
+def test_exp_derivatives_share_one_read_only_array():
+    s, s1, s2 = make_activation("exp").derivatives(np.zeros(3), 2)
+    assert s is s1 is s2
+    with pytest.raises(ValueError):
+        s1 *= 2.0
 
 
 def test_derivatives_without_second_derivative():
