@@ -47,7 +47,8 @@ print(json.dumps(rows[0], indent=2))
 
 table = aggregate_rows(rows, mode="strongest-attack-min", utility_tol=1.0)
 print("\nper-defense score (strongest attack) and utility:")
-for entry in sorted(table["defenses"], key=lambda t: -t["score"]):
+scored = [t for t in table["defenses"] if t["score"] is not None]  # None: every attack failed
+for entry in sorted(scored, key=lambda t: -t["score"]):
     param = f"{float(entry['defense_param']):g}" if entry["defense_param"] else ""
     print(
         f"  {entry['defense']:>12}({param}): "

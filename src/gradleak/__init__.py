@@ -10,7 +10,7 @@ calculator, and a reproducible sweep harness tying them together.
 """
 from types import ModuleType as _ModuleType
 
-from .activations import Activation, HermiteMoments, hermite_moments, make_activation
+from .activations import Activation, ActivationSpec, HermiteMoments, hermite_moments, make_activation
 from .bounds import (
     BoundReport,
     SensitivityEstimate,
@@ -39,8 +39,8 @@ from .gradmatch import GradMatchConfig, OptimizerConfig, feature_regularizer, gr
 from .harness import (
     ExperimentConfig,
     TrialRecord,
+    UtilityConfig,
     aggregate_rows,
-    defense_score,
     run_trial,
     sweep,
     utility_loss,

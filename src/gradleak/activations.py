@@ -17,10 +17,11 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.hermite_e import hermeval
 
-from .errors import ConfigError, NoInformativeOrderError, UnsupportedActivationError
+from .errors import ConfigError, NoInformativeOrderError, UnsupportedActivationError, _check
 
 __all__ = [
     "Activation",
+    "ActivationSpec",
     "HermiteMoments",
     "make_activation",
     "hermite_moments",
@@ -124,6 +125,20 @@ def make_activation(kind: str, scale: float = 1.0) -> Activation:
     else:
         raise ConfigError(f"unknown activation kind '{kind}'")
     return act
+
+
+@dataclass(frozen=True)
+class ActivationSpec:
+    """The arguments of ``make_activation``, checked on construction."""
+
+    kind: str
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("softplus", "exp", "cubic"):
+            raise ConfigError(f"unknown activation kind {self.kind!r}")
+        _check("activation scale must be a finite number > 0", self.scale,
+               lambda x: 0 < x < np.inf)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from pathlib import Path
 from . import bounds as bnd
 from .activations import make_activation
 from .errors import GradleakError
-from .harness import ExperimentConfig, aggregate_rows, read_results_csv, run_trial, sweep
+from .harness import (SCORING_MODES, ExperimentConfig, _trial_inputs, aggregate_rows,
+                      read_results_csv, run_trial, sweep)
 from .network import sample_params
 from .seeding import derive_seed
 
@@ -51,12 +52,13 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    """The trial's bound without running its attacks: sample, observe, bound."""
     config = _experiment_config(args)
-    rec = run_trial(config, args.trial)
-    if rec.bound is None:
+    if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
-    _print_json(rec.bound)
+    _, params, _, obs, truth = _trial_inputs(config, args.trial)
+    _print_json(bnd.bound_for_observation(params, truth, config.sigma, obs).to_dict())
     return 0
 
 
@@ -143,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("report", help="aggregate results.csv per defense")
     pr.add_argument("--csv", required=True)
-    pr.add_argument("--mode", default="strongest-attack-min",
-                    choices=["strongest-attack-min", "paper-eq3-max"])
+    pr.add_argument("--mode", default=SCORING_MODES[0], choices=SCORING_MODES)
     pr.add_argument("--utility-tol", type=float, default=None)
     pr.set_defaults(fn=cmd_report)
     return p

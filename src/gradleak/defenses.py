@@ -27,6 +27,9 @@ from .errors import (
     DegenerateObservationError,
     DivergenceError,
     LayoutMismatchError,
+    _build,
+    _check,
+    _check_flag,
 )
 from .network import DataBatch, GradientObservation, NetworkParams, gradient
 from .seeding import derive_seed, rng_from
@@ -48,18 +51,6 @@ __all__ = [
     "secure_aggregate",
     "compose",
 ]
-
-
-def _check(what: str, value, ok, kind=numbers.Real):
-    """ConfigError unless ``value`` is a ``kind`` number (bools excluded)
-    with ``ok(value)`` true; write ``ok`` so that NaN fails it."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise ConfigError(f"{what}, got {value!r}")
-
-
-def _check_flag(what: str, value):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -323,16 +314,11 @@ _BY_VARIANT = {
 
 def defense_from_dict(spec: dict):
     """Build a defense config from its JSON form {"variant": ..., params}."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"a defense is a JSON object with a 'variant', got {spec!r}")
-    spec = dict(spec)
+    spec = _build(dict, spec, "a defense")
     variant = spec.pop("variant", None)
     if not isinstance(variant, str) or variant not in _BY_VARIANT:
         raise ConfigError(f"unknown defense variant '{variant}'")
-    try:
-        return _BY_VARIANT[variant](**spec)
-    except TypeError as e:
-        raise ConfigError(f"bad parameters for defense '{variant}': {e}") from e
+    return _build(_BY_VARIANT[variant], spec, f"parameters for defense '{variant}'")
 
 
 def defense_to_dict(cfg) -> dict:

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, the checks configs run on
+construction, and the one way JSON becomes a config."""
+import numbers
 
 
 class GradleakError(Exception):
@@ -50,3 +52,27 @@ class AttackStageError(GradleakError):
         super().__init__(f"attack stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def _check(what: str, value, ok, kind=numbers.Real):
+    """ConfigError unless ``value`` is a ``kind`` number (bools excluded)
+    with ``ok(value)`` true; write ``ok`` so that NaN fails it."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ConfigError(f"{what}, got {value!r}")
+
+
+def _check_flag(what: str, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+
+
+def _build(cls, spec, what: str, **typed):
+    """``cls(**spec, **typed)`` from a JSON object: a missing, unknown or
+    repeated key is a ConfigError, and so is each value ``cls`` rejects.
+    ``_build(dict, spec, what)`` checks that ``spec`` is an object and copies it."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {spec!r}")
+    try:
+        return cls(**spec, **typed)
+    except TypeError as e:
+        raise ConfigError(f"bad {what}: {e}") from e

@@ -21,11 +21,12 @@ iteration makes a few GEMM passes over W and t_W plus O(m B) work.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError, _check, _check_flag
 from .network import GradientObservation, NetworkParams
 from .seeding import rng_from
 from .tensor_attack import ReconstructionResult
@@ -55,11 +56,17 @@ class OptimizerConfig:
     halve_on_increase: bool = False
     max_halvings: int = 30
 
-    def validate(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be > 0")
+    def __post_init__(self):
+        _check("optimizer step_size must be a finite number > 0", self.step_size,
+               lambda x: 0 < x < np.inf)
+        for name in ("beta1", "beta2"):
+            _check(f"optimizer {name} must be in [0, 1)", getattr(self, name), lambda x: 0 <= x < 1)
+        _check("optimizer eps must be a finite number > 0", self.eps, lambda x: 0 < x < np.inf)
+        _check("optimizer grad_tol must be a number >= 0", self.grad_tol, lambda x: x >= 0)
+        for name, low in (("max_iters", 1), ("max_halvings", 0)):
+            _check(f"optimizer {name} must be an integer >= {low}", getattr(self, name),
+                   lambda n: n >= low, numbers.Integral)
+        _check_flag("optimizer halve_on_increase", self.halve_on_increase)
 
 
 @dataclass(frozen=True)
@@ -72,15 +79,21 @@ class GradMatchConfig:
     pairing_refresh: int = 100
     sign_resolve: bool = True
     seed: int = 0
+    # where run_trial takes feature_targets from: "tensor" is the tensor attack's output
+    feature_source: str | None = None
 
-    def validate(self):
-        if self.distance not in _DISTANCES:
-            raise ConfigError(f"distance must be one of {_DISTANCES}")
-        if self.feature_mode not in _FEATURE_MODES:
-            raise ConfigError(f"feature_mode must be one of {_FEATURE_MODES}")
-        if self.alpha_feature < 0:
-            raise ConfigError("alpha_feature must be >= 0")
-        self.optimizer.validate()
+    def __post_init__(self):
+        for name, allowed in (("distance", _DISTANCES), ("feature_mode", _FEATURE_MODES),
+                              ("feature_source", (None, "tensor"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"gradmatch {name} must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
+        _check("gradmatch alpha_feature must be a finite number >= 0", self.alpha_feature,
+               lambda x: 0 <= x < np.inf)
+        _check("gradmatch pairing_refresh must be an integer >= 1", self.pairing_refresh,
+               lambda n: n >= 1, numbers.Integral)
+        _check_flag("gradmatch group_reweighting", self.group_reweighting)
+        _check_flag("gradmatch sign_resolve", self.sign_resolve)
 
 
 def _distance_groups(cfg: GradMatchConfig, target: GradientObservation):
@@ -261,7 +274,6 @@ def grad_match_attack(
     flag instead of raising.
     """
     cfg = cfg or GradMatchConfig()
-    cfg.validate()
     use_feature = cfg.feature_mode != "off" and cfg.alpha_feature > 0
     if use_feature and feature_targets is None:
         raise ConfigError("feature regularization requested but no targets given")

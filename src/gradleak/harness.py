@@ -23,15 +23,15 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import defenses as dfs
-from .activations import make_activation
+from .activations import ActivationSpec, make_activation
 from .bounds import bound_for_observation
-from .errors import ConfigError, GradleakError
+from .errors import ConfigError, GradleakError, _build, _check, _check_flag
 from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
@@ -53,14 +53,15 @@ from .tensor_attack import TensorAttackConfig, score_reconstruction, tensor_atta
 
 __all__ = [
     "ExperimentConfig",
+    "UtilityConfig",
     "TrialRecord",
     "run_trial",
-    "defense_score",
     "utility_loss",
     "sweep",
     "aggregate_rows",
     "read_results_csv",
     "CSV_FIELDS",
+    "SCORING_MODES",
 ]
 
 CSV_FIELDS = [
@@ -81,6 +82,9 @@ CSV_FIELDS = [
 
 WORKERS_ENV = "GRADLEAK_WORKERS"
 
+# how aggregate_rows picks a defense's score from its per-attack median errors
+SCORING_MODES = ("strongest-attack-min", "paper-eq3-max")
+
 
 def _fmt(x) -> str:
     """17-significant-digit float formatting; exact CSV round-trip."""
@@ -98,98 +102,120 @@ def _fmt(x) -> str:
     return format(v, ".17g")
 
 
+def _spec(cfg) -> dict:
+    """JSON form of a sub-config: its required fields and every field that
+    differs from its default, so an explicit default hashes like an omitted one."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value != (f.default if f.default_factory is MISSING else f.default_factory()):
+            out[f.name] = _spec(value) if is_dataclass(value) else value
+    return out
+
+
+@dataclass(frozen=True)
+class UtilityConfig:
+    """Defended training measured by ``utility_loss``; a null rate takes its default."""
+
+    steps: int = 200
+    eta_a: float | None = None
+    eta_w: float | None = None
+
+    def __post_init__(self):
+        _check("utility steps must be an integer >= 1", self.steps, lambda n: n >= 1,
+               numbers.Integral)
+        for name in ("eta_a", "eta_w"):
+            if getattr(self, name) is not None:
+                _check(f"utility {name} must be null or a finite number > 0",
+                       getattr(self, name), lambda x: 0 < x < math.inf)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experimental point; see from_dict for the JSON schema."""
+    """One experimental point, checked on construction; ``from_dict`` reads
+    its JSON form and ``to_dict`` writes it.  ``run_trial`` gives each
+    attack the seed of its trial, so an attack config here keeps seed 0."""
 
     d: int
     m: int
     B: int
-    activation: dict = field(default_factory=lambda: {"kind": "softplus"})
+    activation: ActivationSpec = ActivationSpec("softplus")
     defenses: tuple = ()
-    attacks: dict = field(default_factory=lambda: {"tensor": {}})
+    tensor: TensorAttackConfig | None = TensorAttackConfig()
+    gradmatch: GradMatchConfig | None = None
     sigma: float = 0.1
     trials: int = 1
     base_seed: int = 0
     compute_bounds: bool = True
-    utility: dict | None = None
+    utility: UtilityConfig | None = None
 
-    def validate(self):
-        for name in ("d", "m", "B", "trials", "base_seed"):
+    def __post_init__(self):
+        for name in ("d", "m", "B", "trials"):
+            _check(f"{name} must be an integer >= 1", getattr(self, name), lambda n: n >= 1,
+                   numbers.Integral)
+        _check("base_seed must be an integer", self.base_seed, lambda n: True, numbers.Integral)
+        _check("sigma must be a finite number > 0", self.sigma, lambda x: 0 < x < math.inf)
+        _check_flag("compute_bounds", self.compute_bounds)
+        for name, kind in (("activation", ActivationSpec), ("tensor", TensorAttackConfig),
+                           ("gradmatch", GradMatchConfig), ("utility", UtilityConfig)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
-            raise ConfigError(f"sigma must be a number, got {self.sigma!r}")
-        if self.d < 1 or self.m < 1 or self.B < 1:
-            raise ConfigError("d, m and B must be positive")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not 0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be a finite number > 0, got {self.sigma!r}")
-        if not isinstance(self.compute_bounds, bool):
-            raise ConfigError(f"compute_bounds must be true or false, got {self.compute_bounds!r}")
-        util = {} if self.utility is None else self.utility
-        if not isinstance(util, dict) or set(util) - {"steps", "eta_a", "eta_w"}:
-            raise ConfigError(f"utility must be null or an object of steps, eta_a, eta_w, got {util!r}")
-        dfs._check("utility steps must be an integer >= 1", util.get("steps", 1),
-                   lambda x: x >= 1, numbers.Integral)
-        for key in ("eta_a", "eta_w"):
-            if util.get(key) is not None:
-                dfs._check(f"utility {key} must be null or a finite number > 0", util[key],
-                           lambda x: 0 < x < math.inf)
-        if not self.attacks:
+            if not isinstance(value, kind) and (value is not None or name == "activation"):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        attacks = [a for a in (self.tensor, self.gradmatch) if a is not None]
+        if not attacks:
             raise ConfigError("configure at least one attack")
-        unknown = set(self.attacks) - {"tensor", "gradmatch"}
-        if unknown:
-            raise ConfigError(f"unknown attacks {sorted(unknown)}")
-        # key names only: value checks stay inside each attack's error record
-        try:
-            if "tensor" in self.attacks:
-                _tensor_config(self.attacks["tensor"], 0)
-            if "gradmatch" in self.attacks:
-                _gradmatch_config(self.attacks["gradmatch"], 0)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad attack parameters: {e}") from e
+        if any(a.seed != 0 for a in attacks):
+            raise ConfigError("an attack spec takes no seed: each trial derives its own")
+        probe = None if self.tensor is None else self.tensor.probe
+        if probe is not None and len(probe) != self.d:
+            raise ConfigError(f"the tensor probe needs d = {self.d} entries, got {len(probe)}")
+        gm = self.gradmatch
+        if (gm is not None and gm.feature_mode != "off" and gm.alpha_feature > 0
+                and (gm.feature_source != "tensor" or self.tensor is None)):
+            raise ConfigError("gradmatch feature regularization needs feature_source "
+                              "'tensor' and a tensor attack")
         for k, cfg in enumerate(self.defenses):
             if isinstance(cfg, dfs.AGGREGATORS) and k != 0:
                 raise ConfigError("aggregation defenses must come first in the chain")
-        if not isinstance(self.activation, dict):
-            raise ConfigError(f"activation must be an object, got {self.activation!r}")
-        try:
-            make_activation(**self.activation)  # raises ConfigError on a bad kind/scale
-        except TypeError as e:
-            raise ConfigError(f"bad activation parameters: {e}") from e
+            if isinstance(cfg, dfs.SecureAggregationDefense) and sum(cfg.batch_sizes) != self.B:
+                raise ConfigError("secure aggregation client batch sizes must sum to B")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ExperimentConfig":
-        if not isinstance(spec, dict):
-            raise ConfigError(f"an experiment config is a JSON object, got {spec!r}")
-        spec = dict(spec)
-        specs = spec.pop("defenses", [])
-        if not isinstance(specs, (list, tuple)):
-            raise ConfigError(f"defenses must be a list of defense objects, got {specs!r}")
-        defenses = tuple(dfs.defense_from_dict(s) for s in specs)
-        try:
-            cfg = cls(defenses=defenses, **spec)
-        except TypeError as e:
-            raise ConfigError(f"bad experiment config: {e}") from e
-        cfg.validate()
-        return cfg
+        """The config a JSON object describes, in ``to_dict``'s schema.  This
+        is the only place JSON becomes typed configs; every value is checked
+        here, so a bad one is a ConfigError before any trial runs."""
+        spec = _build(dict, spec, "an experiment config")
+        defenses = spec.pop("defenses", [])
+        if not isinstance(defenses, (list, tuple)):
+            raise ConfigError(f"defenses must be a list of defense objects, got {defenses!r}")
+        attacks = _build(dict, spec.pop("attacks", {"tensor": {}}), "attacks")
+        if attacks.keys() - {"tensor", "gradmatch"}:
+            raise ConfigError(f"unknown attacks {sorted(attacks.keys() - {'tensor', 'gradmatch'})}")
+        tensor = gradmatch = None
+        if "tensor" in attacks:
+            tensor = _build(TensorAttackConfig, attacks["tensor"], "tensor attack spec")
+        if "gradmatch" in attacks:
+            gm = _build(dict, attacks["gradmatch"], "gradmatch attack spec")
+            opt = _build(OptimizerConfig, gm.pop("optimizer", {}), "gradmatch optimizer")
+            gradmatch = _build(GradMatchConfig, gm, "gradmatch attack spec", optimizer=opt)
+        activation = _build(ActivationSpec, spec.pop("activation", {"kind": "softplus"}),
+                            "activation")
+        utility = spec.pop("utility", None)
+        if utility is not None:
+            utility = _build(UtilityConfig, utility, "utility")
+        return _build(cls, spec, "experiment config", activation=activation,
+                      defenses=tuple(dfs.defense_from_dict(s) for s in defenses),
+                      tensor=tensor, gradmatch=gradmatch, utility=utility)
 
     def to_dict(self) -> dict:
+        attacks = {"tensor": self.tensor, "gradmatch": self.gradmatch}
         return {
-            "d": self.d,
-            "m": self.m,
-            "B": self.B,
-            "activation": dict(self.activation),
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name not in attacks},
+            "activation": _spec(self.activation),
             "defenses": [dfs.defense_to_dict(c) for c in self.defenses],
-            "attacks": {k: dict(v) for k, v in self.attacks.items()},
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "compute_bounds": self.compute_bounds,
-            "utility": dict(self.utility) if self.utility else None,
+            "attacks": {k: _spec(v) for k, v in attacks.items() if v is not None},
+            "utility": None if self.utility is None else _spec(self.utility),
         }
 
     def config_hash(self) -> str:
@@ -224,9 +250,7 @@ class TrialRecord:
         payload = {
             "config_hash": self.config_hash,
             "trial": self.trial,
-            "attacks": {
-                k: {kk: vv for kk, vv in v.items()} for k, v in self.attacks.items()
-            },
+            "attacks": self.attacks,
             "bound": self.bound,
             "utility_loss": self.utility_loss,
         }
@@ -236,63 +260,31 @@ class TrialRecord:
     def to_rows(self) -> list[dict]:
         """One CSV row per configured attack (the schema has one attack
         column, so a trial with both attacks spans two rows)."""
-        rows = []
-        for name, res in sorted(self.attacks.items()):
-            rows.append(
-                {
-                    "config_hash": self.config_hash,
-                    "trial": self.trial,
-                    "d": self.d,
-                    "m": self.m,
-                    "B": self.B,
-                    "defense": self.defense,
-                    "defense_param": self.defense_param,
-                    "attack": name,
-                    "rmse": res.get("rmse"),
-                    "rl_exact": None if self.bound is None else self.bound["rl_exact"],
-                    "rl_loose": None if self.bound is None else self.bound["rl_loose"],
-                    "utility_loss": self.utility_loss,
-                    "wall_ms": self.wall_ms,
-                }
-            )
-        return rows
+        common = {k: getattr(self, k) for k in CSV_FIELDS if hasattr(self, k)}
+        bound = self.bound or {}
+        return [
+            {**common, "attack": name, "rmse": res.get("rmse"),
+             "rl_exact": bound.get("rl_exact"), "rl_loose": bound.get("rl_loose")}
+            for name, res in sorted(self.attacks.items())
+        ]
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "trial": self.trial,
-            "d": self.d,
-            "m": self.m,
-            "B": self.B,
-            "defense": self.defense,
-            "defense_param": self.defense_param,
-            "attacks": self.attacks,
-            "bound": self.bound,
-            "utility_loss": self.utility_loss,
-            "wall_ms": self.wall_ms,
-            "record_hash": self.record_hash(),
-        }
+        return {**asdict(self), "record_hash": self.record_hash()}
 
 
-def _tensor_config(spec: dict, seed: int) -> TensorAttackConfig:
-    spec = dict(spec)
-    spec.pop("seed", None)
-    return TensorAttackConfig(seed=seed, **spec)
-
-
-def _gradmatch_config(spec: dict, seed: int) -> GradMatchConfig:
-    """The gradmatch attack config; ``feature_source`` is read by run_trial."""
-    spec = dict(spec)
-    spec.pop("seed", None)
-    spec.pop("feature_source", None)
-    opt_spec = spec.pop("optimizer", {})
-    return GradMatchConfig(seed=seed, optimizer=OptimizerConfig(**opt_spec), **spec)
-
-
-def _observation_for_trial(config, params, batch, trial_seed):
-    """Base observation plus defended variant; returns (obs, truth_X, truth_y)."""
+def _trial_inputs(config: ExperimentConfig, trial_idx: int):
+    """What trial ``trial_idx`` attacks: ``(trial_seed, params, batch, obs,
+    truth)``, where ``batch`` is the sampled batch and ``truth`` every sample
+    behind the defended observation ``obs`` (more than ``batch`` when local
+    aggregation draws fresh batches)."""
+    trial_seed = derive_seed(config.base_seed, trial_idx)
+    activation = make_activation(config.activation.kind, config.activation.scale)
+    params = sample_params(
+        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
+    )
+    batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
     transforms = list(config.defenses)
-    truth, truth_y = batch.X, batch.y
+    truth = batch
     if transforms and isinstance(transforms[0], dfs.AGGREGATORS):
         agg = transforms.pop(0)
         if isinstance(agg, dfs.LocalAggregationDefense):
@@ -301,20 +293,15 @@ def _observation_for_trial(config, params, batch, trial_seed):
                     sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
                     for k in range(1, agg.steps)
                 ]
-                truth = np.concatenate([b.X for b in batches], axis=1)
-                truth_y = np.concatenate([b.y for b in batches])
+                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
+                                  y=np.concatenate([b.y for b in batches]))
             else:
                 batches = [batch]
             obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
         else:
-            sizes = list(agg.batch_sizes)
-            if sum(sizes) != config.B:
-                raise ConfigError(
-                    "secure aggregation client batch sizes must sum to B"
-                )
             parts = []
             start = 0
-            for b in sizes:
+            for b in agg.batch_sizes:
                 sub = DataBatch(X=batch.X[:, start:start + b], y=batch.y[start:start + b])
                 parts.append((gradient(params, sub), b))
                 start += b
@@ -323,7 +310,7 @@ def _observation_for_trial(config, params, batch, trial_seed):
         obs = gradient(params, batch)
     if transforms:
         obs = dfs.compose(transforms, obs, derive_seed(trial_seed, DEFENSE_STREAM))
-    return obs, truth, truth_y
+    return trial_seed, params, batch, obs, truth
 
 
 def run_trial(
@@ -334,59 +321,39 @@ def run_trial(
     ``keep_samples`` additionally stores each attack's recovered sample
     columns in the record (omitted by default to keep sweep artifacts
     small)."""
-    config.validate()
     t0 = time.perf_counter()
-    trial_seed = derive_seed(config.base_seed, trial_idx)
-    activation = make_activation(**config.activation)
-    params = sample_params(
-        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
-    )
-    batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-    obs, truth, truth_y = _observation_for_trial(config, params, batch, trial_seed)
-    B_eff = truth.shape[1]
+    trial_seed, params, batch, obs, truth = _trial_inputs(config, trial_idx)
+
+    def entry(res, *kept):
+        out = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None}
+        return {**out, **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
 
     attack_out = {}
     tensor_result = None
-    if "tensor" in config.attacks:
-        cfg = _tensor_config(config.attacks["tensor"], derive_seed(trial_seed, TENSOR_STREAM))
+    if config.tensor is not None:
+        cfg = replace(config.tensor, seed=derive_seed(trial_seed, TENSOR_STREAM))
         try:
             tensor_result = score_reconstruction(
-                tensor_attack(obs, params, B_eff, cfg), truth, sign_resolve=True
+                tensor_attack(obs, params, truth.B, cfg), truth.X, sign_resolve=True
             )
-            attack_out["tensor"] = {
-                "rmse": tensor_result.rmse,
-                "assignment": tensor_result.assignment.tolist(),
-                "error": None,
-            }
-            if keep_samples:
-                attack_out["tensor"]["samples"] = tensor_result.samples.tolist()
-                attack_out["tensor"]["signs"] = tensor_result.signs.tolist()
+            attack_out["tensor"] = entry(tensor_result, "samples", "signs")
         except GradleakError as e:
             attack_out["tensor"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
-    if "gradmatch" in config.attacks:
-        spec = config.attacks["gradmatch"]
-        cfg = _gradmatch_config(spec, derive_seed(trial_seed, GRADMATCH_STREAM))
+    if config.gradmatch is not None:
+        cfg = replace(config.gradmatch, seed=derive_seed(trial_seed, GRADMATCH_STREAM))
         targets = None
-        if spec.get("feature_source") == "tensor" and tensor_result is not None:
+        if cfg.feature_source == "tensor" and tensor_result is not None:
             targets = tensor_result.samples
         try:
-            res = grad_match_attack(obs, params, truth_y, cfg, feature_targets=targets)
-            res = score_reconstruction(res, truth, sign_resolve=cfg.sign_resolve)
-            attack_out["gradmatch"] = {
-                "rmse": res.rmse,
-                "assignment": res.assignment.tolist(),
-                "error": None,
-            }
-            if keep_samples:
-                attack_out["gradmatch"]["samples"] = res.samples.tolist()
+            res = grad_match_attack(obs, params, truth.y, cfg, feature_targets=targets)
+            res = score_reconstruction(res, truth.X, sign_resolve=cfg.sign_resolve)
+            attack_out["gradmatch"] = entry(res, "samples")
         except GradleakError as e:
             attack_out["gradmatch"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
 
     bound = None
     if config.compute_bounds:
-        bound = bound_for_observation(
-            params, DataBatch(X=truth, y=truth_y), config.sigma, obs
-        ).to_dict()
+        bound = bound_for_observation(params, truth, config.sigma, obs).to_dict()
 
     util = None
     if config.utility is not None:
@@ -395,9 +362,9 @@ def run_trial(
             params,
             transforms,
             batch,
-            steps=int(config.utility.get("steps", 200)),
-            eta_a=config.utility.get("eta_a"),
-            eta_w=config.utility.get("eta_w"),
+            steps=config.utility.steps,
+            eta_a=config.utility.eta_a,
+            eta_w=config.utility.eta_w,
             seed=derive_seed(trial_seed, DEFENSE_STREAM, 1),
         )
 
@@ -415,32 +382,6 @@ def run_trial(
         utility_loss=util,
         wall_ms=wall_ms,
     )
-
-
-def defense_score(records: list[TrialRecord], mode: str = "strongest-attack-min"):
-    """Score one defense group from its trial records.
-
-    ``strongest-attack-min``: the strongest attack is the one with the
-    smallest median error, and its error is the score (how evaluations are
-    actually run).  ``paper-eq3-max``: the literal worst-attack maximum.
-    Failed attacks (NaN) are ignored; a group with no successful attack
-    raises.
-    """
-    if mode not in ("strongest-attack-min", "paper-eq3-max"):
-        raise ConfigError(f"unknown scoring mode '{mode}'")
-    if not records:
-        raise ConfigError("empty record group")
-    per_attack: dict[str, list[float]] = {}
-    for rec in records:
-        for name, res in rec.attacks.items():
-            rm = res.get("rmse")
-            if rm is not None and not math.isnan(rm):
-                per_attack.setdefault(name, []).append(rm)
-    if not per_attack:
-        raise ConfigError("no successful attack in the record group")
-    medians = {k: float(np.median(v)) for k, v in per_attack.items()}
-    pick = min if mode == "strongest-attack-min" else max
-    return pick(medians.values()), {"mode": mode, "per_attack_median": medians}
 
 
 def utility_loss(
@@ -640,14 +581,22 @@ def aggregate_rows(
 ) -> dict:
     """Per-defense scores and utility medians from CSV rows.
 
-    With ``utility_tol`` the defenses are additionally grouped into bins of
-    comparable utility loss (a bin grows while consecutive sorted utilities
-    stay within the tolerance) and the best defense per bin is marked --
-    the comparable-utility comparison needs an explicit tolerance because
-    no canonical binning exists.
+    A defense's score comes from the median error of each attack over its
+    trials, failed attacks (NaN) left out.  ``strongest-attack-min``: the
+    strongest attack is the one with the smallest median error, and its
+    error is the score (how evaluations are actually run).
+    ``paper-eq3-max``: the literal worst-attack maximum.  A defense whose
+    every attack failed keeps its entry with ``score`` None.
+
+    With ``utility_tol`` the scored defenses are additionally grouped into
+    bins of comparable utility loss (a bin grows while consecutive sorted
+    utilities stay within the tolerance) and the best defense per bin is
+    marked -- the comparable-utility comparison needs an explicit tolerance
+    because no canonical binning exists.
     """
-    if mode not in ("strongest-attack-min", "paper-eq3-max"):
+    if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode '{mode}'")
+    pick = min if mode == "strongest-attack-min" else max
     groups: dict[tuple[str, str], dict] = {}
     for row in rows:
         key = (row["defense"], row["defense_param"])
@@ -661,21 +610,20 @@ def aggregate_rows(
     table = []
     for (name, param), g in sorted(groups.items()):
         medians = {k: float(np.median(v)) for k, v in g["per_attack"].items()}
-        if not medians:
-            continue
-        pick = min if mode == "strongest-attack-min" else max
         table.append(
             {
                 "defense": name,
                 "defense_param": param,
-                "score": pick(medians.values()),
+                "score": pick(medians.values()) if medians else None,
                 "per_attack_median": medians,
                 "utility_median": float(np.median(g["utility"])) if g["utility"] else None,
             }
         )
     out = {"mode": mode, "defenses": table}
     if utility_tol is not None:
-        with_util = [t for t in table if t["utility_median"] is not None]
+        with_util = [
+            t for t in table if t["utility_median"] is not None and t["score"] is not None
+        ]
         with_util.sort(key=lambda t: t["utility_median"])
         bins = []
         for t in with_util:

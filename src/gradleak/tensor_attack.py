@@ -36,12 +36,13 @@ cannot defend it.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .activations import HermiteMoments, hermite_moments
-from .errors import AttackStageError, ConfigError, DimensionError, ProbeError
+from .errors import AttackStageError, ConfigError, DimensionError, ProbeError, _check
 from .metrics import min_perm_distance
 from .network import GradientObservation, NetworkParams
 from .seeding import rng_from
@@ -94,11 +95,17 @@ class TensorAttackConfig:
     power_iters: int = 100
     tol: float = 1e-10
     seed: int = 0
-    probe: np.ndarray | None = None
+    probe: tuple | None = None  # any sequence of d numbers, kept as a tuple
 
-    def validate(self):
-        if self.subspace_iters < 1 or self.power_iters < 1 or self.restarts < 1:
-            raise ConfigError("iteration and restart counts must be >= 1")
+    def __post_init__(self):
+        for name in ("subspace_iters", "restarts", "power_iters"):
+            _check(f"tensor {name} must be an integer >= 1", getattr(self, name),
+                   lambda n: n >= 1, numbers.Integral)
+        _check("tensor tol must be a finite number >= 0", self.tol, lambda x: 0 <= x < np.inf)
+        if self.probe is not None:
+            object.__setattr__(self, "probe", tuple(self.probe))
+            for x in self.probe:
+                _check("tensor probe must hold finite numbers", x, lambda v: abs(v) < np.inf)
 
 
 def _sym_outer_identity(v: np.ndarray) -> np.ndarray:
@@ -351,7 +358,6 @@ def tensor_attack(
     name.
     """
     cfg = config or TensorAttackConfig()
-    cfg.validate()
 
     def _stage(name, fn, *args, **kwargs):
         try:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import gradleak.harness as hz
 from gradleak.cli import main
+from gradleak.harness import ExperimentConfig, run_trial
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,14 @@ def test_cli_error_exit_code(tmp_path, capsys):
         {"d": 4, "m": 8, "B": 1, "sigma": float("inf")},
         {"d": 4, "m": 8, "B": 1, "defenses": [{"variant": "noise", "sigma0": "0.1"}]},
         {"d": 4, "m": 8, "B": 1, "defenses": [{"variant": "prune_threshold", "cutoff": float("nan")}]},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {"restarts": 0}}},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"gradmatch": {"distance": "l1"}}},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {"seed": 1}}},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"gradmatch": {
+            "feature_mode": "cosine2", "alpha_feature": 0.1, "feature_source": "tensor"}}},
+        {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {}, "gradmatch": {
+            "feature_mode": "cosine2", "alpha_feature": 0.1}}},
+        {"d": 4, "m": 8, "B": 2, "defenses": [{"variant": "secure_aggregation", "batch_sizes": [1]}]},
         [{"d": 4, "m": 8, "B": 1}],
     ]
     bad = tmp_path / "bad.json"
@@ -95,3 +105,25 @@ def test_cli_error_exit_code(tmp_path, capsys):
         bad.write_text(json.dumps(spec))
         assert main(["attack", "--config", str(bad)]) == 2, spec
         assert capsys.readouterr().err.startswith("error: "), spec
+
+
+def test_bound_runs_no_attack(tmp_path, capsys, monkeypatch):
+    exp = {
+        "d": 6, "m": 256, "B": 2, "activation": {"kind": "exp"}, "base_seed": 4,
+        "defenses": [{"variant": "dropout", "rate": 0.5}, {"variant": "noise", "sigma0": 0.01}],
+        "attacks": {"tensor": {"restarts": 2},
+                    "gradmatch": {"optimizer": {"max_iters": 20}, "feature_source": "tensor",
+                                  "feature_mode": "cosine2", "alpha_feature": 0.1}},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(exp))
+    expected = run_trial(ExperimentConfig.from_dict(exp), 1).bound
+
+    def no_attack(*args, **kwargs):
+        raise AssertionError("gradleak bound ran an attack")
+
+    monkeypatch.setattr(hz, "grad_match_attack", no_attack)
+    monkeypatch.setattr(hz, "tensor_attack", no_attack)
+    code, out = run_cli(capsys, "bound", "--config", str(cfg_path), "--trial", "1")
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(expected))

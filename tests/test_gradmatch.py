@@ -249,9 +249,21 @@ def test_feature_mode_requires_targets():
 
 
 def test_config_validation():
+    # an invalid config cannot be built, so the attack never sees one
+    for bad in [
+        {"distance": "l1"}, {"feature_mode": "cosine"}, {"feature_source": "gradmatch"},
+        {"alpha_feature": -1.0}, {"alpha_feature": float("nan")}, {"alpha_feature": "0.1"},
+        {"pairing_refresh": 0}, {"group_reweighting": 1}, {"sign_resolve": "yes"},
+    ]:
+        with pytest.raises(ConfigError):
+            GradMatchConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_iters": 0}, {"max_iters": 2.0}, {"step_size": 0.0}, {"step_size": float("inf")},
+    {"beta1": 1.0}, {"beta2": -0.1}, {"eps": 0.0}, {"grad_tol": float("nan")},
+    {"halve_on_increase": 0}, {"max_halvings": -1},
+])
+def test_optimizer_config_validation(bad):
     with pytest.raises(ConfigError):
-        GradMatchConfig(distance="l1").validate()
-    with pytest.raises(ConfigError):
-        GradMatchConfig(alpha_feature=-1.0).validate()
-    with pytest.raises(ConfigError):
-        GradMatchConfig(optimizer=OptimizerConfig(max_iters=0)).validate()
+        OptimizerConfig(**bad)

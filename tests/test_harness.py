@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -14,15 +15,13 @@ from gradleak.errors import ConfigError
 from gradleak.harness import (
     CSV_FIELDS,
     ExperimentConfig,
-    defense_score,
     read_results_csv,
     run_trial,
     sweep,
     utility_loss,
     aggregate_rows,
 )
-from gradleak.network import DataBatch, sample_batch, sample_params
-from gradleak.seeding import DATA_STREAM, PARAMS_STREAM, derive_seed
+from gradleak.network import sample_batch, sample_params
 from oracles import argsort_prune_ratio, dense_bound_for_observation, input_jacobian
 
 SP = make_activation("softplus")
@@ -135,14 +134,9 @@ BOUND_CHAINS = {
 def _bound_and_dense_oracle(defenses):
     """The trial's bound next to the dense-Jacobian fold of the same chain."""
     cfg = small_config(defenses=defenses)
-    trial_seed = derive_seed(cfg.base_seed, 0)
-    params = sample_params(
-        cfg.d, cfg.m, derive_seed(trial_seed, PARAMS_STREAM), make_activation(**cfg.activation)
-    )
-    batch = sample_batch(cfg.d, cfg.B, derive_seed(trial_seed, DATA_STREAM))
-    obs, truth, truth_y = hz._observation_for_trial(cfg, params, batch, trial_seed)
-    full = DataBatch(X=truth, y=truth_y)
+    _, params, _, obs, full = hz._trial_inputs(cfg, 0)
     fast = bound_for_observation(params, full, cfg.sigma, obs)
+    assert fast.to_dict() == run_trial(cfg, 0).bound
     dense = dense_bound_for_observation(input_jacobian(params, full), cfg.sigma, full.B, obs)
     return fast, dense, full.B
 
@@ -186,32 +180,47 @@ def test_trial_bound_never_builds_the_dense_jacobian():
 
 # --- defense scoring ----------------------------------------------------------
 
-def fake_record(rmses: dict) -> hz.TrialRecord:
-    return hz.TrialRecord(
-        config_hash="x", trial=0, d=4, m=8, B=1, defense="noise", defense_param="0.1",
-        attacks={k: {"rmse": v, "assignment": None, "error": None} for k, v in rmses.items()},
-        bound=None, utility_loss=None, wall_ms=0.0,
-    )
+def score_rows(rmses: dict, defense="noise", param="0.1", utility="") -> list[dict]:
+    """CSV rows of one trial: one row per attack, as results.csv holds them."""
+    return [
+        {"defense": defense, "defense_param": param, "attack": k, "rmse": repr(v),
+         "utility_loss": utility}
+        for k, v in rmses.items()
+    ]
 
 
-def test_defense_score_single_attack_modes_agree():
-    recs = [fake_record({"tensor": 0.3})]
-    lo, _ = defense_score(recs, "strongest-attack-min")
-    hi, _ = defense_score(recs, "paper-eq3-max")
+def test_aggregate_rows_single_attack_modes_agree():
+    rows = score_rows({"tensor": 0.3})
+    lo = aggregate_rows(rows, "strongest-attack-min")["defenses"][0]["score"]
+    hi = aggregate_rows(rows, "paper-eq3-max")["defenses"][0]["score"]
     assert lo == hi == 0.3
 
 
-def test_defense_score_min_and_max():
-    recs = [fake_record({"tensor": 0.2, "gradmatch": 0.5})]
-    assert defense_score(recs, "strongest-attack-min")[0] == 0.2
-    assert defense_score(recs, "paper-eq3-max")[0] == 0.5
-
-
-def test_defense_score_ignores_failed_attacks():
-    recs = [fake_record({"tensor": float("nan"), "gradmatch": 0.4})]
-    assert defense_score(recs)[0] == 0.4
+def test_aggregate_rows_min_and_max():
+    rows = score_rows({"tensor": 0.2, "gradmatch": 0.5})
+    assert aggregate_rows(rows, "strongest-attack-min")["defenses"][0]["score"] == 0.2
+    assert aggregate_rows(rows, "paper-eq3-max")["defenses"][0]["score"] == 0.5
     with pytest.raises(ConfigError):
-        defense_score([fake_record({"tensor": float("nan")})])
+        aggregate_rows(rows, "median")
+
+
+def test_aggregate_rows_ignores_failed_attacks():
+    rows = score_rows({"tensor": float("nan"), "gradmatch": 0.4})
+    (entry,) = aggregate_rows(rows)["defenses"]
+    assert entry["score"] == 0.4 and entry["per_attack_median"] == {"gradmatch": 0.4}
+
+
+def test_aggregate_rows_keeps_a_defense_whose_every_attack_failed():
+    rows = (score_rows({"tensor": 0.3}, defense="none", param="", utility="0.5")
+            + score_rows({"tensor": float("nan")}, utility="0.5"))
+    agg = aggregate_rows(rows, utility_tol=1.0)
+    failed = [t for t in agg["defenses"] if t["defense"] == "noise"]
+    assert failed == [{"defense": "noise", "defense_param": "0.1", "score": None,
+                       "per_attack_median": {}, "utility_median": 0.5}]
+    # only scored defenses are compared at equal utility
+    assert agg["utility_bins"] == [
+        {"utility_range": [0.5, 0.5], "defenses": ["none()"], "best_defense": "none"}
+    ]
 
 
 # --- utility -------------------------------------------------------------------
@@ -531,9 +540,55 @@ def test_utility_accepts_null_and_positive_rates():
     assert run_trial(cfg, 0).utility_loss >= 0.0
 
 
-def test_attack_value_errors_stay_in_the_trial_record():
-    # only key names are checked at config time; a bad value still becomes
-    # that attack's error record
-    rec = run_trial(small_config(attacks={"tensor": {"restarts": 0}}), 0)
-    assert rec.attacks["tensor"]["error"] is not None
-    assert math.isnan(rec.attacks["tensor"]["rmse"])
+@pytest.mark.parametrize("attacks", [
+    {"tensor": {"restarts": 0}}, {"tensor": {"tol": float("nan")}}, {"tensor": {"probe": "x"}},
+    {"tensor": {"probe": [1.0, 0.0]}},
+    {"gradmatch": {"distance": "l1"}}, {"gradmatch": {"optimizer": {"max_iters": 0}}},
+    {"gradmatch": {"feature_source": "gradmatch"}}, {"tensor": None}, {},
+    # each trial derives the attack seeds; a seed in the spec would only move the hash
+    {"tensor": {"seed": 1}}, {"gradmatch": {"seed": 2}},
+    # the feature pull needs the tensor attack's output as its targets
+    {"tensor": {}, "gradmatch": {"feature_mode": "cosine2", "alpha_feature": 0.1}},
+    {"gradmatch": {"feature_mode": "subspace", "alpha_feature": 0.1, "feature_source": "tensor"}},
+])
+def test_bad_attack_value_is_a_config_error(attacks):
+    # checked once, when the config is read, not as an error record per trial
+    with pytest.raises(ConfigError):
+        small_config(attacks=attacks)
+
+
+def test_empty_utility_is_not_null():
+    on = small_config(utility={})
+    off = small_config(utility=None)
+    assert on.config_hash() != off.config_hash()
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(on.to_dict())))
+    assert again == on and again.utility == hz.UtilityConfig()
+    assert run_trial(again, 0).utility_loss is not None
+    assert run_trial(off, 0).utility_loss is None
+
+
+@pytest.mark.parametrize("spec, explicit", [
+    ({"attacks": {"tensor": {}}}, {"attacks": {"tensor": {"restarts": 10, "tol": 1e-10}}}),
+    ({"activation": {"kind": "exp"}}, {"activation": {"kind": "exp", "scale": 1.0}}),
+    ({"attacks": {"gradmatch": {}}}, {"attacks": {"gradmatch": {"optimizer": {}}}}),
+    ({"utility": {}}, {"utility": {"steps": 200, "eta_a": None}}),
+])
+def test_an_explicit_default_hashes_like_an_omitted_one(spec, explicit):
+    base = {"d": 4, "m": 8, "B": 1}
+    short = ExperimentConfig.from_dict({**base, **spec})
+    assert ExperimentConfig.from_dict({**base, **explicit}) == short
+    assert ExperimentConfig.from_dict({**base, **explicit}).config_hash() == short.config_hash()
+
+
+def test_config_is_immutable_and_round_trips():
+    cfg = small_config(attacks={"tensor": {"restarts": 3, "probe": [1, 0, 0, 0, 0, 0]},
+                                "gradmatch": {"optimizer": {"max_iters": 5}}})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tensor.restarts = 4
+    assert cfg.tensor.probe == (1, 0, 0, 0, 0, 0)
+    spec = json.loads(json.dumps(cfg.to_dict()))
+    assert spec["attacks"] == {"tensor": {"restarts": 3, "probe": [1, 0, 0, 0, 0, 0]},
+                               "gradmatch": {"optimizer": {"max_iters": 5}}}
+    assert ExperimentConfig.from_dict(spec) == cfg
+    with pytest.raises(ConfigError):
+        ExperimentConfig(d=4, m=8, B=1, activation={"kind": "exp"})

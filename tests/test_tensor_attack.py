@@ -3,7 +3,7 @@ import pytest
 
 from gradleak.activations import hermite_moments, make_activation
 from gradleak.defenses import ClipDefense, PruneRatioDefense
-from gradleak.errors import AttackStageError, DimensionError, ProbeError
+from gradleak.errors import AttackStageError, ConfigError, DimensionError, ProbeError
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import (
     _CHUNK_TERMS,
@@ -445,3 +445,25 @@ def test_attack_output_estimates_are_well_formed():
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         assert np.abs(T - np.transpose(T, perm)).max() < 1e-10
     assert np.abs(np.linalg.norm(res.samples, axis=0) - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("bad", [
+    {"restarts": 0}, {"subspace_iters": 1.5}, {"power_iters": True}, {"tol": -1.0},
+    {"tol": float("nan")}, {"probe": [1.0, float("inf")]}, {"probe": "ab"},
+])
+def test_config_validation(bad):
+    with pytest.raises(ConfigError):
+        TensorAttackConfig(**bad)
+
+
+def test_probe_is_kept_as_a_tuple_and_drives_the_cubic_path():
+    # a JSON list, a tuple and an array give the same frozen config and reconstruction
+    p = sample_params(6, 2**12, seed=8, activation=make_activation("cubic"))
+    b = sample_batch(6, 2, seed=9)
+    obs = gradient(p, b)
+    runs = []
+    for probe in ([0.0, 1, 0, 0, 0, 0], (0.0, 1, 0, 0, 0, 0), np.eye(6)[1]):
+        cfg = TensorAttackConfig(seed=3, probe=probe)
+        assert cfg == TensorAttackConfig(seed=3, probe=(0, 1, 0, 0, 0, 0))
+        runs.append(tensor_attack(obs, p, 2, cfg).samples)
+    assert all(np.array_equal(r, runs[0]) for r in runs)
