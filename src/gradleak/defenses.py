@@ -71,10 +71,13 @@ class DefenseRecord:
 
 def _masked(cfg, obs: GradientObservation, keep: np.ndarray) -> GradientObservation:
     """The output of a masking transform, recorded with its mask: a dropped coordinate,
-    inf and NaN included, becomes a zero of its sign (``x * keep`` for finite x)."""
+    inf and NaN included, becomes a zero of its sign (``x * keep`` for finite x).
+    Bitwise: (``-keep`` | sign bit) & x keeps a kept x whole and a dropped x's sign."""
     record = DefenseRecord(variant=cfg.variant, params=asdict(cfg), mask=keep)
-    flat = np.where(keep, obs.flat, np.copysign(0.0, obs.flat))
-    return GradientObservation(flat, obs.m, obs.d, (*obs.provenance, record))
+    bits = np.negative(keep, dtype=np.int64)  # all ones where kept, 0 where dropped
+    bits |= np.iinfo(np.int64).min
+    bits &= obs.flat.view(np.int64)
+    return GradientObservation(bits.view(np.float64), obs.m, obs.d, (*obs.provenance, record))
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,15 @@ class NoiseDefense:
 
     def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
         """Add N(0, (sigma0*clip_scale)^2) to every flattened coordinate;
-        sigma0 = 0 shares the input's buffer."""
+        sigma0 = 0 shares the input's buffer.  ``rng.normal(0, s)`` is ``0.0 + s*z``
+        (a -0.0 product becomes +0.0), so z is scaled and shifted in place."""
         provenance = (*obs.provenance, DefenseRecord(variant=self.variant, params=asdict(self)))
         if self.sigma0 == 0:
             return GradientObservation(obs.flat, obs.m, obs.d, provenance)
-        rng = rng_from(seed)
-        draw = rng.normal(0.0, self.sigma0 * self.clip_scale, size=obs.m * (1 + obs.d))
-        draw += obs.flat  # the draw buffer becomes the output, no copies
+        draw = rng_from(seed).standard_normal(obs.flat.size)
+        draw *= self.sigma0 * self.clip_scale
+        draw += 0.0
+        draw += obs.flat
         return GradientObservation(draw, obs.m, obs.d, provenance)
 
 
@@ -180,6 +185,7 @@ class PruneRatioDefense:
             else:
                 keep = ~(mag < t)  # not mag >= t: NaN compares False and must stay
                 ties = np.flatnonzero(mag == t)
+            del mag  # free the scratch before _masked allocates the output
             keep[ties[:k - (keep.size - np.count_nonzero(keep))]] = False
         return _masked(self, obs, keep)
 

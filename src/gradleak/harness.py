@@ -246,11 +246,12 @@ class TrialRecord:
     wall_ms: float
 
     def record_hash(self) -> str:
-        """Hash of the deterministic content (wall time excluded)."""
+        """Hash of the deterministic content (wall time and kept samples excluded)."""
         payload = {
             "config_hash": self.config_hash,
             "trial": self.trial,
-            "attacks": self.attacks,
+            "attacks": {name: {k: res[k] for k in ("rmse", "assignment", "error")}
+                        for name, res in self.attacks.items()},
             "bound": self.bound,
             "utility_loss": self.utility_loss,
         }
@@ -396,7 +397,8 @@ def utility_loss(
     """Final training loss after defended gradient descent on a fixed task.
 
     The defense chain transforms each step's gradient before the update,
-    exactly as a defending client would.  Divergence returns +inf.
+    exactly as a defending client would.  Divergence returns +inf.  The
+    private parameter copy is one flat vector, updated in place through views.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -405,17 +407,19 @@ def utility_loss(
         eta_a = 0.05 / m
     if eta_w is None:
         eta_w = 0.5 / math.sqrt(m)
-    a, W = params.a.copy(), params.W.copy()
+    theta = np.concatenate([params.a, params.W.ravel()])
+    cur = NetworkParams(theta[:m], theta[m:].reshape(params.W.shape), params.activation)
+    step_buf = np.empty_like(theta)
     for step in range(steps):
-        cur = NetworkParams(a=a, W=W, activation=params.activation)
         g = gradient(cur, batch)
         if defense_transforms:
             g = dfs.compose(defense_transforms, g, derive_seed(seed, step))
-        a = a - eta_a * g.grad_a
-        W = W - eta_w * g.grad_W
-        if not (np.isfinite(a).all() and np.isfinite(W).all()):
+        np.multiply(eta_a, g.flat[:m], out=step_buf[:m])
+        np.multiply(eta_w, g.flat[m:], out=step_buf[m:])
+        theta -= step_buf
+        if not np.isfinite(theta).all():
             return float("inf")
-    return loss(NetworkParams(a=a, W=W, activation=params.activation), batch)
+    return loss(cur, batch)
 
 
 # ---------------------------------------------------------------------------

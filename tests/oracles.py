@@ -11,12 +11,13 @@ finite-difference Jacobian checks those independently.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from gradleak.bounds import BoundReport, cramer_rao_gram
-from gradleak.defenses import DefenseRecord, local_aggregation
-from gradleak.errors import DimensionError, DivergenceError
+from gradleak.defenses import DefenseRecord, compose, local_aggregation
+from gradleak.errors import ConfigError, DimensionError, DivergenceError
 from gradleak.network import (
     DataBatch,
     GradientObservation,
@@ -25,6 +26,7 @@ from gradleak.network import (
     gradient,
     loss,
 )
+from gradleak.seeding import derive_seed
 
 
 def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5) -> np.ndarray:
@@ -276,6 +278,43 @@ def argsort_prune_ratio(obs: GradientObservation, ratio: float) -> GradientObser
     keep = argsort_prune_mask(flat, ratio)
     record = DefenseRecord(variant="prune_ratio", params={"ratio": ratio}, mask=keep)
     return GradientObservation(flat * keep, obs.m, obs.d, (*obs.provenance, record))
+
+
+def where_masked(flat: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A masking transform's output by ``np.where``: a dropped coordinate
+    becomes a zero of its sign, inf and NaN included."""
+    return np.where(keep, flat, np.copysign(0.0, flat))
+
+
+def utility_loss_reference(
+    params: NetworkParams,
+    defense_transforms: list,
+    batch: DataBatch,
+    steps: int = 200,
+    eta_a: float | None = None,
+    eta_w: float | None = None,
+    seed: int = 0,
+) -> float:
+    """``harness.utility_loss`` as an out-of-place loop: fresh ``a`` and ``W``
+    arrays every step, each checked for finiteness on its own."""
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    m = params.m
+    if eta_a is None:
+        eta_a = 0.05 / m
+    if eta_w is None:
+        eta_w = 0.5 / math.sqrt(m)
+    a, W = params.a.copy(), params.W.copy()
+    for step in range(steps):
+        cur = NetworkParams(a=a, W=W, activation=params.activation)
+        g = gradient(cur, batch)
+        if defense_transforms:
+            g = compose(defense_transforms, g, derive_seed(seed, step))
+        a = a - eta_a * g.grad_a
+        W = W - eta_w * g.grad_W
+        if not (np.isfinite(a).all() and np.isfinite(W).all()):
+            return float("inf")
+    return loss(NetworkParams(a=a, W=W, activation=params.activation), batch)
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

@@ -58,6 +58,22 @@ def test_attack_and_report_round_trip(tmp_path, capsys):
     assert json.loads(out)["defenses"]
 
 
+def test_attack_prints_the_record_hash_of_run_trial(tmp_path, capsys):
+    # the CLI keeps each attack's samples and signs; they must not move the hash
+    spec = {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp"},
+            "attacks": {"tensor": {}, "gradmatch": {"optimizer": {"max_iters": 20}}},
+            "defenses": [{"variant": "clip", "threshold": 1.0},
+                         {"variant": "prune_ratio", "ratio": 0.5},
+                         {"variant": "noise", "sigma0": 0.01}]}
+    cfg_path = tmp_path / "attack.json"
+    cfg_path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "attack", "--config", str(cfg_path))
+    assert code == 0
+    rec = json.loads(out)
+    assert "samples" in rec["attacks"]["tensor"] and "samples" in rec["attacks"]["gradmatch"]
+    assert rec["record_hash"] == run_trial(ExperimentConfig.from_dict(spec), 0).record_hash()
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     bad_specs = [
         {"d": 0, "m": 4, "B": 1},

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gradleak.defenses import (
     PruneRatioDefense,
     PruneThresholdDefense,
     SecureAggregationDefense,
+    _masked,
     compose,
     defense_from_dict,
     dp_sgd_preset,
@@ -21,7 +23,7 @@ from gradleak.defenses import (
 from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError, LayoutMismatchError
 from gradleak.network import DataBatch, GradientObservation, gradient, sample_batch, sample_params
 from gradleak.seeding import derive_seed, rng_from
-from oracles import argsort_prune_mask
+from oracles import argsort_prune_mask, where_masked
 
 SP = make_activation("softplus")
 
@@ -73,6 +75,19 @@ def test_noise_equals_flat_sum_bitwise():
     old = GradientObservation(g.flat + draw, g.m, g.d)
     assert np.array_equal(out.grad_a, old.grad_a)
     assert np.array_equal(out.grad_W, old.grad_W)
+
+
+@pytest.mark.parametrize("sigma0,clip_scale", [(5e-324, 1.0), (1e-300, 1e-10)],
+                         ids=["smallest_subnormal", "subnormal_product"])
+def test_noise_matches_rng_normal_bitwise(sigma0, clip_scale):
+    # A subnormal scale rounds s*z to -0.0 for small negative z.  On a -0.0
+    # coordinate only 0.0 + s*z, as rng.normal forms it, gives +0.0.
+    m, d = 64, 5
+    flat = rng_from(8).standard_normal(m * (1 + d))
+    flat[::3], flat[1::7], flat[2::11] = -0.0, 0.0, -5e-324
+    out = NoiseDefense(sigma0, clip_scale=clip_scale).apply(GradientObservation(flat.copy(), m, d), 4)
+    expect = rng_from(4).normal(0.0, sigma0 * clip_scale, size=flat.size) + flat
+    assert out.flat.tobytes() == expect.tobytes()
 
 
 # --- clipping ------------------------------------------------------------
@@ -217,6 +232,36 @@ def test_masked_defenses_zero_non_finite_coordinates(defense):
     assert (dropped == 0.0).all()
     assert np.array_equal(np.signbit(dropped), np.signbit(flat[~keep]))
     assert out.flat[keep].tobytes() == flat[keep].tobytes()
+
+
+def _special_values(n: int, seed: int) -> np.ndarray:
+    """Gaussians with half the entries replaced by +-0, +-inf, NaN of both
+    signs (one with a payload) and subnormals."""
+    rng = rng_from(seed)
+    specials = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+        np.array([0xFFF8000000000ABC], dtype=np.uint64).view(np.float64)[0],  # -NaN, payload
+        5e-324, -5e-324, 2.2e-308, -1e-310,
+    ])
+    flat = rng.standard_normal(n)
+    pick = rng.random(n) < 0.5
+    flat[pick] = rng.choice(specials, size=np.count_nonzero(pick))
+    return flat
+
+
+@pytest.mark.parametrize("mask", ["half", "sparse", "all_kept", "all_dropped"])
+def test_masked_matches_where_bytewise(mask):
+    m, d = 97, 7
+    n = m * (1 + d)
+    obs = GradientObservation(_special_values(n, seed=12), m, d)
+    keep = {
+        "half": rng_from(13).random(n) < 0.5,
+        "sparse": rng_from(14).random(n) < 0.1,
+        "all_kept": np.ones(n, dtype=bool),
+        "all_dropped": np.zeros(n, dtype=bool),
+    }[mask]
+    out = _masked(PruneThresholdDefense(0.0), obs, keep)
+    assert out.flat.tobytes() == where_masked(obs.flat, keep).tobytes()
 
 
 def test_prune_ratio_nan_beyond_the_numbers():
@@ -486,6 +531,19 @@ def test_mask_equals_flat_product_bitwise(name):
     old = GradientObservation(g.flat * out.provenance[-1].mask, g.m, g.d)
     assert np.array_equal(out.grad_a, old.grad_a)
     assert np.array_equal(out.grad_W, old.grad_W)
+
+
+@pytest.mark.parametrize("name,limit", [(n, 1.3) for n in MASKING] + [("noise", 1.05), ("clip", 1.05)])
+def test_transform_allocates_one_output_buffer(name, limit):
+    _, _, g = obs_of(d=16, m=4096)
+    tracemalloc.start()
+    try:
+        out = TRANSFORMS[name](g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.flat.nbytes == g.flat.nbytes
+    assert peak <= limit * g.flat.nbytes, peak / g.flat.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORMS))

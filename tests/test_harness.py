@@ -10,7 +10,13 @@ import gradleak.defenses as dfs
 import gradleak.harness as hz
 from gradleak.activations import make_activation
 from gradleak.bounds import bound_for_observation
-from gradleak.defenses import ClipDefense, NoiseDefense, PruneRatioDefense
+from gradleak.defenses import (
+    ClipDefense,
+    DropoutDefense,
+    NoiseDefense,
+    PruneRatioDefense,
+    PruneThresholdDefense,
+)
 from gradleak.errors import ConfigError
 from gradleak.harness import (
     CSV_FIELDS,
@@ -22,7 +28,12 @@ from gradleak.harness import (
     aggregate_rows,
 )
 from gradleak.network import sample_batch, sample_params
-from oracles import argsort_prune_ratio, dense_bound_for_observation, input_jacobian
+from oracles import (
+    argsort_prune_ratio,
+    dense_bound_for_observation,
+    input_jacobian,
+    utility_loss_reference,
+)
 
 SP = make_activation("softplus")
 
@@ -283,6 +294,41 @@ def test_utility_divergence_returns_inf():
         warnings.simplefilter("ignore", RuntimeWarning)
         val = utility_loss(p, [], b, steps=5, eta_a=1e280, eta_w=1e280)
     assert math.isinf(val)
+
+
+UTILITY_CHAINS = {
+    # the four sweep-utility chains
+    "clip_noise": [ClipDefense(threshold=1.0), NoiseDefense(sigma0=0.01)],
+    "dropout": [DropoutDefense(rate=0.5)],
+    "prune_ratio": [PruneRatioDefense(ratio=0.9)],
+    "noise": [NoiseDefense(sigma0=0.05)],
+    "coord_dropout": [DropoutDefense(rate=0.5, node_level=False)],
+    "prune_threshold": [PruneThresholdDefense(cutoff=1e-3)],
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("m", [256, 300, 333])  # W starts 8m bytes in: 300, 333 are off 64 and 16
+@pytest.mark.parametrize("chain", sorted(UTILITY_CHAINS))
+def test_utility_loss_matches_out_of_place_reference(chain, m):
+    p = sample_params(16, m, seed=m, activation=SP)
+    b = sample_batch(16, 2, seed=m + 1)
+    args = (p, UTILITY_CHAINS[chain], b)
+    fast = utility_loss(*args, steps=40, seed=7)
+    assert fast.hex() == utility_loss_reference(*args, steps=40, seed=7).hex()
+    assert math.isfinite(fast)
+
+
+@pytest.mark.parametrize("chain", ["clip_noise", "dropout", "none"])
+def test_utility_loss_matches_reference_when_diverging(chain):
+    p = sample_params(16, 300, seed=4, activation=SP)
+    b = sample_batch(16, 2, seed=5)
+    args = (p, UTILITY_CHAINS[chain], b)
+    kw = dict(steps=5, eta_a=1e280, eta_w=1e280, seed=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = utility_loss(*args, **kw)
+        ref = utility_loss_reference(*args, **kw)
+    assert fast.hex() == ref.hex() == "inf"
 
 
 # --- sweep ----------------------------------------------------------------------
