@@ -15,6 +15,11 @@ class ConfigError(GradleakError, ValueError):
     """A config object violates its declared invariants."""
 
 
+class AssignmentError(GradleakError, ValueError):
+    """An assignment cost matrix holds NaN or -inf, or admits no finite
+    matching (e.g. a NaN reconstruction)."""
+
+
 class UnsupportedActivationError(GradleakError):
     """Operation needs a derivative the activation does not provide."""
 

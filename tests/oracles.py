@@ -1,9 +1,9 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately slow and obvious: finite differences for
-derivatives, explicit enumeration for assignments, literal Hermite-tensor
-algebra for the projected builders, the dense input Jacobian for the
-closed-form Gram.  None of it shares code paths with the implementations it
+derivatives, explicit enumeration and scipy's solver for assignments,
+literal Hermite-tensor algebra for the projected builders, the dense input
+Jacobian for the closed-form Gram.  None of it shares code paths with the implementations it
 validates, except that ``input_jacobian`` reads the network's forward
 internals (activation values and residuals) as ``input_gram`` does; the
 finite-difference Jacobian checks those independently.
@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from gradleak.bounds import BoundReport, cramer_rao_gram
 from gradleak.defenses import DefenseRecord, compose, local_aggregation
@@ -345,6 +346,12 @@ def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = 
                     tot += plus
             best = min(best, tot)
     return float(np.sqrt(best / B))
+
+
+def scipy_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's ``linear_sum_assignment``, the solver ``metrics._assignment``
+    ports; it raises ValueError with the messages the port must repeat."""
+    return linear_sum_assignment(cost)
 
 
 def hermite_tensor3(w: np.ndarray) -> np.ndarray:

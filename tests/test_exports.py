@@ -1,5 +1,10 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import gradleak
 
@@ -21,3 +26,15 @@ def test_no_apply_functions_are_exported():
 
     for mod in (gradleak, gradleak.defenses):
         assert not [n for n in dir(mod) if n.startswith("apply_")], mod.__name__
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it would cost every trial
+    # process, benchmark set-up and CLI call about half a second
+    src = str(Path(gradleak.__file__).resolve().parents[1])
+    code = "import sys, json, gradleak, gradleak.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = json.loads(out)
+    assert "gradleak.cli" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

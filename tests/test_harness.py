@@ -28,6 +28,7 @@ from gradleak.harness import (
     aggregate_rows,
 )
 from gradleak.network import sample_batch, sample_params
+from gradleak.tensor_attack import ReconstructionResult
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
@@ -565,6 +566,20 @@ def test_attack_failure_still_emits_partial_record():
     rec = run_trial(cfg, 0)
     assert rec.attacks["tensor"]["error"] is not None
     assert math.isnan(rec.attacks["tensor"]["rmse"])
+
+
+def test_nan_reconstruction_is_recorded_not_raised(monkeypatch):
+    # a non-finite reconstruction fails scoring inside the attack's try, so
+    # the trial records the solver's message instead of aborting the sweep
+    def nan_attack(obs, params, B, cfg):
+        return ReconstructionResult(samples=np.full((params.d, B), np.nan),
+                                    component_weights=np.ones(B))
+
+    monkeypatch.setattr(hz, "tensor_attack", nan_attack)
+    rec = run_trial(small_config(), 0)
+    assert rec.attacks["tensor"]["error"] == "matrix contains invalid numeric entries"
+    assert math.isnan(rec.attacks["tensor"]["rmse"])
+    assert rec.attacks["tensor"]["assignment"] is None
 
 
 # --- config errors ------------------------------------------------------------
