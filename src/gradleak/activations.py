@@ -105,7 +105,8 @@ def make_activation(kind: str, scale: float = 1.0) -> Activation:
         )
     elif kind == "exp":
         def exp_joint(z, order):
-            e = c * np.exp(z)
+            e = np.exp(z)
+            e *= c  # c * exp(z) without a second temporary
             e.flags.writeable = False  # one array stands for every order
             return (e,) * (order + 1)
         act = Activation(

@@ -5,8 +5,12 @@ so an invalid config cannot exist.  Observation transforms (noise,
 clipping, pruning, dropout) apply themselves: ``cfg.apply(obs, seed)``
 maps one GradientObservation to another through its flat buffer and
 appends a DefenseRecord describing exactly what it did; the bounds module
-consumes those records.  ``compose`` applies a chain of transforms left to
-right with one derived seed per step.  Training-side defenses
+consumes those records.  ``apply`` is ``cfg.draw(seed, m, d)``, the random
+draw, which depends only on the seed and the layout, followed by
+``cfg.apply_draw(obs, draw)``.  ``compose`` applies a chain of transforms
+left to right with one derived seed per step; ``draw_chain`` makes a
+chain's draws before the observation exists and ``compose_drawn`` applies
+them, with the same bytes as ``compose``.  Training-side defenses
 (``AGGREGATORS``: local and secure aggregation) produce the base
 observation instead of transforming one, through the functions
 ``local_aggregation`` and ``secure_aggregate``.
@@ -50,6 +54,8 @@ __all__ = [
     "local_aggregation",
     "secure_aggregate",
     "compose",
+    "draw_chain",
+    "compose_drawn",
 ]
 
 
@@ -80,8 +86,19 @@ def _masked(cfg, obs: GradientObservation, keep: np.ndarray) -> GradientObservat
     return GradientObservation(bits.view(np.float64), obs.m, obs.d, (*obs.provenance, record))
 
 
+class _Transform:
+    """An observation transform: ``draw`` makes its random draw (None when it
+    draws nothing) and ``apply_draw`` applies one; ``apply`` does both."""
+
+    def draw(self, seed: int, m: int, d: int):
+        return None
+
+    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+        return self.apply_draw(obs, self.draw(seed, obs.m, obs.d))
+
+
 @dataclass(frozen=True)
-class NoiseDefense:
+class NoiseDefense(_Transform):
     """Additive i.i.d. Gaussian noise on every flattened coordinate.
 
     ``clip_scale`` switches to the alternative parameterization where the
@@ -101,22 +118,29 @@ class NoiseDefense:
     def main_param(self) -> float:
         return self.sigma0
 
-    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
-        """Add N(0, (sigma0*clip_scale)^2) to every flattened coordinate;
-        sigma0 = 0 shares the input's buffer.  ``rng.normal(0, s)`` is ``0.0 + s*z``
-        (a -0.0 product becomes +0.0), so z is scaled and shifted in place."""
-        provenance = (*obs.provenance, DefenseRecord(variant=self.variant, params=asdict(self)))
+    def draw(self, seed: int, m: int, d: int) -> np.ndarray | None:
+        """N(0, (sigma0*clip_scale)^2) for each of the m + m*d coordinates; None
+        when sigma0 = 0.  ``rng.normal(0, s)`` is ``0.0 + s*z`` (a -0.0 product
+        becomes +0.0), so z is scaled and shifted in place."""
         if self.sigma0 == 0:
-            return GradientObservation(obs.flat, obs.m, obs.d, provenance)
-        draw = rng_from(seed).standard_normal(obs.flat.size)
+            return None
+        draw = rng_from(seed).standard_normal(m * (1 + d))
         draw *= self.sigma0 * self.clip_scale
         draw += 0.0
+        return draw
+
+    def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
+        """Add the drawn noise in place in ``draw``, which becomes the output's
+        buffer; no draw shares the input's buffer."""
+        provenance = (*obs.provenance, DefenseRecord(variant=self.variant, params=asdict(self)))
+        if draw is None:
+            return GradientObservation(obs.flat, obs.m, obs.d, provenance)
         draw += obs.flat
         return GradientObservation(draw, obs.m, obs.d, provenance)
 
 
 @dataclass(frozen=True)
-class ClipDefense:
+class ClipDefense(_Transform):
     variant: ClassVar[str] = "clip"
     threshold: float
 
@@ -127,7 +151,7 @@ class ClipDefense:
     def main_param(self) -> float:
         return self.threshold
 
-    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+    def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
         """Scale the whole flattened vector by R = min{1, threshold/||G||}."""
         norm = obs.norm()
         factor = 1.0 if norm <= self.threshold else self.threshold / norm
@@ -140,7 +164,7 @@ class ClipDefense:
 
 
 @dataclass(frozen=True)
-class PruneRatioDefense:
+class PruneRatioDefense(_Transform):
     """Zero the floor(ratio * len) smallest-magnitude coordinates.
 
     The kept set equals a stable argsort's: ties in magnitude go by
@@ -158,7 +182,7 @@ class PruneRatioDefense:
     def main_param(self) -> float:
         return self.ratio
 
-    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+    def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
         """Zero the k = floor(ratio*len) smallest-|.| coordinates of the
         flattened vector (both blocks jointly).
 
@@ -191,7 +215,7 @@ class PruneRatioDefense:
 
 
 @dataclass(frozen=True)
-class PruneThresholdDefense:
+class PruneThresholdDefense(_Transform):
     """Zero coordinates with magnitude strictly below ``cutoff``."""
 
     variant: ClassVar[str] = "prune_threshold"
@@ -204,14 +228,14 @@ class PruneThresholdDefense:
     def main_param(self) -> float:
         return self.cutoff
 
-    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
+    def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
         """Zero coordinates with |g| < cutoff (entries exactly at the cutoff
         survive)."""
         return _masked(self, obs, np.abs(obs.flat) >= self.cutoff)
 
 
 @dataclass(frozen=True)
-class DropoutDefense:
+class DropoutDefense(_Transform):
     """Drop whole hidden units with probability ``rate`` each.
 
     Node-level by default: a dropped unit zeroes its grad_a entry and its
@@ -232,23 +256,27 @@ class DropoutDefense:
     def main_param(self) -> float:
         return self.rate
 
-    def apply(self, obs: GradientObservation, seed: int) -> GradientObservation:
-        """Drop hidden units (or single coordinates) with probability ``rate``."""
+    def draw(self, seed: int, m: int, d: int) -> np.ndarray:
+        """The keep mask over the m + m*d coordinates: hidden units (or single
+        coordinates) are dropped with probability ``rate``."""
         rng = rng_from(seed)
         if self.node_level:
-            dropped = rng.random(obs.m) < self.rate
+            dropped = rng.random(m) < self.rate
             if dropped.all():
                 raise DegenerateObservationError(
                     "dropout removed every hidden unit; nothing observable remains"
                 )
-            keep = np.ones(obs.m * (1 + obs.d), dtype=bool)
-            keep[:obs.m][dropped] = False
-            keep[obs.m:] = np.repeat(~dropped, obs.d)
+            keep = np.ones(m * (1 + d), dtype=bool)
+            keep[:m][dropped] = False
+            keep[m:] = np.repeat(~dropped, d)
         else:
-            keep = rng.random(obs.m * (1 + obs.d)) >= self.rate
+            keep = rng.random(m * (1 + d)) >= self.rate
             if not keep.any():
                 raise DegenerateObservationError("dropout removed every coordinate")
-        return _masked(self, obs, keep)
+        return keep
+
+    def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
+        return _masked(self, obs, draw)
 
 
 @dataclass(frozen=True)
@@ -416,6 +444,14 @@ def secure_aggregate(
     return GradientObservation(flat / total, first.m, first.d, (record,))
 
 
+def _check_chain(defenses: list):
+    if not defenses:
+        raise ConfigError("compose needs a nonempty defense list")
+    for cfg in defenses:
+        if isinstance(cfg, AGGREGATORS):
+            raise ConfigError(f"defense '{cfg.variant}' is not an observation transform")
+
+
 def compose(defenses: list, obs: GradientObservation, seed: int) -> GradientObservation:
     """Apply observation transforms left to right, accumulating provenance.
 
@@ -423,11 +459,26 @@ def compose(defenses: list, obs: GradientObservation, seed: int) -> GradientObse
     defenses produce the base observation and are handled by the harness.
     Each transform gets its own derived seed.
     """
-    if not defenses:
-        raise ConfigError("compose needs a nonempty defense list")
+    _check_chain(defenses)
     out = obs
     for k, cfg in enumerate(defenses):
-        if isinstance(cfg, AGGREGATORS):
-            raise ConfigError(f"defense '{cfg.variant}' is not an observation transform")
         out = cfg.apply(out, derive_seed(seed, k))
+    return out
+
+
+def draw_chain(defenses: list, seed: int, m: int, d: int) -> list:
+    """The draw each step of ``compose(defenses, obs, seed)`` makes on an
+    observation of layout (m, d), None for a step that draws nothing.  A
+    draw depends only on its seed and the layout, so it can be made before
+    (or while) the observation is computed."""
+    _check_chain(defenses)
+    return [cfg.draw(derive_seed(seed, k), m, d) for k, cfg in enumerate(defenses)]
+
+
+def compose_drawn(defenses: list, obs: GradientObservation, draws: list) -> GradientObservation:
+    """``compose`` with the draws ``draw_chain`` made: the same bytes.  The
+    draws are consumed (noise is added in place in its draw)."""
+    out = obs
+    for cfg, draw in zip(defenses, draws, strict=True):
+        out = cfg.apply_draw(out, draw)
     return out

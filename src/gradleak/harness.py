@@ -273,21 +273,33 @@ class TrialRecord:
         return {**asdict(self), "record_hash": self.record_hash()}
 
 
-def _trial_inputs(config: ExperimentConfig, trial_idx: int):
+def _trial_inputs(config: ExperimentConfig, trial_idx: int,
+                  helper: ThreadPoolExecutor | None = None):
     """What trial ``trial_idx`` attacks: ``(trial_seed, params, batch, obs,
     truth)``, where ``batch`` is the sampled batch and ``truth`` every sample
     behind the defended observation ``obs`` (more than ``batch`` when local
-    aggregation draws fresh batches)."""
+    aggregation draws fresh batches).
+
+    The defense chain's draws are made on ``helper`` (a one-thread pool of
+    the caller's, or one of its own) while this thread samples and
+    observes: they come from their own seed stream, so the bytes are those
+    of drawing them afterwards."""
+    if helper is None:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            return _trial_inputs(config, trial_idx, helper)
     trial_seed = derive_seed(config.base_seed, trial_idx)
+    transforms = list(config.defenses)
+    agg = transforms.pop(0) if transforms and isinstance(transforms[0], dfs.AGGREGATORS) else None
+    if transforms:
+        draws = helper.submit(dfs.draw_chain, transforms,
+                              derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
     activation = make_activation(config.activation.kind, config.activation.scale)
     params = sample_params(
         config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
     )
     batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-    transforms = list(config.defenses)
     truth = batch
-    if transforms and isinstance(transforms[0], dfs.AGGREGATORS):
-        agg = transforms.pop(0)
+    if agg is not None:
         if isinstance(agg, dfs.LocalAggregationDefense):
             if agg.fresh_batches and agg.steps > 1:
                 batches = [batch] + [
@@ -310,20 +322,14 @@ def _trial_inputs(config: ExperimentConfig, trial_idx: int):
     else:
         obs = gradient(params, batch)
     if transforms:
-        obs = dfs.compose(transforms, obs, derive_seed(trial_seed, DEFENSE_STREAM))
+        obs = dfs.compose_drawn(transforms, obs, draws.result())
     return trial_seed, params, batch, obs, truth
 
 
-def run_trial(
-    config: ExperimentConfig, trial_idx: int, keep_samples: bool = False
-) -> TrialRecord:
-    """Sample, defend, attack, score and bound one trial.
-
-    ``keep_samples`` additionally stores each attack's recovered sample
-    columns in the record (omitted by default to keep sweep artifacts
-    small)."""
-    t0 = time.perf_counter()
-    trial_seed, params, batch, obs, truth = _trial_inputs(config, trial_idx)
+def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
+             obs, truth: DataBatch, keep_samples: bool) -> dict:
+    """Each configured attack's scored entry; an attack that fails with a
+    GradleakError records the error and a NaN rmse."""
 
     def entry(res, *kept):
         out = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None}
@@ -351,10 +357,38 @@ def run_trial(
             attack_out["gradmatch"] = entry(res, "samples")
         except GradleakError as e:
             attack_out["gradmatch"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
+    return attack_out
 
+
+def run_trial(
+    config: ExperimentConfig, trial_idx: int, keep_samples: bool = False
+) -> TrialRecord:
+    """Sample, defend, attack, score and bound one trial.
+
+    ``keep_samples`` additionally stores each attack's recovered sample
+    columns in the record (omitted by default to keep sweep artifacts
+    small).
+
+    The trial runs on two threads: a one-thread helper of its own makes the
+    defense draws while this thread samples (``_trial_inputs``) and, with
+    bounds on, runs the attacks while this thread computes the bound (the
+    bound's large working set stays in this thread's allocator arena).  The
+    stages share only read-only inputs, so the record is the one a
+    sequential run gives."""
+    t0 = time.perf_counter()
     bound = None
-    if config.compute_bounds:
-        bound = bound_for_observation(params, truth, config.sigma, obs).to_dict()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        trial_seed, params, batch, obs, truth = _trial_inputs(config, trial_idx, helper)
+        attacks = (config, trial_seed, params, obs, truth, keep_samples)
+        if config.compute_bounds:
+            pending = helper.submit(_attacks, *attacks)
+            try:
+                bound = bound_for_observation(params, truth, config.sigma, obs).to_dict()
+            finally:
+                # an attack's error outranks the bound's, as when the attacks ran first
+                attack_out = pending.result()
+        else:
+            attack_out = _attacks(*attacks)
 
     util = None
     if config.utility is not None:

@@ -174,7 +174,10 @@ def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
     m, d = params.m, params.d
     flat = np.empty(params.n_coords)  # both blocks written in place, no concatenation
     np.matmul(S0, r, out=flat[:m])
-    np.matmul(params.a[:, None] * (S1 * r[None, :]), batch.X.T, out=flat[m:].reshape(m, d))
+    C = S1 * r[None, :]               # (m, B): a_j s'(z_ji) r_i, one temporary
+    C *= params.a[:, None]
+    del S0, S1
+    np.matmul(C, batch.X.T, out=flat[m:].reshape(m, d))
     return GradientObservation(flat, m, d)
 
 
@@ -239,10 +242,16 @@ def input_gram(
     WT = np.ascontiguousarray(params.W.T)     # (d, m)
     aS1, aS2 = a[:, None] * S1, a[:, None] * S2
     A = np.empty((B, d, m))
-    P = np.empty((B, d, m))
     for i in range(B):
         np.multiply(WT, r[i] * S1[:, i], out=A[i])
         A[i] += np.outer(2.0 * H[:, i], S0[:, i])
+    mass_a = np.vdot(A, A)                    # the a-block's unmasked mass, taken before A is masked
+    A *= w_a
+    Af = A.reshape(B * d, m)
+    G = Af @ Af.T
+    P = A                                     # A is done: P takes its buffer
+    del A, Af                                 # working set: P plus one (B, d, m) temporary
+    for i in range(B):
         np.multiply(WT, r[i] * aS2[:, i], out=P[i])
         P[i] += np.outer(2.0 * H[:, i], aS1[:, i])
     Q = np.ascontiguousarray((aS1 * r).T)     # (B, m): q_ij
@@ -250,16 +259,11 @@ def input_gram(
     # unmasked mass, summed over (j, t) of (P_i[s, j] x_i[t] + q_ij delta_st)^2
     PX = np.einsum("isj,si->ij", P, X)        # (B, m): (P_i^T x_i)[j]
     mass = float(
-        np.vdot(A, A)
+        mass_a
         + sum(float(X[:, i] @ X[:, i]) * np.vdot(P[i], P[i]) for i in range(B))
         + 2.0 * np.vdot(Q, PX)
         + d * np.vdot(Q, Q)
     )
-
-    A *= w_a
-    Af = A.reshape(B * d, m)
-    G = Af @ Af.T
-    del A, Af                                 # working set: P plus one (B, d, m) temporary
     keep_W = keep[m:].reshape(m, d)
     if (keep_W == keep_W[:, :1]).all():
         _add_w_block_rows(G, P, Q, X, keep_W[:, 0])

@@ -6,19 +6,27 @@ literal Hermite-tensor algebra for the projected builders, the dense input
 Jacobian for the closed-form Gram.  None of it shares code paths with the implementations it
 validates, except that ``input_jacobian`` reads the network's forward
 internals (activation values and residuals) as ``input_gram`` does; the
-finite-difference Jacobian checks those independently.
+finite-difference Jacobian checks those independently.  The sequential
+trial (``sequential_run_trial``) calls the library's stages one after the
+other on one thread; it checks how ``run_trial`` spreads them over two.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from gradleak.bounds import BoundReport, cramer_rao_gram
+import gradleak.defenses as dfs
+from gradleak.activations import make_activation
+from gradleak.bounds import BoundReport, bound_for_observation, cramer_rao_gram
 from gradleak.defenses import DefenseRecord, compose, local_aggregation
-from gradleak.errors import ConfigError, DimensionError, DivergenceError
+from gradleak.errors import ConfigError, DimensionError, DivergenceError, GradleakError
+from gradleak.gradmatch import grad_match_attack
+from gradleak.harness import TrialRecord, utility_loss
 from gradleak.network import (
     DataBatch,
     GradientObservation,
@@ -26,8 +34,18 @@ from gradleak.network import (
     _input_gradients,
     gradient,
     loss,
+    sample_batch,
+    sample_params,
 )
-from gradleak.seeding import derive_seed
+from gradleak.seeding import (
+    DATA_STREAM,
+    DEFENSE_STREAM,
+    GRADMATCH_STREAM,
+    PARAMS_STREAM,
+    TENSOR_STREAM,
+    derive_seed,
+)
+from gradleak.tensor_attack import score_reconstruction, tensor_attack
 
 
 def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5) -> np.ndarray:
@@ -316,6 +334,110 @@ def utility_loss_reference(
         if not (np.isfinite(a).all() and np.isfinite(W).all()):
             return float("inf")
     return loss(NetworkParams(a=a, W=W, activation=params.activation), batch)
+
+
+def sequential_trial_inputs(config, trial_idx: int):
+    """``harness._trial_inputs`` on one thread: sample, observe, then
+    ``compose`` the chain, drawing as each step applies."""
+    trial_seed = derive_seed(config.base_seed, trial_idx)
+    activation = make_activation(config.activation.kind, config.activation.scale)
+    params = sample_params(
+        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
+    )
+    batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
+    transforms = list(config.defenses)
+    truth = batch
+    if transforms and isinstance(transforms[0], dfs.AGGREGATORS):
+        agg = transforms.pop(0)
+        if isinstance(agg, dfs.LocalAggregationDefense):
+            if agg.fresh_batches and agg.steps > 1:
+                batches = [batch] + [
+                    sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
+                    for k in range(1, agg.steps)
+                ]
+                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
+                                  y=np.concatenate([b.y for b in batches]))
+            else:
+                batches = [batch]
+            obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
+        else:
+            parts = []
+            start = 0
+            for b in agg.batch_sizes:
+                sub = DataBatch(X=batch.X[:, start:start + b], y=batch.y[start:start + b])
+                parts.append((gradient(params, sub), b))
+                start += b
+            obs = dfs.secure_aggregate(parts)
+    else:
+        obs = gradient(params, batch)
+    if transforms:
+        obs = compose(transforms, obs, derive_seed(trial_seed, DEFENSE_STREAM))
+    return trial_seed, params, batch, obs, truth
+
+
+def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
+    """``harness.run_trial`` on one thread: inputs, attacks, bound and utility
+    one after the other."""
+    t0 = time.perf_counter()
+    trial_seed, params, batch, obs, truth = sequential_trial_inputs(config, trial_idx)
+
+    def entry(res, *kept):
+        out = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None}
+        return {**out, **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
+
+    attack_out = {}
+    tensor_result = None
+    if config.tensor is not None:
+        cfg = replace(config.tensor, seed=derive_seed(trial_seed, TENSOR_STREAM))
+        try:
+            tensor_result = score_reconstruction(
+                tensor_attack(obs, params, truth.B, cfg), truth.X, sign_resolve=True
+            )
+            attack_out["tensor"] = entry(tensor_result, "samples", "signs")
+        except GradleakError as e:
+            attack_out["tensor"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
+    if config.gradmatch is not None:
+        cfg = replace(config.gradmatch, seed=derive_seed(trial_seed, GRADMATCH_STREAM))
+        targets = None
+        if cfg.feature_source == "tensor" and tensor_result is not None:
+            targets = tensor_result.samples
+        try:
+            res = grad_match_attack(obs, params, truth.y, cfg, feature_targets=targets)
+            res = score_reconstruction(res, truth.X, sign_resolve=cfg.sign_resolve)
+            attack_out["gradmatch"] = entry(res, "samples")
+        except GradleakError as e:
+            attack_out["gradmatch"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
+
+    bound = None
+    if config.compute_bounds:
+        bound = bound_for_observation(params, truth, config.sigma, obs).to_dict()
+
+    util = None
+    if config.utility is not None:
+        transforms = [c for c in config.defenses if not isinstance(c, dfs.AGGREGATORS)]
+        util = utility_loss(
+            params,
+            transforms,
+            batch,
+            steps=config.utility.steps,
+            eta_a=config.utility.eta_a,
+            eta_w=config.utility.eta_w,
+            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1),
+        )
+
+    return TrialRecord(
+        config_hash=config.config_hash(),
+        trial=trial_idx,
+        d=config.d,
+        m=config.m,
+        B=config.B,
+        defense=config.defense_name,
+        defense_param=config.defense_param,
+        attacks=attack_out,
+        bound=bound,
+        utility_loss=util,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    )
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

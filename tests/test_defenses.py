@@ -15,7 +15,9 @@ from gradleak.defenses import (
     SecureAggregationDefense,
     _masked,
     compose,
+    compose_drawn,
     defense_from_dict,
+    draw_chain,
     dp_sgd_preset,
     local_aggregation,
     secure_aggregate,
@@ -429,6 +431,56 @@ def test_compose_rejects_aggregators_and_empty():
         compose([], g, seed=0)
     with pytest.raises(ConfigError):
         compose([defense_from_dict({"variant": "local_aggregation", "steps": 2})], g, seed=0)
+
+
+DRAWN_CHAINS = {
+    "noise": [NoiseDefense(0.3)],
+    "noise-sigma0-zero": [NoiseDefense(0.0)],
+    "clip-noise": dp_sgd_preset(threshold=1e-3, sigma0=0.05, scale_noise_by_clip=True),
+    "dropout-node": [DropoutDefense(0.5)],
+    "dropout-coord": [DropoutDefense(0.5, node_level=False)],
+    "prune_ratio": [PruneRatioDefense(0.5)],
+    "prune_threshold-noise-clip": [PruneThresholdDefense(1e-4), NoiseDefense(0.01),
+                                   ClipDefense(1e-2)],
+    "dropout-prune-noise": [DropoutDefense(0.3), PruneRatioDefense(0.4), NoiseDefense(0.1)],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(DRAWN_CHAINS))
+def test_draw_then_apply_equals_compose_byte_for_byte(chain):
+    defenses = DRAWN_CHAINS[chain]
+    _, _, g = obs_of(m=48)
+    flat = g.flat.copy()
+    flat[0] = -0.0
+    if not any(isinstance(c, ClipDefense) for c in defenses):  # clip makes inf all NaN
+        flat[[5, 60]] = [np.inf, np.nan]
+    g = GradientObservation(flat, g.m, g.d)
+    for seed in (0, 11):
+        draws = draw_chain(defenses, derive_seed(seed, 3), g.m, g.d)
+        assert [d is None for d in draws] == [
+            isinstance(c, (ClipDefense, PruneRatioDefense, PruneThresholdDefense))
+            or (isinstance(c, NoiseDefense) and c.sigma0 == 0) for c in defenses]
+        drawn = compose_drawn(defenses, g, draws)
+        ref = compose(defenses, g, derive_seed(seed, 3))
+        assert drawn.flat.tobytes() == ref.flat.tobytes()
+        assert len(drawn.provenance) == len(ref.provenance) == len(defenses)
+        for a, b in zip(drawn.provenance, ref.provenance):
+            assert (a.variant, a.params, a.clip_factor) == (b.variant, b.params, b.clip_factor)
+            assert (a.mask is None) == (b.mask is None)
+            assert a.mask is None or np.array_equal(a.mask, b.mask)
+    if chain == "noise-sigma0-zero":
+        assert drawn.flat is g.flat  # no draw: the input's buffer is shared
+
+
+def test_draw_chain_checks_the_chain_and_dropout_degeneracy():
+    with pytest.raises(ConfigError):
+        draw_chain([], 0, 4, 2)
+    with pytest.raises(ConfigError):
+        draw_chain([LocalAggregationDefense(steps=2)], 0, 4, 2)
+    # the draw raises what apply raises: a 0.9 dropout of one unit drops it for some seed
+    seed = next(s for s in range(100) if rng_from(derive_seed(s, 0)).random() < 0.9)
+    with pytest.raises(DegenerateObservationError):
+        draw_chain([DropoutDefense(0.9)], seed, 1, 3)
 
 
 def test_defense_dict_round_trip():

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from gradleak.defenses import (
     PruneRatioDefense,
     PruneThresholdDefense,
 )
-from gradleak.errors import ConfigError
+from gradleak.errors import ConfigError, DegenerateObservationError
 from gradleak.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -29,10 +31,13 @@ from gradleak.harness import (
 )
 from gradleak.network import sample_batch, sample_params
 from gradleak.tensor_attack import ReconstructionResult
+import oracles
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
     input_jacobian,
+    sequential_run_trial,
+    sequential_trial_inputs,
     utility_loss_reference,
 )
 
@@ -123,6 +128,127 @@ def test_aggregation_defense_must_lead_the_chain():
                 {"variant": "local_aggregation", "steps": 2},
             ]
         )
+
+
+# --- two-thread trials against the sequential oracle ---------------------------
+
+BOTH_ATTACKS = {
+    "tensor": FAST_ATTACKS["tensor"],
+    "gradmatch": {"optimizer": {"max_iters": 40}, "feature_source": "tensor",
+                  "feature_mode": "cosine2", "alpha_feature": 0.1},
+}
+NOISE = {"variant": "noise", "sigma0": 0.01}
+OVERLAP_CHAINS = {
+    "noise-sigma0-zero": ({}, [{"variant": "noise", "sigma0": 0.0}]),
+    "clip-noise": ({}, [{"variant": "clip", "threshold": 1e-3}, NOISE]),
+    "dropout-node": ({}, [{"variant": "dropout", "rate": 0.5}, NOISE]),
+    "dropout-coord": ({}, [{"variant": "dropout", "rate": 0.5, "node_level": False}]),
+    "prune_ratio": ({}, [{"variant": "prune_ratio", "ratio": 0.9}, NOISE]),
+    "local_aggregation": ({}, [{"variant": "local_aggregation", "steps": 2,
+                                "fresh_batches": True}, NOISE]),
+    "secure_aggregation": ({"B": 3}, [{"variant": "secure_aggregation",
+                                       "batch_sizes": [2, 1]}, NOISE]),
+    "both-attacks": ({"attacks": BOTH_ATTACKS}, [{"variant": "dropout", "rate": 0.3}, NOISE]),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(OVERLAP_CHAINS))
+def test_two_thread_trial_matches_the_sequential_oracle(chain):
+    over, defenses = OVERLAP_CHAINS[chain]
+    cfg = small_config(defenses=defenses, utility={"steps": 5}, **over)
+    for t in (0, 1):
+        obs, ref_obs = hz._trial_inputs(cfg, t)[3], sequential_trial_inputs(cfg, t)[3]
+        assert obs.flat.tobytes() == ref_obs.flat.tobytes()
+        rec, ref = run_trial(cfg, t), sequential_run_trial(cfg, t)
+        assert rec.bound is not None and rec.utility_loss is not None
+        assert rec.record_hash() == ref.record_hash()
+        assert rec.bound == ref.bound
+        assert rec.utility_loss == ref.utility_loss
+        assert rec.attacks == ref.attacks
+
+
+def test_concurrent_trials_match_the_oracle_under_fast_thread_switching():
+    # three trials at once, each with its own helper: six threads on fewer cores
+    cfg = small_config(defenses=OVERLAP_CHAINS["both-attacks"][1], utility={"steps": 5},
+                       trials=6)
+    expected = [sequential_run_trial(cfg, t).record_hash() for t in range(cfg.trials)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(run_trial, cfg, t) for t in range(cfg.trials)]
+            got = [f.result(timeout=120).record_hash() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def _singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_bound_error_propagates_as_in_a_sequential_trial(monkeypatch):
+    cfg = small_config(defenses=[NOISE])
+    monkeypatch.setattr(hz, "bound_for_observation", _singular)
+    monkeypatch.setattr(oracles, "bound_for_observation", _singular)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        sequential_run_trial(cfg, 0)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        run_trial(cfg, 0)
+    assert threading.active_count() == before
+
+
+def test_attack_error_outranks_a_bound_error_as_in_a_sequential_trial(monkeypatch):
+    # attacks ran before the bound, so a crashing attack hides a failing bound
+    def crashing(*args):
+        raise RuntimeError("attack crashed")
+
+    cfg = small_config(defenses=[NOISE])
+    monkeypatch.setattr(hz, "tensor_attack", crashing)
+    monkeypatch.setattr(oracles, "tensor_attack", crashing)
+    monkeypatch.setattr(hz, "bound_for_observation", _singular)
+    monkeypatch.setattr(oracles, "bound_for_observation", _singular)
+    before = threading.active_count()
+    for trial in (sequential_run_trial, run_trial):
+        with pytest.raises(RuntimeError, match="attack crashed"):
+            trial(cfg, 0)
+    assert threading.active_count() == before
+
+
+def test_sampling_error_surfaces_while_the_draw_runs(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("sampler broke")
+
+    monkeypatch.setattr(hz, "sample_params", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="sampler broke"):
+        run_trial(small_config(defenses=[NOISE]), 0)
+    assert threading.active_count() == before
+
+
+def test_draw_error_surfaces_as_in_a_sequential_trial():
+    # a 0.9 dropout of a one-unit network drops the unit for some trial
+    cfg = small_config(m=1, defenses=[{"variant": "dropout", "rate": 0.9}], trials=20)
+    before = threading.active_count()
+    raised = []
+    for t in range(cfg.trials):
+        try:
+            sequential_run_trial(cfg, t)
+        except DegenerateObservationError:
+            with pytest.raises(DegenerateObservationError, match="every hidden unit"):
+                run_trial(cfg, t)
+            raised.append(t)
+    assert raised
+    assert threading.active_count() == before
+
+
+def test_trials_leave_no_thread_behind(tmp_path):
+    before = threading.active_count()
+    run_trial(small_config(defenses=[NOISE]), 0)
+    assert threading.active_count() == before
+    sweep(sweep_config(trials=2), tmp_path / "out", workers=2)
+    assert threading.active_count() == before
 
 
 # --- bound fold: closed-form Gram against the dense-Jacobian oracle -------------

@@ -109,6 +109,19 @@ def test_gradient_matches_finite_differences():
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["softplus", "exp", "cubic"])
+def test_gradient_equals_the_out_of_place_products_bit_for_bit(kind):
+    # gradient scales one (m, B) temporary in place; the products are the same
+    act = make_activation(kind, 0.7)
+    p = sample_params(9, 300, seed=2, activation=act)
+    b = sample_batch(9, 4, seed=3)
+    z = p.W @ b.X
+    r = 2.0 * (act.value(z).T @ p.a - b.y)
+    grad_a = act.value(z) @ r
+    grad_W = (p.a[:, None] * (act.derivative(z) * r[None, :])) @ b.X.T
+    assert gradient(p, b).flat.tobytes() == np.concatenate([grad_a, grad_W.ravel()]).tobytes()
+
+
 def test_gradient_batch_linearity():
     p = sample_params(5, 24, seed=9, activation=SP)
     b = sample_batch(5, 4, seed=10)
