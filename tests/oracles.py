@@ -15,17 +15,16 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import gradleak.defenses as dfs
 from gradleak.activations import make_activation
-from gradleak.bounds import BoundReport, bound_for_observation, cramer_rao_gram
+import gradleak.harness as hz
+from gradleak.bounds import BoundReport, cramer_rao_gram
 from gradleak.defenses import DefenseRecord, compose, local_aggregation
-from gradleak.errors import ConfigError, DimensionError, DivergenceError, GradleakError
-from gradleak.gradmatch import grad_match_attack
+from gradleak.errors import ConfigError, DimensionError, DivergenceError
 from gradleak.harness import TrialRecord, utility_loss
 from gradleak.network import (
     DataBatch,
@@ -40,12 +39,9 @@ from gradleak.network import (
 from gradleak.seeding import (
     DATA_STREAM,
     DEFENSE_STREAM,
-    GRADMATCH_STREAM,
     PARAMS_STREAM,
-    TENSOR_STREAM,
     derive_seed,
 )
-from gradleak.tensor_attack import score_reconstruction, tensor_attack
 
 
 def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5) -> np.ndarray:
@@ -377,40 +373,15 @@ def sequential_trial_inputs(config, trial_idx: int):
 
 def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
     """``harness.run_trial`` on one thread: inputs, attacks, bound and utility
-    one after the other."""
+    one after the other. The attacks and the bound are the harness's own
+    (looked up on the module, so a test's monkeypatch reaches both sides);
+    only their order on one thread is the oracle's."""
     t0 = time.perf_counter()
     trial_seed, params, batch, obs, truth = sequential_trial_inputs(config, trial_idx)
-
-    def entry(res, *kept):
-        out = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None}
-        return {**out, **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
-
-    attack_out = {}
-    tensor_result = None
-    if config.tensor is not None:
-        cfg = replace(config.tensor, seed=derive_seed(trial_seed, TENSOR_STREAM))
-        try:
-            tensor_result = score_reconstruction(
-                tensor_attack(obs, params, truth.B, cfg), truth.X, sign_resolve=True
-            )
-            attack_out["tensor"] = entry(tensor_result, "samples", "signs")
-        except GradleakError as e:
-            attack_out["tensor"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
-    if config.gradmatch is not None:
-        cfg = replace(config.gradmatch, seed=derive_seed(trial_seed, GRADMATCH_STREAM))
-        targets = None
-        if cfg.feature_source == "tensor" and tensor_result is not None:
-            targets = tensor_result.samples
-        try:
-            res = grad_match_attack(obs, params, truth.y, cfg, feature_targets=targets)
-            res = score_reconstruction(res, truth.X, sign_resolve=cfg.sign_resolve)
-            attack_out["gradmatch"] = entry(res, "samples")
-        except GradleakError as e:
-            attack_out["gradmatch"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
-
+    attack_out = hz._attacks(config, trial_seed, params, obs, truth, keep_samples)
     bound = None
     if config.compute_bounds:
-        bound = bound_for_observation(params, truth, config.sigma, obs).to_dict()
+        bound = hz.bound_for_observation(params, truth, config.sigma, obs).to_dict()
 
     util = None
     if config.utility is not None:

@@ -31,7 +31,6 @@ from gradleak.harness import (
 )
 from gradleak.network import sample_batch, sample_params
 from gradleak.tensor_attack import ReconstructionResult
-import oracles
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
@@ -190,7 +189,6 @@ def _singular(*args):
 def test_bound_error_propagates_as_in_a_sequential_trial(monkeypatch):
     cfg = small_config(defenses=[NOISE])
     monkeypatch.setattr(hz, "bound_for_observation", _singular)
-    monkeypatch.setattr(oracles, "bound_for_observation", _singular)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         sequential_run_trial(cfg, 0)
@@ -206,9 +204,7 @@ def test_attack_error_outranks_a_bound_error_as_in_a_sequential_trial(monkeypatc
 
     cfg = small_config(defenses=[NOISE])
     monkeypatch.setattr(hz, "tensor_attack", crashing)
-    monkeypatch.setattr(oracles, "tensor_attack", crashing)
     monkeypatch.setattr(hz, "bound_for_observation", _singular)
-    monkeypatch.setattr(oracles, "bound_for_observation", _singular)
     before = threading.active_count()
     for trial in (sequential_run_trial, run_trial):
         with pytest.raises(RuntimeError, match="attack crashed"):
@@ -406,8 +402,11 @@ def test_prune_chain_matches_argsort_oracle(monkeypatch):
         return utility_loss(p, chain, b, steps=100, seed=3), rec
 
     fast = run()
+    # apply_draw is the step both compose (utility) and compose_drawn (trial) take
     monkeypatch.setattr(
-        dfs.PruneRatioDefense, "apply", lambda cfg, obs, seed: argsort_prune_ratio(obs, cfg.ratio)
+        dfs.PruneRatioDefense,
+        "apply_draw",
+        lambda cfg, obs, draw: argsort_prune_ratio(obs, cfg.ratio),
     )
     assert run() == fast
 
