@@ -7,13 +7,13 @@ maps one GradientObservation to another through its flat buffer and
 appends a DefenseRecord describing exactly what it did; the bounds module
 consumes those records.  ``apply`` is ``cfg.draw(seed, m, d)``, the random
 draw, which depends only on the seed and the layout, followed by
-``cfg.apply_draw(obs, draw)``.  ``compose`` applies a chain of transforms
-left to right with one derived seed per step; ``draw_chain`` makes a
-chain's draws before the observation exists and ``compose_drawn`` applies
-them, with the same bytes as ``compose``.  Training-side defenses
-(``AGGREGATORS``: local and secure aggregation) produce the base
-observation instead of transforming one, through the functions
-``local_aggregation`` and ``secure_aggregate``.
+``cfg.apply_draw(obs, draw)``.  A chain is applied one way: ``draw_chain``
+makes every step's draw (one derived seed per step), which needs only the
+layout, so it can happen before the observation exists, and
+``compose_drawn`` applies them left to right; ``compose`` is the two
+together.  Training-side defenses (``AGGREGATORS``: local and secure
+aggregation) produce the base observation instead of transforming one,
+through the functions ``local_aggregation`` and ``secure_aggregate``.
 
 All stochastic defenses are deterministic functions of (input, config,
 seed).
@@ -68,7 +68,6 @@ class DefenseRecord:
     clip_factor: float | None = None      # realized min{1, C/||G||}
     mask: np.ndarray | None = None        # True where the coordinate was kept
     steps: int | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mask is not None:
@@ -367,6 +366,29 @@ def dp_sgd_preset(threshold: float, sigma0: float, scale_noise_by_clip: bool = F
     ]
 
 
+def _descend(params: NetworkParams, batches: list[DataBatch], eta_a: float, eta_w: float,
+             steps: int, transforms=(), seed: int = 0) -> tuple[NetworkParams, int | None]:
+    """Full-batch gradient descent from ``params`` on one flat copy, updated in
+    place through views.  Step k descends the gradient on ``batches[k %
+    len(batches)]``, defended by ``compose(transforms, g, derive_seed(seed, k))``.
+    Returns the parameters reached and the 1-based step whose update first
+    made one non-finite, where descent stops (None if none did)."""
+    m = params.m
+    theta = np.concatenate([params.a, params.W.ravel()])
+    cur = NetworkParams(theta[:m], theta[m:].reshape(params.W.shape), params.activation)
+    step_buf = np.empty_like(theta)
+    for step in range(steps):
+        g = gradient(cur, batches[step % len(batches)])
+        if transforms:
+            g = compose(transforms, g, derive_seed(seed, step))
+        np.multiply(eta_a, g.flat[:m], out=step_buf[:m])
+        np.multiply(eta_w, g.flat[m:], out=step_buf[m:])
+        theta -= step_buf
+        if not np.isfinite(theta).all():
+            return cur, step + 1
+    return cur, None
+
+
 def local_aggregation(
     params: NetworkParams,
     batches: list[DataBatch],
@@ -380,8 +402,8 @@ def local_aggregation(
     ``batches`` holds either a single batch reused every step or one batch
     per step.  The output is (theta_0 - theta_steps) / eta per layer, i.e.
     the sum of the per-step gradients; the eavesdropper knows the learning
-    rates, so nothing is hidden by the rescaling.  Raw parameter
-    differences and per-step snapshots are kept in the provenance record.
+    rates, so nothing is hidden by the rescaling.  A non-finite update
+    raises DivergenceError naming its step.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -392,27 +414,12 @@ def local_aggregation(
         eta_a = 1.0 / m**2
     if eta_w is None:
         eta_w = 0.1 / np.sqrt(m)
-    a, W = params.a.copy(), params.W.copy()
-    snapshots = [(a.copy(), W.copy())]
-    for step in range(steps):
-        batch = batches[0] if len(batches) == 1 else batches[step]
-        cur = NetworkParams(a=a, W=W, activation=params.activation)
-        g = gradient(cur, batch)
-        a = a - eta_a * g.grad_a
-        W = W - eta_w * g.grad_W
-        if not (np.isfinite(a).all() and np.isfinite(W).all()):
-            raise DivergenceError(
-                f"local aggregation rollout diverged at step {step + 1}", step=step + 1
-            )
-        snapshots.append((a.copy(), W.copy()))
-    delta_a, delta_W = params.a - a, params.W - W
-    record = DefenseRecord(
-        variant=LocalAggregationDefense.variant,
-        params={"eta_a": eta_a, "eta_w": eta_w},
-        steps=steps,
-        extra={"raw_delta_a": delta_a, "raw_delta_W": delta_W, "snapshots": snapshots},
-    )
-    flat = np.concatenate([delta_a / eta_a, (delta_W / eta_w).ravel()])
+    cur, diverged = _descend(params, batches, eta_a, eta_w, steps)
+    if diverged is not None:
+        raise DivergenceError(f"local aggregation rollout diverged at step {diverged}", step=diverged)
+    record = DefenseRecord(variant=LocalAggregationDefense.variant,
+                           params={"eta_a": eta_a, "eta_w": eta_w}, steps=steps)
+    flat = np.concatenate([(params.a - cur.a) / eta_a, ((params.W - cur.W) / eta_w).ravel()])
     return GradientObservation(flat, m, params.d, (record,))
 
 
@@ -453,30 +460,26 @@ def _check_chain(defenses: list):
 
 
 def compose(defenses: list, obs: GradientObservation, seed: int) -> GradientObservation:
-    """Apply observation transforms left to right, accumulating provenance.
+    """Apply observation transforms left to right, accumulating provenance:
+    ``compose_drawn`` on ``draw_chain``'s draws for ``seed``.
 
     Only pure observation transforms are composable here; aggregation
     defenses produce the base observation and are handled by the harness.
-    Each transform gets its own derived seed.
     """
-    _check_chain(defenses)
-    out = obs
-    for k, cfg in enumerate(defenses):
-        out = cfg.apply(out, derive_seed(seed, k))
-    return out
+    return compose_drawn(defenses, obs, draw_chain(defenses, seed, obs.m, obs.d))
 
 
 def draw_chain(defenses: list, seed: int, m: int, d: int) -> list:
-    """The draw each step of ``compose(defenses, obs, seed)`` makes on an
-    observation of layout (m, d), None for a step that draws nothing.  A
-    draw depends only on its seed and the layout, so it can be made before
-    (or while) the observation is computed."""
+    """The draw each step of the chain makes on an observation of layout
+    (m, d), step k from ``derive_seed(seed, k)``; None for a step that draws
+    nothing.  A draw depends only on its seed and the layout, so it can be
+    made before (or while) the observation is computed."""
     _check_chain(defenses)
     return [cfg.draw(derive_seed(seed, k), m, d) for k, cfg in enumerate(defenses)]
 
 
 def compose_drawn(defenses: list, obs: GradientObservation, draws: list) -> GradientObservation:
-    """``compose`` with the draws ``draw_chain`` made: the same bytes.  The
+    """Apply the chain left to right with the draws ``draw_chain`` made.  The
     draws are consumed (noise is added in place in its draw)."""
     out = obs
     for cfg, draw in zip(defenses, draws, strict=True):

@@ -223,6 +223,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     @property
+    def transforms(self) -> tuple:
+        """The chain's observation transforms: every defense after a leading aggregator."""
+        if self.defenses and isinstance(self.defenses[0], dfs.AGGREGATORS):
+            return self.defenses[1:]
+        return self.defenses
+
+    @property
     def defense_name(self) -> str:
         return "+".join(c.variant for c in self.defenses) or "none"
 
@@ -273,54 +280,56 @@ class TrialRecord:
         return {**asdict(self), "record_hash": self.record_hash()}
 
 
-def _trial_inputs(config: ExperimentConfig, trial_idx: int,
-                  helper: ThreadPoolExecutor | None = None):
-    """What trial ``trial_idx`` attacks: ``(trial_seed, params, batch, obs,
-    truth)``, where ``batch`` is the sampled batch and ``truth`` every sample
-    behind the defended observation ``obs`` (more than ``batch`` when local
-    aggregation draws fresh batches).
-
-    The defense chain's draws are made on ``helper`` (a one-thread pool of
-    the caller's, or one of its own) while this thread samples and
-    observes: they come from their own seed stream, so the bytes are those
-    of drawing them afterwards."""
-    if helper is None:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            return _trial_inputs(config, trial_idx, helper)
-    trial_seed = derive_seed(config.base_seed, trial_idx)
-    transforms = list(config.defenses)
-    agg = transforms.pop(0) if transforms and isinstance(transforms[0], dfs.AGGREGATORS) else None
-    if transforms:
-        draws = helper.submit(dfs.draw_chain, transforms,
-                              derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
+def _observe(config: ExperimentConfig, trial_seed: int):
+    """Sample the trial's network and batch and build the undefended release:
+    ``(params, batch, obs, truth)``, where ``obs`` is the gradient on
+    ``batch`` or the release of the chain's leading aggregator and ``truth``
+    every sample behind it (more than ``batch`` when local aggregation draws
+    fresh batches)."""
     activation = make_activation(config.activation.kind, config.activation.scale)
     params = sample_params(
         config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
     )
     batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-    truth = batch
-    if agg is not None:
-        if isinstance(agg, dfs.LocalAggregationDefense):
-            if agg.fresh_batches and agg.steps > 1:
-                batches = [batch] + [
-                    sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
-                    for k in range(1, agg.steps)
-                ]
-                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
-                                  y=np.concatenate([b.y for b in batches]))
-            else:
-                batches = [batch]
-            obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
-        else:
-            parts = []
-            start = 0
-            for b in agg.batch_sizes:
-                sub = DataBatch(X=batch.X[:, start:start + b], y=batch.y[start:start + b])
-                parts.append((gradient(params, sub), b))
-                start += b
-            obs = dfs.secure_aggregate(parts)
-    else:
-        obs = gradient(params, batch)
+    agg = config.defenses[0] if config.defenses else None
+    if isinstance(agg, dfs.LocalAggregationDefense):
+        batches = [batch] + [
+            sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
+            for k in range(1, agg.steps if agg.fresh_batches else 1)
+        ]
+        truth = batch if len(batches) == 1 else DataBatch(
+            X=np.concatenate([b.X for b in batches], axis=1),
+            y=np.concatenate([b.y for b in batches]))
+        obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
+        return params, batch, obs, truth
+    if isinstance(agg, dfs.SecureAggregationDefense):
+        ends = np.cumsum(agg.batch_sizes)
+        obs = dfs.secure_aggregate([
+            (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
+            for b, e in zip(agg.batch_sizes, ends)
+        ])
+        return params, batch, obs, batch
+    return params, batch, gradient(params, batch), batch
+
+
+def _trial_inputs(config: ExperimentConfig, trial_idx: int,
+                  helper: ThreadPoolExecutor | None = None):
+    """What trial ``trial_idx`` attacks: ``(trial_seed, params, batch, obs,
+    truth)``, ``_observe``'s release defended by the chain's transforms.
+
+    The transforms' draws are made on ``helper`` (a one-thread pool of the
+    caller's, or one of its own) while this thread samples and observes:
+    they come from their own seed stream, so the bytes are those of drawing
+    them afterwards."""
+    if helper is None:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            return _trial_inputs(config, trial_idx, helper)
+    trial_seed = derive_seed(config.base_seed, trial_idx)
+    transforms = config.transforms
+    if transforms:
+        draws = helper.submit(dfs.draw_chain, transforms,
+                              derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
+    params, batch, obs, truth = _observe(config, trial_seed)
     if transforms:
         obs = dfs.compose_drawn(transforms, obs, draws.result())
     return trial_seed, params, batch, obs, truth
@@ -392,16 +401,9 @@ def run_trial(
 
     util = None
     if config.utility is not None:
-        transforms = [c for c in config.defenses if not isinstance(c, dfs.AGGREGATORS)]
-        util = utility_loss(
-            params,
-            transforms,
-            batch,
-            steps=config.utility.steps,
-            eta_a=config.utility.eta_a,
-            eta_w=config.utility.eta_w,
-            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1),
-        )
+        util = utility_loss(params, config.transforms, batch, steps=config.utility.steps,
+                            eta_a=config.utility.eta_a, eta_w=config.utility.eta_w,
+                            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1))
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(
@@ -431,8 +433,7 @@ def utility_loss(
     """Final training loss after defended gradient descent on a fixed task.
 
     The defense chain transforms each step's gradient before the update,
-    exactly as a defending client would.  Divergence returns +inf.  The
-    private parameter copy is one flat vector, updated in place through views.
+    exactly as a defending client would.  Divergence returns +inf.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -441,19 +442,8 @@ def utility_loss(
         eta_a = 0.05 / m
     if eta_w is None:
         eta_w = 0.5 / math.sqrt(m)
-    theta = np.concatenate([params.a, params.W.ravel()])
-    cur = NetworkParams(theta[:m], theta[m:].reshape(params.W.shape), params.activation)
-    step_buf = np.empty_like(theta)
-    for step in range(steps):
-        g = gradient(cur, batch)
-        if defense_transforms:
-            g = dfs.compose(defense_transforms, g, derive_seed(seed, step))
-        np.multiply(eta_a, g.flat[:m], out=step_buf[:m])
-        np.multiply(eta_w, g.flat[m:], out=step_buf[m:])
-        theta -= step_buf
-        if not np.isfinite(theta).all():
-            return float("inf")
-    return loss(cur, batch)
+    cur, diverged = dfs._descend(params, [batch], eta_a, eta_w, steps, defense_transforms, seed)
+    return float("inf") if diverged is not None else loss(cur, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Independent reference computations the tests check the library against.
+"""Reference computations the tests check the library against.
 
 Everything here is deliberately slow and obvious: finite differences for
 derivatives, explicit enumeration and scipy's solver for assignments,
 literal Hermite-tensor algebra for the projected builders, the dense input
-Jacobian for the closed-form Gram.  None of it shares code paths with the implementations it
-validates, except that ``input_jacobian`` reads the network's forward
-internals (activation values and residuals) as ``input_gram`` does; the
-finite-difference Jacobian checks those independently.  The sequential
-trial (``sequential_run_trial``) calls the library's stages one after the
-other on one thread; it checks how ``run_trial`` spreads them over two.
+Jacobian for the closed-form Gram, out-of-place descent loops for the
+in-place one.  Three call library code on purpose, for the part they do
+not check: ``input_jacobian`` reads the network's forward internals as
+``input_gram`` does (the finite-difference Jacobian checks those);
+``interleaved_compose`` draws each step just before applying it, through
+the transforms' own ``draw`` and ``apply_draw``, so it checks the order of
+the draw-then-apply chain; the sequential trial (``sequential_run_trial``)
+runs the library's stages (``harness._observe``, ``harness._attacks``, the
+bound) one after the other on one thread, so it checks how ``run_trial``
+spreads them over two.
 """
 from __future__ import annotations
 
@@ -19,11 +23,9 @@ import time
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-import gradleak.defenses as dfs
-from gradleak.activations import make_activation
 import gradleak.harness as hz
 from gradleak.bounds import BoundReport, cramer_rao_gram
-from gradleak.defenses import DefenseRecord, compose, local_aggregation
+from gradleak.defenses import DefenseRecord, local_aggregation
 from gradleak.errors import ConfigError, DimensionError, DivergenceError
 from gradleak.harness import TrialRecord, utility_loss
 from gradleak.network import (
@@ -33,15 +35,23 @@ from gradleak.network import (
     _input_gradients,
     gradient,
     loss,
-    sample_batch,
-    sample_params,
 )
-from gradleak.seeding import (
-    DATA_STREAM,
-    DEFENSE_STREAM,
-    PARAMS_STREAM,
-    derive_seed,
-)
+from gradleak.seeding import DEFENSE_STREAM, derive_seed
+
+
+def central_differences(f, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of ``f()`` over every entry of ``x`` in C order, one
+    row per entry: the entry is set to x +- step in place, then restored."""
+    rows = []
+    for k in np.ndindex(x.shape):
+        x0 = x[k]
+        x[k] = x0 + step
+        up = f()
+        x[k] = x0 - step
+        down = f()
+        x[k] = x0
+        rows.append((up - down) / (2.0 * step))
+    return np.array(rows)
 
 
 def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5) -> np.ndarray:
@@ -49,39 +59,15 @@ def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5
     parameter; returns the flattened layout (a block, then W row-major)."""
     flat = np.concatenate([params.a, params.W.ravel()])
     m, d = params.W.shape
-    out = np.empty_like(flat)
-    for k in range(flat.size):
-        for sign in (1.0, -1.0):
-            pert = flat.copy()
-            pert[k] += sign * step
-            p = NetworkParams(
-                a=pert[:m], W=pert[m:].reshape(m, d), activation=params.activation
-            )
-            if sign > 0:
-                up = loss(p, batch)
-            else:
-                down = loss(p, batch)
-        out[k] = (up - down) / (2.0 * step)
-    return out
+    moved = NetworkParams(a=flat[:m], W=flat[m:].reshape(m, d), activation=params.activation)
+    return central_differences(lambda: loss(moved, batch), flat, step)
 
 
 def fd_input_jacobian(params: NetworkParams, batch: DataBatch, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of the flattened gradient over every input
-    coordinate; returns shape (B*d, m + m*d)."""
-    d, B = batch.X.shape
-    J = np.empty((B * d, params.n_coords))
-    for i in range(B):
-        for s in range(d):
-            for sign in (1.0, -1.0):
-                X = batch.X.copy()
-                X[s, i] += sign * step
-                g = gradient(params, DataBatch(X=X, y=batch.y)).flat
-                if sign > 0:
-                    up = g
-                else:
-                    down = g
-            J[i * d + s] = (up - down) / (2.0 * step)
-    return J
+    coordinate; returns shape (B*d, m + m*d), row i*d + s for x_i[s]."""
+    moved = DataBatch(X=batch.X.copy(), y=batch.y)
+    return central_differences(lambda: gradient(params, moved).flat, moved.X.T, step)
 
 
 def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
@@ -128,36 +114,18 @@ def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
     return cramer_rao_gram(J @ J.T, J.shape[1], sigma, B)
 
 
-def local_aggregation_jacobian_fd(
-    params: NetworkParams,
-    batches: list[DataBatch],
-    eta_a: float | None,
-    eta_w: float | None,
-    steps: int,
-    eps: float = 1e-6,
-) -> np.ndarray:
+def local_aggregation_jacobian_fd(params: NetworkParams, batches: list[DataBatch],
+                                  eta_a: float | None, eta_w: float | None, steps: int,
+                                  eps: float = 1e-6) -> np.ndarray:
     """Exact multi-step Jacobian by central finite differences on the
-    rollout observation; expensive opt-in for small problems."""
-    base_batches = [DataBatch(X=b.X.copy(), y=b.y.copy()) for b in batches]
-    all_X = [b.X for b in base_batches]
-    n_cols = sum(X.shape[1] for X in all_X)
-    d = params.d
-    J = np.empty((n_cols * d, params.n_coords))
-    row = 0
-    for bi, X in enumerate(all_X):
-        for col in range(X.shape[1]):
-            for s in range(d):
-                for sign, out in ((1.0, "plus"), (-1.0, "minus")):
-                    X[s, col] += sign * eps
-                    obs = local_aggregation(params, base_batches, eta_a, eta_w, steps)
-                    if sign > 0:
-                        plus = obs.flat
-                    else:
-                        minus = obs.flat
-                    X[s, col] -= sign * eps
-                J[row] = (plus - minus) / (2.0 * eps)
-                row += 1
-    return J
+    rollout observation, rows in ``fd_input_jacobian``'s order batch by
+    batch; expensive opt-in for small problems."""
+    moved = [DataBatch(X=b.X.copy(), y=b.y) for b in batches]
+    return np.vstack([
+        central_differences(
+            lambda: local_aggregation(params, moved, eta_a, eta_w, steps).flat, b.X.T, eps)
+        for b in moved
+    ])
 
 
 def dense_bound_for_observation(
@@ -324,7 +292,7 @@ def utility_loss_reference(
         cur = NetworkParams(a=a, W=W, activation=params.activation)
         g = gradient(cur, batch)
         if defense_transforms:
-            g = compose(defense_transforms, g, derive_seed(seed, step))
+            g = interleaved_compose(defense_transforms, g, derive_seed(seed, step))
         a = a - eta_a * g.grad_a
         W = W - eta_w * g.grad_W
         if not (np.isfinite(a).all() and np.isfinite(W).all()):
@@ -332,42 +300,41 @@ def utility_loss_reference(
     return loss(NetworkParams(a=a, W=W, activation=params.activation), batch)
 
 
+def interleaved_compose(defenses: list, obs: GradientObservation, seed: int) -> GradientObservation:
+    """A defense chain drawn as it applies: step k makes its draw from
+    ``derive_seed(seed, k)`` just before applying it, on the observation as
+    it then stands (``defenses.compose`` makes every draw first)."""
+    for k, cfg in enumerate(defenses):
+        obs = cfg.apply(obs, derive_seed(seed, k))
+    return obs
+
+
+def local_aggregation_reference(params: NetworkParams, batches: list[DataBatch],
+                                eta_a: float | None, eta_w: float | None, steps: int) -> np.ndarray:
+    """The flat release of ``defenses.local_aggregation`` from an out-of-place
+    loop: fresh ``a`` and ``W`` arrays every step, each checked for
+    finiteness on its own."""
+    m = params.m
+    eta_a = 1.0 / m**2 if eta_a is None else eta_a
+    eta_w = 0.1 / np.sqrt(m) if eta_w is None else eta_w
+    a, W = params.a.copy(), params.W.copy()
+    for step in range(steps):
+        g = gradient(NetworkParams(a=a, W=W, activation=params.activation),
+                     batches[0] if len(batches) == 1 else batches[step])
+        a = a - eta_a * g.grad_a
+        W = W - eta_w * g.grad_W
+        if not (np.isfinite(a).all() and np.isfinite(W).all()):
+            raise DivergenceError(f"rollout diverged at step {step + 1}", step=step + 1)
+    return np.concatenate([(params.a - a) / eta_a, ((params.W - W) / eta_w).ravel()])
+
+
 def sequential_trial_inputs(config, trial_idx: int):
-    """``harness._trial_inputs`` on one thread: sample, observe, then
-    ``compose`` the chain, drawing as each step applies."""
+    """``harness._trial_inputs`` on one thread: the undefended release, then
+    the chain's transforms drawn as each step applies."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
-    activation = make_activation(config.activation.kind, config.activation.scale)
-    params = sample_params(
-        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
-    )
-    batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-    transforms = list(config.defenses)
-    truth = batch
-    if transforms and isinstance(transforms[0], dfs.AGGREGATORS):
-        agg = transforms.pop(0)
-        if isinstance(agg, dfs.LocalAggregationDefense):
-            if agg.fresh_batches and agg.steps > 1:
-                batches = [batch] + [
-                    sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
-                    for k in range(1, agg.steps)
-                ]
-                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
-                                  y=np.concatenate([b.y for b in batches]))
-            else:
-                batches = [batch]
-            obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
-        else:
-            parts = []
-            start = 0
-            for b in agg.batch_sizes:
-                sub = DataBatch(X=batch.X[:, start:start + b], y=batch.y[start:start + b])
-                parts.append((gradient(params, sub), b))
-                start += b
-            obs = dfs.secure_aggregate(parts)
-    else:
-        obs = gradient(params, batch)
-    if transforms:
-        obs = compose(transforms, obs, derive_seed(trial_seed, DEFENSE_STREAM))
+    params, batch, obs, truth = hz._observe(config, trial_seed)
+    if config.transforms:
+        obs = interleaved_compose(config.transforms, obs, derive_seed(trial_seed, DEFENSE_STREAM))
     return trial_seed, params, batch, obs, truth
 
 
@@ -385,16 +352,9 @@ def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> 
 
     util = None
     if config.utility is not None:
-        transforms = [c for c in config.defenses if not isinstance(c, dfs.AGGREGATORS)]
-        util = utility_loss(
-            params,
-            transforms,
-            batch,
-            steps=config.utility.steps,
-            eta_a=config.utility.eta_a,
-            eta_w=config.utility.eta_w,
-            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1),
-        )
+        util = utility_loss(params, config.transforms, batch, steps=config.utility.steps,
+                            eta_a=config.utility.eta_a, eta_w=config.utility.eta_w,
+                            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1))
 
     return TrialRecord(
         config_hash=config.config_hash(),

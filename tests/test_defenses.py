@@ -25,7 +25,8 @@ from gradleak.defenses import (
 from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError, LayoutMismatchError
 from gradleak.network import DataBatch, GradientObservation, gradient, sample_batch, sample_params
 from gradleak.seeding import derive_seed, rng_from
-from oracles import argsort_prune_mask, where_masked
+from oracles import (argsort_prune_mask, interleaved_compose, local_aggregation_reference,
+                     where_masked)
 
 SP = make_activation("softplus")
 
@@ -347,14 +348,24 @@ def test_local_aggregation_two_steps_near_double():
 
 
 def test_local_aggregation_divergence_names_step():
-    p, b, _ = obs_of()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        import warnings
+    # a 1e200-rate exp rollout: the first update is finite, the second is not
+    p = sample_params(16, 256, seed=3, activation=make_activation("exp"))
+    b = sample_batch(16, 2, seed=4)
+    for rollout in (local_aggregation, local_aggregation_reference):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            rollout(p, [b], 1e200, 1e200, 3)
+        assert exc.value.step == 2
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            local_aggregation(p, [b], eta_a=1e300, eta_w=1e300, steps=3)
-    assert exc.value.step is not None
+
+@pytest.mark.parametrize("kind", ["softplus", "exp"])
+@pytest.mark.parametrize("m", [256, 300, 333])  # W starts 8m bytes in: 300, 333 are off 64 and 16
+@pytest.mark.parametrize("fresh", [False, True])
+def test_local_aggregation_matches_out_of_place_rollout(kind, m, fresh):
+    p = sample_params(16, m, seed=m, activation=make_activation(kind))
+    for steps in (1, 2, 3):
+        batches = [sample_batch(16, 2, seed=m + k) for k in range(1 + (steps - 1) * fresh)]
+        out = local_aggregation(p, batches, None, None, steps).flat
+        assert out.tobytes() == local_aggregation_reference(p, batches, None, None, steps).tobytes()
 
 
 def test_local_aggregation_batch_count_validation():
@@ -461,8 +472,9 @@ def test_draw_then_apply_equals_compose_byte_for_byte(chain):
             isinstance(c, (ClipDefense, PruneRatioDefense, PruneThresholdDefense))
             or (isinstance(c, NoiseDefense) and c.sigma0 == 0) for c in defenses]
         drawn = compose_drawn(defenses, g, draws)
-        ref = compose(defenses, g, derive_seed(seed, 3))
+        ref = interleaved_compose(defenses, g, derive_seed(seed, 3))
         assert drawn.flat.tobytes() == ref.flat.tobytes()
+        assert compose(defenses, g, derive_seed(seed, 3)).flat.tobytes() == ref.flat.tobytes()
         assert len(drawn.provenance) == len(ref.provenance) == len(defenses)
         for a, b in zip(drawn.provenance, ref.provenance):
             assert (a.variant, a.params, a.clip_factor) == (b.variant, b.params, b.clip_factor)

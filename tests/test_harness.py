@@ -402,7 +402,7 @@ def test_prune_chain_matches_argsort_oracle(monkeypatch):
         return utility_loss(p, chain, b, steps=100, seed=3), rec
 
     fast = run()
-    # apply_draw is the step both compose (utility) and compose_drawn (trial) take
+    # apply_draw is where every chain applies a step, in the trial and in utility training
     monkeypatch.setattr(
         dfs.PruneRatioDefense,
         "apply_draw",
