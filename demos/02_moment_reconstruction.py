@@ -41,9 +41,9 @@ res = score_reconstruction(
 print("\none run at m = 16384:")
 print("  rmse:", round(res.rmse, 4))
 print("  matching:", res.assignment, " signs:", res.signs)
-print("  extraction weights:", np.round(res.component_weights, 3),
+print("  extraction weights:", np.round(res.diagnostics["weights"], 3),
       "(sign hints at the labels at random init)")
-print("  subspace gap:", round(res.moments.subspace_gap, 3))
+print("  subspace gap:", round(res.diagnostics["subspace_gap"], 3))
 for i in range(B):
     align = abs(float(batch.X[:, i] @ res.samples[:, res.assignment[i]]))
     print(f"  |<x_{i}, recovered>| = {align:.4f}")

@@ -49,7 +49,7 @@ print(f"pruning 95% of coordinates destroys "
 print("\nprivacy pricing (epsilon = 1, delta = 1e-5):")
 for m in (256, 1024, 4096):
     p = sample_params(d, m, seed=2, activation=act)
-    sens = estimate_sensitivity(p, trials=200, seed=3).value
+    sens = estimate_sensitivity(p, trials=200, seed=3)
     s2 = required_sigma(1.0, 1e-5, sens)
     print(f"  m = {m:5d}   sampled sensitivity {sens:9.1f}   required variance {s2:12.1f}")
 print("the variance needed for a formal guarantee scales with the width, "

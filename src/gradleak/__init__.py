@@ -13,7 +13,6 @@ from types import ModuleType as _ModuleType
 from .activations import Activation, ActivationSpec, HermiteMoments, hermite_moments, make_activation
 from .bounds import (
     BoundReport,
-    SensitivityEstimate,
     bound_for_observation,
     cramer_rao_gram,
     dp_delta,
@@ -57,7 +56,6 @@ from .network import (
     sample_params,
 )
 from .tensor_attack import (
-    MomentEstimates,
     ReconstructionResult,
     TensorAttackConfig,
     build_moment_matrix,

@@ -159,9 +159,6 @@ class HermiteMoments:
     tensor_weight: float
     raw: np.ndarray = field(repr=False)
 
-    def moment(self, k: int) -> float:
-        return float(self.raw[k])
-
 
 def _hermite_eval(k: int, z: np.ndarray) -> np.ndarray:
     coeffs = np.zeros(k + 1)

@@ -31,7 +31,7 @@ inverse gives the noise variance required for a target (epsilon, delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "dp_delta",
     "dp_lambda_star",
     "required_sigma",
-    "SensitivityEstimate",
     "estimate_sensitivity",
 ]
 
@@ -77,19 +76,7 @@ class BoundReport:
         return math.sqrt(self.rl2_loose) if math.isfinite(self.rl2_loose) else math.inf
 
     def to_dict(self) -> dict:
-        return {
-            "rl_exact": self.rl_exact,
-            "rl_loose": self.rl_loose,
-            "rl2_exact": self.rl2_exact,
-            "rl2_loose": self.rl2_loose,
-            "sigma": self.sigma,
-            "batch_size": self.batch_size,
-            "rank": self.rank,
-            "n_input_coords": self.n_input_coords,
-            "n_obs_coords": self.n_obs_coords,
-            "adjustments": self.adjustments,
-            "flags": list(self.flags),
-        }
+        return {**asdict(self), "rl_exact": self.rl_exact, "rl_loose": self.rl_loose}
 
 
 def cramer_rao_gram(G: np.ndarray, n_obs: int, sigma: float, B: int) -> BoundReport:
@@ -225,27 +212,15 @@ def required_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     return sensitivity * (t + 0.5) / epsilon
 
 
-@dataclass(frozen=True)
-class SensitivityEstimate:
-    """Sampled lower estimate of the worst-case squared gradient gap.
-
-    The true sensitivity is a supremum over all adjacent sample pairs; a
-    Monte-Carlo max can only under-shoot it, which is the conservative
-    direction for "at least this much noise is needed".
-    """
-
-    value: float
-    trials: int
-
-
-def estimate_sensitivity(
-    params: NetworkParams, trials: int, seed: int
-) -> SensitivityEstimate:
+def estimate_sensitivity(params: NetworkParams, trials: int, seed: int) -> float:
     """Max over sampled adjacent pairs of || G(x,y) - G(x',y') ||^2.
 
     Pairs are unit-sphere samples with Rademacher labels; with the summed
     per-sample loss, swapping one sample changes the batch gradient by
-    exactly the difference of the two single-sample gradients.
+    exactly the difference of the two single-sample gradients.  The true
+    sensitivity is a supremum over all adjacent pairs, so this sampled max
+    can only under-shoot it: the conservative direction for "at least this
+    much noise is needed".
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -261,5 +236,5 @@ def estimate_sensitivity(
         gap = float(np.sum((g0 - g1) ** 2))
         if gap > best:
             best = gap
-    return SensitivityEstimate(value=best, trials=trials)
+    return best
 

@@ -71,9 +71,8 @@ def cmd_dp_calc(args) -> int:
             return 1
         activation = make_activation(args.activation)
         params = sample_params(args.d, args.m, derive_seed(args.seed, 0xD9), activation)
-        est = bnd.estimate_sensitivity(params, trials=args.trials, seed=args.seed)
-        sens = est.value
-        out["sensitivity_sampled_from"] = {"d": args.d, "m": args.m, "trials": est.trials}
+        sens = bnd.estimate_sensitivity(params, trials=args.trials, seed=args.seed)
+        out["sensitivity_sampled_from"] = {"d": args.d, "m": args.m, "trials": args.trials}
     out["sensitivity"] = sens
     if args.sigma2 is not None:
         out["sigma2"] = args.sigma2

@@ -268,10 +268,12 @@ def grad_match_attack(
     norms are known to be 1, so every step re-projects candidate columns
     onto the unit sphere.  With ``halve_on_increase`` the step is
     backtracked until the objective does not increase, making accepted
-    steps monotone.  Deterministic given (config, seed); the iterate
-    trajectory hash lands in the diagnostics.  If the loss turns
+    steps monotone.  Deterministic given (config, seed).  If the loss turns
     non-finite the best iterate so far is returned with a ``diverged``
-    flag instead of raising.
+    flag instead of raising.  The diagnostics keep the iterates'
+    ``trajectory_hash`` and the per-iteration ``loss_history``: they are
+    how the tests observe determinism, sign-flip invariance and the
+    monotone steps.
     """
     cfg = cfg or GradMatchConfig()
     use_feature = cfg.feature_mode != "off" and cfg.alpha_feature > 0
@@ -359,7 +361,6 @@ def grad_match_attack(
 
     return ReconstructionResult(
         samples=_project_columns(best_X),
-        component_weights=np.zeros(B),
         diagnostics={
             "final_loss": float(best_loss),
             "iterations": iterations,

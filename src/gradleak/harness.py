@@ -383,7 +383,10 @@ def run_trial(
     bounds on, runs the attacks while this thread computes the bound (the
     bound's large working set stays in this thread's allocator arena).  The
     stages share only read-only inputs, so the record is the one a
-    sequential run gives."""
+    sequential run gives.
+
+    Utility training applies only the chain's transforms, so a leading
+    aggregator is priced at the undefended utility."""
     t0 = time.perf_counter()
     bound = None
     with ThreadPoolExecutor(max_workers=1) as helper:
@@ -432,8 +435,10 @@ def utility_loss(
 ) -> float:
     """Final training loss after defended gradient descent on a fixed task.
 
-    The defense chain transforms each step's gradient before the update,
-    exactly as a defending client would.  Divergence returns +inf.
+    The defense transforms (no aggregator: ``run_trial`` passes
+    ``ExperimentConfig.transforms``) change each step's gradient before
+    the update, exactly as a defending client would.  Divergence returns
+    +inf.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -565,20 +570,18 @@ def sweep(
             fh.flush()
             records.append(rec)
 
-        if workers <= 1:
+        # every trial runs on the pool, one worker included (the main thread's
+        # heap re-faults per utility step); at most 4*workers trials submitted
+        # and not yet emitted, emitted in the original order
+        workers = max(workers, 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque()
             for pi, t in todo:
-                emit(run_trial(points[pi], t))
-        else:
-            # at most 4*workers trials submitted and not yet emitted; emitted
-            # in the original order, not completion order
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pending = deque()
-                for pi, t in todo:
-                    if len(pending) == 4 * workers:
-                        emit(pending.popleft().result())
-                    pending.append(pool.submit(run_trial, points[pi], t))
-                while pending:
+                if len(pending) == 4 * workers:
                     emit(pending.popleft().result())
+                pending.append(pool.submit(run_trial, points[pi], t))
+            while pending:
+                emit(pending.popleft().result())
 
     all_rows = read_results_csv(csv_path)
     json_path.write_text(

@@ -48,7 +48,6 @@ from .network import GradientObservation, NetworkParams
 from .seeding import rng_from
 
 __all__ = [
-    "MomentEstimates",
     "ReconstructionResult",
     "TensorAttackConfig",
     "build_moment_matrix",
@@ -61,30 +60,14 @@ __all__ = [
 
 
 @dataclass
-class MomentEstimates:
-    """Sufficient statistics the attack extracts from the observation."""
-
-    moment_matrix: np.ndarray        # (d, d) symmetric
-    subspace: np.ndarray             # (d, B) column-orthogonal
-    projected_tensor: np.ndarray     # (B, B, B) symmetric
-    matrix_order: int
-    tensor_order: int
-    matrix_weight: float
-    tensor_weight: float
-    subspace_gap: float | None = None
-    warnings: list = field(default_factory=list)
-
-
-@dataclass
 class ReconstructionResult:
-    """Recovered samples plus scoring fields filled in against the truth."""
+    """Recovered samples, the scoring fields filled in against the truth, and
+    the attack's side information (README, Conventions, lists its keys)."""
 
     samples: np.ndarray                     # (d, B) unit-norm columns
-    component_weights: np.ndarray           # extraction-time tensor weights
     signs: np.ndarray | None = None         # per-sample sign, None until resolved
     rmse: float | None = None
     assignment: np.ndarray | None = None
-    moments: MomentEstimates | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -384,31 +367,15 @@ def tensor_attack(
     samples = V @ vectors
     norms = np.linalg.norm(samples, axis=0)
     samples = samples / np.where(norms > 0, norms, 1.0)
-    est = MomentEstimates(
-        moment_matrix=P,
-        subspace=V,
-        projected_tensor=T,
-        matrix_order=moments.matrix_order,
-        tensor_order=moments.tensor_order,
-        matrix_weight=moments.matrix_weight,
-        tensor_weight=moments.tensor_weight,
-        subspace_gap=gap,
-        warnings=list(warns),
-    )
     diagnostics = {
         "converged": converged,
-        # at random initialization the residuals are close to -2 y_i, so the
-        # extracted weights hint at the labels; diagnostic only, never used
-        "weight_label_hint": np.sign(weights) * -1.0,
+        "weights": weights,  # T(u, u, u) of each component at extraction
+        "subspace_gap": gap,
+        "warnings": warns,
     }
     if not converged.all():
         diagnostics["partial"] = True
-    return ReconstructionResult(
-        samples=samples,
-        component_weights=weights,
-        moments=est,
-        diagnostics=diagnostics,
-    )
+    return ReconstructionResult(samples=samples, diagnostics=diagnostics)
 
 
 def score_reconstruction(

@@ -285,7 +285,7 @@ def test_criterion_09_privacy_calculator():
     sigmas = []
     for m in sizes:
         p = sample_params(16, m, seed=900, activation=SP)
-        sens = estimate_sensitivity(p, trials=200, seed=901).value
+        sens = estimate_sensitivity(p, trials=200, seed=901)
         sigmas.append(required_sigma(1.0, 1e-5, sens))
     slope = loglog_slope(sizes, sigmas)
     ok = worst_rt < 1e-9 and slope >= 0.85

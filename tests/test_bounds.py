@@ -229,15 +229,14 @@ def test_sensitivity_monotone_in_trials():
     p = sample_params(6, 128, seed=12, activation=SP)
     small = estimate_sensitivity(p, trials=10, seed=13)
     large = estimate_sensitivity(p, trials=50, seed=13)
-    assert large.value >= small.value  # same stream prefix, growing max
-    assert (small.trials, large.trials) == (10, 50)
+    assert large >= small  # same stream prefix, growing max
 
 
 def test_sensitivity_scales_linearly_in_width():
     vals = {}
     for m in (256, 1024, 4096):
         p = sample_params(8, m, seed=14, activation=SP)
-        vals[m] = estimate_sensitivity(p, trials=60, seed=15).value / m
+        vals[m] = estimate_sensitivity(p, trials=60, seed=15) / m
     ratios = max(vals.values()) / min(vals.values())
     assert ratios < 5.0
 

@@ -3,8 +3,12 @@ import json
 import pytest
 
 import gradleak.harness as hz
+from gradleak.activations import make_activation
+from gradleak.bounds import dp_delta, estimate_sensitivity
 from gradleak.cli import main
 from gradleak.harness import ExperimentConfig, run_trial
+from gradleak.network import sample_params
+from gradleak.seeding import derive_seed
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +31,17 @@ def test_dp_calc_forward_and_inverse(capsys):
     payload = json.loads(out)
     assert payload["sigma2"] > 0
     assert payload["lambda_star"] >= 1.0
+
+
+def test_dp_calc_samples_the_sensitivity_at_a_width(capsys):
+    code, out = run_cli(capsys, "dp-calc", "--epsilon", "1", "--sigma2", "20", "--m", "64",
+                        "--d", "4", "--trials", "5", "--seed", "3")
+    assert code == 0
+    payload = json.loads(out)
+    params = sample_params(4, 64, derive_seed(3, 0xD9), make_activation("softplus"))
+    assert payload["sensitivity"] == estimate_sensitivity(params, 5, 3)
+    assert payload["sensitivity_sampled_from"] == {"d": 4, "m": 64, "trials": 5}
+    assert payload["delta"] == dp_delta(1.0, 20.0, payload["sensitivity"])
 
 
 def test_attack_and_report_round_trip(tmp_path, capsys):

@@ -371,6 +371,23 @@ def test_utility_baseline_halves_loss():
     assert np.median(finals) < 0.5 * np.median(initials)
 
 
+def test_an_aggregator_is_priced_at_the_utility_of_its_transforms():
+    # utility training applies only the chain's transforms, so a leading
+    # aggregator adds no utility cost of its own (README, Conventions)
+    base = {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp"},
+            "utility": {"steps": 20}, "compute_bounds": False}
+    local = {"variant": "local_aggregation", "steps": 2, "fresh_batches": True}
+    secure = {"variant": "secure_aggregation", "batch_sizes": [1, 1]}
+    noise = {"variant": "noise", "sigma0": 0.01}
+
+    def util(*chain):
+        return run_trial(ExperimentConfig.from_dict(dict(base, defenses=list(chain))),
+                         0).utility_loss
+
+    assert util() == util(local) == util(secure)
+    assert util(noise) == util(local, noise) == util(secure, noise) != util()
+
+
 def test_utility_noise_hurts_and_prune_mild():
     # enough steps for the undefended run to converge below the noise floor
     clean, noisy, pruned = [], [], []
@@ -512,6 +529,21 @@ def test_sweep_is_worker_count_invariant(tmp_path):
     a = strip_wall((tmp_path / "w1" / "results.csv").read_text())
     b = strip_wall((tmp_path / "w3" / "results.csv").read_text())
     assert a == b
+
+
+def test_one_worker_sweep_runs_its_trials_on_the_pool(tmp_path, monkeypatch):
+    # one execution path: a one-worker sweep keeps its trials off the main
+    # thread too, like any other worker count
+    real = hz.run_trial
+    on_main = []
+
+    def spy(point, trial):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(point, trial)
+
+    monkeypatch.setattr(hz, "run_trial", spy)
+    sweep(sweep_config(trials=2), tmp_path / "out", workers=1)
+    assert on_main == [False, False]
 
 
 def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
@@ -697,8 +729,7 @@ def test_nan_reconstruction_is_recorded_not_raised(monkeypatch):
     # a non-finite reconstruction fails scoring inside the attack's try, so
     # the trial records the solver's message instead of aborting the sweep
     def nan_attack(obs, params, B, cfg):
-        return ReconstructionResult(samples=np.full((params.d, B), np.nan),
-                                    component_weights=np.ones(B))
+        return ReconstructionResult(samples=np.full((params.d, B), np.nan))
 
     monkeypatch.setattr(hz, "tensor_attack", nan_attack)
     rec = run_trial(small_config(), 0)

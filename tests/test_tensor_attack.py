@@ -437,11 +437,19 @@ def test_moment_matrix_order3_stein_oracle():
 
 
 def test_attack_output_estimates_are_well_formed():
-    res, _ = run_attack(d=10, m=2**12, B=3, seed=21, activation=EXP)
-    est = res.moments
-    assert np.abs(est.moment_matrix - est.moment_matrix.T).max() < 1e-10
-    assert np.abs(est.subspace.T @ est.subspace - np.eye(3)).max() < 1e-10
-    T = est.projected_tensor
+    # the attack's stages rerun on run_attack's inputs and seed
+    d, m, B, seed = 10, 2**12, 3, 21
+    res, b = run_attack(d, m, B, seed, activation=EXP)
+    p = sample_params(d, m, seed=seed, activation=EXP)
+    g = gradient(p, b).grad_a
+    cfg = TensorAttackConfig(seed=seed)
+    P = build_moment_matrix(g, p.W, EXP_MO)
+    V, gap, _ = estimate_subspace(P, B, cfg.subspace_iters, cfg.seed)
+    T = build_projected_tensor(g, p.W, V, EXP_MO)
+    assert res.diagnostics["subspace_gap"] == gap
+    assert res.diagnostics["weights"].shape == (B,)
+    assert np.abs(P - P.T).max() < 1e-10
+    assert np.abs(V.T @ V - np.eye(3)).max() < 1e-10
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         assert np.abs(T - np.transpose(T, perm)).max() < 1e-10
     assert np.abs(np.linalg.norm(res.samples, axis=0) - 1.0).max() < 1e-9
