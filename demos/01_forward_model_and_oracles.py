@@ -10,16 +10,16 @@ derivations against finite differences.
 import numpy as np
 
 from gradleak import (
+    Activation,
     gradient,
     hermite_moments,
     input_gram,
-    make_activation,
     sample_batch,
     sample_params,
 )
 from gradleak.network import loss
 
-act = make_activation("softplus")
+act = Activation("softplus")
 params = sample_params(d=6, m=48, seed=0, activation=act)
 batch = sample_batch(d=6, B=3, seed=1)
 
@@ -55,7 +55,7 @@ print("tr(J J^T):", round(mass, 3))
 
 # which Hermite orders of the activation carry the moment attack's signal
 for kind in ("softplus", "exp", "cubic"):
-    mo = hermite_moments(make_activation(kind))
+    mo = hermite_moments(Activation(kind))
     print(
         f"\n{kind:>8}: matrix statistic at order {mo.matrix_order} "
         f"(weight {mo.matrix_weight:.4f}), tensor statistic at order "

@@ -9,16 +9,16 @@ resolves).  Error falls off like 1/sqrt(width).
 import numpy as np
 
 from gradleak import (
+    Activation,
     TensorAttackConfig,
     gradient,
-    make_activation,
     sample_batch,
     sample_params,
     score_reconstruction,
     tensor_attack,
 )
 
-act = make_activation("exp")  # order-3 tensor path, strongest at desk scale
+act = Activation("exp")  # order-3 tensor path, strongest at desk scale
 d, B = 16, 2
 
 print("median reconstruction error vs width (10 trials each):")

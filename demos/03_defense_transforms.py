@@ -11,6 +11,7 @@ Key punchlines reproduced here at desk scale:
 import numpy as np
 
 from gradleak import (
+    Activation,
     ClipDefense,
     DropoutDefense,
     NoiseDefense,
@@ -20,7 +21,6 @@ from gradleak import (
     dp_sgd_preset,
     gradient,
     local_aggregation,
-    make_activation,
     sample_batch,
     sample_params,
     score_reconstruction,
@@ -29,7 +29,7 @@ from gradleak import (
 )
 from gradleak.network import DataBatch
 
-act = make_activation("exp")
+act = Activation("exp")
 d, B, m = 16, 2, 2**14
 params = sample_params(d, m, seed=0, activation=act)
 batch = sample_batch(d, B, seed=1)

@@ -8,19 +8,19 @@ observation coordinates).  The same noise model prices a formal privacy
 guarantee, and the price grows linearly with the width.
 """
 from gradleak import (
+    Activation,
     ClipDefense,
     PruneRatioDefense,
     bound_for_observation,
     dp_delta,
     estimate_sensitivity,
     gradient,
-    make_activation,
     required_sigma,
     sample_batch,
     sample_params,
 )
 
-act = make_activation("softplus")
+act = Activation("softplus")
 d, B, sigma = 16, 2, 0.1
 
 print("estimation lower bound vs width (sigma = 0.1):")

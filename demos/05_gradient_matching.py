@@ -9,13 +9,13 @@ pulling the candidates toward the moment attack's recovered directions
 import numpy as np
 
 from gradleak import (
+    Activation,
     GradMatchConfig,
     NoiseDefense,
     OptimizerConfig,
     TensorAttackConfig,
     grad_match_attack,
     gradient,
-    make_activation,
     sample_batch,
     sample_params,
     score_reconstruction,
@@ -23,7 +23,7 @@ from gradleak import (
 )
 
 # part 1: the well-posed case
-act = make_activation("softplus")
+act = Activation("softplus")
 params = sample_params(d=8, m=256, seed=0, activation=act)
 batch = sample_batch(d=8, B=1, seed=1)
 cfg = GradMatchConfig(seed=0, optimizer=OptimizerConfig(max_iters=3000))
@@ -33,7 +33,7 @@ print(f"B=1, m=256, no defense: rmse = {scored.rmse:.2e} "
       f"after {res.diagnostics['iterations']} iterations")
 
 # part 2: additive noise, with and without the feature pull
-act = make_activation("exp")
+act = Activation("exp")
 d, B, m = 16, 2, 2**14
 plain_errs, pulled_errs = [], []
 for seed in range(10):

@@ -10,7 +10,7 @@ calculator, and a reproducible sweep harness tying them together.
 """
 from types import ModuleType as _ModuleType
 
-from .activations import Activation, ActivationSpec, HermiteMoments, hermite_moments, make_activation
+from .activations import Activation, HermiteMoments, hermite_moments
 from .bounds import (
     BoundReport,
     bound_for_observation,

@@ -8,8 +8,8 @@ Subcommands:
     report   aggregate a results.csv into per-defense scores
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
-{"base": ..., "grid": ...} for sweeps).  Worker count for sweeps comes
-from the GRADLEAK_WORKERS environment variable unless --workers is given.
+{"base": ..., "grid": ...} for sweeps).  A sweep runs its trials on
+--workers threads (default 1).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bnd
-from .activations import make_activation
+from .activations import Activation
 from .errors import GradleakError
 from .harness import (SCORING_MODES, ExperimentConfig, _trial_inputs, aggregate_rows,
                       read_results_csv, run_trial, sweep)
@@ -69,7 +69,7 @@ def cmd_dp_calc(args) -> int:
         if args.m is None:
             print("need --sensitivity or --m to sample one", file=sys.stderr)
             return 1
-        activation = make_activation(args.activation)
+        activation = Activation(args.activation)
         params = sample_params(args.d, args.m, derive_seed(args.seed, 0xD9), activation)
         sens = bnd.estimate_sensitivity(params, trials=args.trials, seed=args.seed)
         out["sensitivity_sampled_from"] = {"d": args.d, "m": args.m, "trials": args.trials}
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", required=True)
     ps.add_argument("--force", action="store_true")
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--workers", type=int, default=None)
+    ps.add_argument("--workers", type=int, default=1)
     ps.set_defaults(fn=cmd_sweep)
 
     pr = sub.add_parser("report", help="aggregate results.csv per defense")

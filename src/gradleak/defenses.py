@@ -183,7 +183,7 @@ class PruneRatioDefense(_Transform):
 
     def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
         """Zero the k = floor(ratio*len) smallest-|.| coordinates of the
-        flattened vector (both blocks jointly).
+        flattened vector (both blocks as one).
 
         The kept set is exactly the one a stable argsort of the magnitudes
         gives: ties go by ascending index, and NaN sorts last, after +-inf.

@@ -20,10 +20,6 @@ class AssignmentError(GradleakError, ValueError):
     matching (e.g. a NaN reconstruction)."""
 
 
-class UnsupportedActivationError(GradleakError):
-    """Operation needs a derivative the activation does not provide."""
-
-
 class NoInformativeOrderError(GradleakError):
     """All Gaussian derivative moments of the activation vanish up to the
     searched order; the moment-based attack cannot use it."""

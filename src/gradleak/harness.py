@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defenses as dfs
-from .activations import ActivationSpec, make_activation
+from .activations import Activation
 from .bounds import bound_for_observation
 from .errors import ConfigError, GradleakError, _build, _check, _check_flag
 from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
@@ -79,8 +78,6 @@ CSV_FIELDS = [
     "utility_loss",
     "wall_ms",
 ]
-
-WORKERS_ENV = "GRADLEAK_WORKERS"
 
 # how aggregate_rows picks a defense's score from its per-attack median errors
 SCORING_MODES = ("strongest-attack-min", "paper-eq3-max")
@@ -139,7 +136,7 @@ class ExperimentConfig:
     d: int
     m: int
     B: int
-    activation: ActivationSpec = ActivationSpec("softplus")
+    activation: Activation = Activation("softplus")
     defenses: tuple = ()
     tensor: TensorAttackConfig | None = TensorAttackConfig()
     gradmatch: GradMatchConfig | None = None
@@ -156,7 +153,7 @@ class ExperimentConfig:
         _check("base_seed must be an integer", self.base_seed, lambda n: True, numbers.Integral)
         _check("sigma must be a finite number > 0", self.sigma, lambda x: 0 < x < math.inf)
         _check_flag("compute_bounds", self.compute_bounds)
-        for name, kind in (("activation", ActivationSpec), ("tensor", TensorAttackConfig),
+        for name, kind in (("activation", Activation), ("tensor", TensorAttackConfig),
                            ("gradmatch", GradMatchConfig), ("utility", UtilityConfig)):
             value = getattr(self, name)
             if not isinstance(value, kind) and (value is not None or name == "activation"):
@@ -199,7 +196,7 @@ class ExperimentConfig:
             gm = _build(dict, attacks["gradmatch"], "gradmatch attack spec")
             opt = _build(OptimizerConfig, gm.pop("optimizer", {}), "gradmatch optimizer")
             gradmatch = _build(GradMatchConfig, gm, "gradmatch attack spec", optimizer=opt)
-        activation = _build(ActivationSpec, spec.pop("activation", {"kind": "softplus"}),
+        activation = _build(Activation, spec.pop("activation", {"kind": "softplus"}),
                             "activation")
         utility = spec.pop("utility", None)
         if utility is not None:
@@ -286,9 +283,8 @@ def _observe(config: ExperimentConfig, trial_seed: int):
     ``batch`` or the release of the chain's leading aggregator and ``truth``
     every sample behind it (more than ``batch`` when local aggregation draws
     fresh batches)."""
-    activation = make_activation(config.activation.kind, config.activation.scale)
     params = sample_params(
-        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), activation
+        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), config.activation
     )
     batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
     agg = config.defenses[0] if config.defenses else None
@@ -490,21 +486,42 @@ def read_results_csv(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _complete_trials(path: Path, points: list[ExperimentConfig]) -> set[tuple[str, int]]:
+    """The ``(config_hash, trial)`` pairs with a row for each configured
+    attack.  The rows of every other trial (killed between its rows) are
+    cut from the file, so the trial reruns whole."""
+    attacks = {p.config_hash(): {n for n in ("tensor", "gradmatch")
+                                 if getattr(p, n) is not None} for p in points}
+    rows = read_results_csv(path)
+    keys = [(row["config_hash"], int(row["trial"])) for row in rows]
+    seen: dict[tuple[str, int], set] = {}
+    for key, row in zip(keys, rows):
+        seen.setdefault(key, set()).add(row["attack"])
+    done = {key for key, names in seen.items() if names == attacks.get(key[0])}
+    kept = [row for key, row in zip(keys, rows) if key in done]
+    if len(kept) < len(rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+            writer.writerows(kept)
+    return done
+
+
 def sweep(
     sweep_cfg: dict,
     out_dir: str | Path,
     force: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict:
     """Run the cross-product of the grid axes; one record per (point, trial).
 
     Emits results.csv (appended after every trial, so an interrupted sweep
     resumes without duplicating completed trials; a torn last row is cut
-    off and its trial rerun), results.json and
-    manifest.json.  Output is a pure function of (sweep config, base seed)
-    apart from the wall-time column and the manifest timestamp, which a
-    resume keeps.  Refuses to touch an existing complete run unless
-    ``force`` is set.
+    off, and a trial missing one of its attacks' rows is cut and rerun),
+    results.json and manifest.json.  Output is a pure function of (sweep
+    config, base seed) apart from the wall-time column and the manifest
+    timestamp, which a resume keeps.  Refuses to touch an existing complete
+    run unless ``force`` is set.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -528,8 +545,7 @@ def sweep(
             )
         if csv_path.exists():
             _drop_torn_tail(csv_path)
-            for row in read_results_csv(csv_path):
-                done.add((row["config_hash"], int(row["trial"])))
+            done = _complete_trials(csv_path, points)
         if done >= expected:
             raise ConfigError(f"sweep already complete in {out} (use force to redo)")
     else:
@@ -547,8 +563,6 @@ def sweep(
     }
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     todo = [
         (pi, t)
         for pi, p in enumerate(points)

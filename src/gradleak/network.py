@@ -227,7 +227,7 @@ def input_gram(
     x_i * x_k inside the sum, plus an m x (B*d) cross operand.  Both cost
     O(B^2 m d^2) time; the a-block Gram ``A diag(w_a) A^T`` is the same on
     both.  The unmasked Frobenius mass comes from the same factors in
-    O(B m d).  Requires the activation's analytic second derivative.
+    O(B m d).
     """
     (S0, S1, S2), _, r = _batch_internals(params, batch, 2)
     m, d, B = params.m, params.d, batch.B

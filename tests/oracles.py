@@ -81,12 +81,10 @@ def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
         d grad_W[j] / d x_i = a_j [ 2 s'(z_ji) h_i x_i^T
                                     + r_i s''(z_ji) W[j] x_i^T
                                     + r_i s'(z_ji) I_d ]
-
-    Requires the activation's analytic second derivative.
     """
     act = params.activation
     Z = params.W @ batch.X
-    S0, S1, S2 = act.value(Z), act.derivative(Z), act.second_derivative(Z)
+    S0, S1, S2 = act.derivatives(Z, 2)
     r = 2.0 * (S0.T @ params.a - batch.y)
     m, d, B = params.m, params.d, batch.B
     H = _input_gradients(params, S1)  # (d, B)
@@ -180,7 +178,7 @@ def gradient_input_vjp(
     """
     a, act = params.a, params.activation
     Z = params.W @ batch.X
-    S0, S1, S2 = act.value(Z), act.derivative(Z), act.second_derivative(Z)
+    S0, S1, S2 = act.derivatives(Z, 2)
     r = 2.0 * (S0.T @ a - batch.y)
     H = params.W.T @ (a[:, None] * S1)  # column i: grad_x f(x_i)
     out = np.empty((params.d, batch.B))
@@ -243,7 +241,7 @@ def dense_grad_match_loss(X_cand, y, params: NetworkParams, target: GradientObse
 
 
 def argsort_prune_mask(flat: np.ndarray, ratio: float) -> np.ndarray:
-    """Keep-mask of a joint magnitude prune by a full stable argsort: the
+    """Keep-mask of a whole-vector magnitude prune by a full stable argsort: the
     floor(ratio*len) smallest |.| are dropped, ties by ascending index and
     NaN last, as numpy sorts."""
     k = int(np.floor(ratio * flat.size))

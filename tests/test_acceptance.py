@@ -5,8 +5,8 @@ line; the fast unit suite lives in the other test modules.  Parameters not
 fixed by a criterion (activation choice, optimizer budgets) are pinned
 here to the configuration each phenomenon needs; every tolerance is fixed.
 
-Criterion 6 orders the two defenses the way the package's joint magnitude
-pruning forces: with d=16 the second-layer block ``grad_a`` holds 1/17 of
+Criterion 6 orders the two defenses the way the package's whole-vector
+magnitude pruning forces: with d=16 the second-layer block ``grad_a`` holds 1/17 of
 the coordinates and its entries dwarf the first-layer ones, so pruning at
 ratio 0.9 < 16/17 keeps all but a handful of ``grad_a`` entries -- the
 only block the moment attack reads -- and leaves its error at the
@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from gradleak.activations import hermite_moments, make_activation
+from gradleak.activations import Activation, hermite_moments
 from gradleak.bounds import bound_for_observation, dp_delta, estimate_sensitivity, required_sigma
 from gradleak.defenses import (
     ClipDefense,
@@ -47,8 +47,8 @@ from oracles import (
     loglog_slope,
 )
 
-SP = make_activation("softplus")
-EXP = make_activation("exp")
+SP = Activation("softplus")
+EXP = Activation("exp")
 SP_MO = hermite_moments(SP)
 EXP_MO = hermite_moments(EXP)
 
@@ -229,7 +229,7 @@ def test_criterion_07_noise_monotonicity():
     # small-output activation makes the pinned noise grid span the weak and
     # strong regimes: the noise coefficient in the error scales inversely
     # with the activation's derivative moments
-    act = make_activation("exp", scale=1e-3)
+    act = Activation("exp", scale=1e-3)
     d, B, m = 16, 2, 2**14
     medians = []
     for k, sigma0 in enumerate((0.0, 0.01, 0.1)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradleak.activations import make_activation
+from gradleak.activations import Activation
 from gradleak.bounds import (
     bound_for_observation,
     dp_delta,
@@ -16,7 +16,7 @@ from gradleak.errors import ConfigError
 from gradleak.network import GradientObservation, gradient, input_gram, sample_batch, sample_params
 from oracles import cramer_rao, input_jacobian, local_aggregation_jacobian_fd, loglog_slope
 
-SP = make_activation("softplus")
+SP = Activation("softplus")
 
 
 def two_layer(d, m, B, seed):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import gradleak.harness as hz
-from gradleak.activations import make_activation
+from gradleak.activations import Activation
 from gradleak.bounds import dp_delta, estimate_sensitivity
 from gradleak.cli import main
 from gradleak.harness import ExperimentConfig, run_trial
@@ -38,7 +38,7 @@ def test_dp_calc_samples_the_sensitivity_at_a_width(capsys):
                         "--d", "4", "--trials", "5", "--seed", "3")
     assert code == 0
     payload = json.loads(out)
-    params = sample_params(4, 64, derive_seed(3, 0xD9), make_activation("softplus"))
+    params = sample_params(4, 64, derive_seed(3, 0xD9), Activation("softplus"))
     assert payload["sensitivity"] == estimate_sensitivity(params, 5, 3)
     assert payload["sensitivity_sampled_from"] == {"d": 4, "m": 64, "trials": 5}
     assert payload["delta"] == dp_delta(1.0, 20.0, payload["sensitivity"])

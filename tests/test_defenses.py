@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradleak.activations import make_activation
+from gradleak.activations import Activation
 from gradleak.defenses import (
     ClipDefense,
     DropoutDefense,
@@ -28,7 +28,7 @@ from gradleak.seeding import derive_seed, rng_from
 from oracles import (argsort_prune_mask, interleaved_compose, local_aggregation_reference,
                      where_masked)
 
-SP = make_activation("softplus")
+SP = Activation("softplus")
 
 
 def obs_of(d=6, m=32, B=2, seed=0):
@@ -275,7 +275,7 @@ def test_prune_ratio_nan_beyond_the_numbers():
 
 
 def test_prune_ratio_matches_stable_argsort_on_criterion_06_gradients():
-    exp = make_activation("exp")
+    exp = Activation("exp")
     d, m = 16, 2**14
     for seed in range(600, 610):
         p = sample_params(d, m, seed=seed, activation=exp)
@@ -349,7 +349,7 @@ def test_local_aggregation_two_steps_near_double():
 
 def test_local_aggregation_divergence_names_step():
     # a 1e200-rate exp rollout: the first update is finite, the second is not
-    p = sample_params(16, 256, seed=3, activation=make_activation("exp"))
+    p = sample_params(16, 256, seed=3, activation=Activation("exp"))
     b = sample_batch(16, 2, seed=4)
     for rollout in (local_aggregation, local_aggregation_reference):
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
@@ -361,7 +361,7 @@ def test_local_aggregation_divergence_names_step():
 @pytest.mark.parametrize("m", [256, 300, 333])  # W starts 8m bytes in: 300, 333 are off 64 and 16
 @pytest.mark.parametrize("fresh", [False, True])
 def test_local_aggregation_matches_out_of_place_rollout(kind, m, fresh):
-    p = sample_params(16, m, seed=m, activation=make_activation(kind))
+    p = sample_params(16, m, seed=m, activation=Activation(kind))
     for steps in (1, 2, 3):
         batches = [sample_batch(16, 2, seed=m + k) for k in range(1 + (steps - 1) * fresh)]
         out = local_aggregation(p, batches, None, None, steps).flat

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradleak.activations import make_activation
+from gradleak.activations import Activation
 from gradleak.defenses import NoiseDefense
 from gradleak.errors import ConfigError, DivergenceError
 from gradleak.gradmatch import (
@@ -15,7 +15,7 @@ from gradleak.network import GradientObservation, gradient, sample_batch, sample
 from gradleak.tensor_attack import score_reconstruction
 from oracles import dense_grad_match_loss
 
-SP = make_activation("softplus")
+SP = Activation("softplus")
 
 
 def setup(d=5, m=16, B=2, seed=0, activation=SP):
@@ -91,7 +91,7 @@ def test_loss_matches_dense_oracle(case):
     kind = ("softplus", "exp", "cubic")[case % 3]
     d = int(rng.integers(2 if kind == "cubic" else 1, 9))
     m, B = int(rng.integers(2, 65)), int(rng.integers(1, 5))
-    p = sample_params(d, m, seed=case, activation=make_activation(kind))
+    p = sample_params(d, m, seed=case, activation=Activation(kind))
     b = sample_batch(d, B, seed=case + 100)
     X = rng.standard_normal((d, B))
     for name, target in _oracle_targets(p, b, rng).items():

@@ -10,7 +10,7 @@ import pytest
 
 import gradleak.defenses as dfs
 import gradleak.harness as hz
-from gradleak.activations import make_activation
+from gradleak.activations import Activation
 from gradleak.bounds import bound_for_observation
 from gradleak.defenses import (
     ClipDefense,
@@ -40,7 +40,7 @@ from oracles import (
     utility_loss_reference,
 )
 
-SP = make_activation("softplus")
+SP = Activation("softplus")
 
 FAST_ATTACKS = {"tensor": {"subspace_iters": 60, "restarts": 4, "power_iters": 40}}
 
@@ -638,6 +638,24 @@ def test_sweep_resume_drops_torn_csv_tail(tmp_path, tear):
     assert strip_wall(csv_path.read_text()) == strip_wall(clean)
 
 
+def test_sweep_resume_reruns_a_trial_missing_an_attack_row(tmp_path):
+    # a trial with both attacks spans two rows; losing the second must not
+    # count the trial as done, and the resume rewrites it whole
+    cfg = sweep_config(trials=2)
+    cfg["base"]["attacks"] = {**FAST_ATTACKS, "gradmatch": {"optimizer": {"max_iters": 20}}}
+    sweep(cfg, tmp_path / "clean")
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    csv_path = out / "results.csv"
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 5
+    csv_path.write_bytes(b"".join(lines[:-1]))
+    res = sweep(cfg, out)
+    assert res["rows"] == 4 and res["new_records"] == 1
+    clean = (tmp_path / "clean" / "results.csv").read_text()
+    assert strip_wall(csv_path.read_text()) == strip_wall(clean)
+
+
 def test_sweep_rejects_mismatched_directory(tmp_path):
     sweep(sweep_config(), tmp_path / "out")
     with pytest.raises(ConfigError):
@@ -714,6 +732,28 @@ def test_config_hash_is_pinned(name):
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
     assert again.config_hash() == expected
+
+
+# config_hash of {"d": 4, "m": 64, "B": 2} with each activation; an explicit
+# default scale or kind hashes like an omitted one
+PINNED_ACTIVATION_HASHES = [
+    (None, "1ecb280ed1bb"),
+    ({"kind": "softplus"}, "1ecb280ed1bb"),
+    ({"kind": "softplus", "scale": 1.0}, "1ecb280ed1bb"),
+    ({"kind": "exp"}, "613da8ba08b6"),
+    ({"kind": "cubic", "scale": 0.5}, "8d950ef4ed1b"),
+]
+
+
+@pytest.mark.parametrize("activation, expected", PINNED_ACTIVATION_HASHES,
+                         ids=["omitted", "softplus", "softplus-1.0", "exp", "cubic-0.5"])
+def test_activation_config_hash_is_pinned(activation, expected):
+    spec = {"d": 4, "m": 64, "B": 2}
+    if activation is not None:
+        spec["activation"] = activation
+    cfg = ExperimentConfig.from_dict(spec)
+    assert cfg.activation == Activation(**(activation or {"kind": "softplus"}))
+    assert cfg.config_hash() == expected
 
 
 def test_attack_failure_still_emits_partial_record():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradleak.activations import hermite_moments, make_activation
+from gradleak.activations import Activation, hermite_moments
 from gradleak.defenses import ClipDefense, PruneRatioDefense
 from gradleak.errors import AttackStageError, ConfigError, DimensionError, ProbeError
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
@@ -18,11 +18,11 @@ from gradleak.tensor_attack import (
 )
 from oracles import einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope
 
-SP = make_activation("softplus")
-EXP = make_activation("exp")
+SP = Activation("softplus")
+EXP = Activation("exp")
 SP_MO = hermite_moments(SP)
 EXP_MO = hermite_moments(EXP)
-CUBIC_MO = hermite_moments(make_activation("cubic"))
+CUBIC_MO = hermite_moments(Activation("cubic"))
 
 
 def run_attack(d, m, B, seed, activation, defense=None):
@@ -405,7 +405,7 @@ def test_cubic_activation_full_pipeline():
     # so only the median is asserted
     errs = []
     for seed in range(5):
-        res, _ = run_attack(d=8, m=2**14, B=1, seed=seed, activation=make_activation("cubic"))
+        res, _ = run_attack(d=8, m=2**14, B=1, seed=seed, activation=Activation("cubic"))
         errs.append(res.rmse)
     assert np.median(errs) < 0.3
 
@@ -430,7 +430,7 @@ def test_moment_matrix_order3_stein_oracle():
     probe = rng.standard_normal(d)
     probe /= np.linalg.norm(probe)
     W = rng.standard_normal((n, d))
-    g = make_activation("cubic")(W @ x)
+    g = Activation("cubic")(W @ x)
     P = build_moment_matrix(g, W, CUBIC_MO, probe=probe)
     expected = 6.0 * float(x @ probe) * np.outer(x, x)
     assert np.abs(P - expected).max() < 5e-2
@@ -466,7 +466,7 @@ def test_config_validation(bad):
 
 def test_probe_is_kept_as_a_tuple_and_drives_the_cubic_path():
     # a JSON list, a tuple and an array give the same frozen config and reconstruction
-    p = sample_params(6, 2**12, seed=8, activation=make_activation("cubic"))
+    p = sample_params(6, 2**12, seed=8, activation=Activation("cubic"))
     b = sample_batch(6, 2, seed=9)
     obs = gradient(p, b)
     runs = []
