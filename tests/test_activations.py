@@ -97,6 +97,13 @@ def test_derivatives_match_the_separate_callables_bitwise(kind, scale):
             assert np.array_equal(g, want), (order, kind, scale)
 
 
+def test_softplus_second_derivative_bitwise():
+    z = np.linspace(-30.0, 30.0, 1001)
+    for c in (1.0, 0.3):
+        expected = c * sigmoid(z) * (1.0 - sigmoid(z))
+        assert np.array_equal(Activation("softplus", c).derivatives(z, 2)[2], expected)
+
+
 def test_exp_derivatives_share_one_read_only_array():
     s, s1, s2 = Activation("exp").derivatives(np.zeros(3), 2)
     assert s is s1 is s2
