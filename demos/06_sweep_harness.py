@@ -3,7 +3,8 @@
 Every trial's randomness derives from (base seed, trial index), so re-runs
 are byte-identical apart from wall-time measurements, grids can be
 extended without perturbing existing points, and an interrupted sweep
-resumes from its own CSV.  The aggregator scores each defense by its
+resumes from its journal (results.jsonl), from which results.csv and
+results.json are written.  The aggregator scores each defense by its
 strongest (lowest-error) attack, with the literal worst-attack maximum
 available as an alternative mode.
 """

@@ -4,12 +4,14 @@ Subcommands:
     attack   run the configured attacks on one trial, print the result JSON
     bound    print the Cramer-Rao bound report for one trial
     dp-calc  Gaussian-mechanism (epsilon, delta, sigma^2, sensitivity) math
-    sweep    run a grid of trials into results.csv / results.json
-    report   aggregate a results.csv into per-defense scores
+    sweep    run a grid of trials into a journal, results.jsonl, and write
+             results.csv / results.json from it
+    report   aggregate a results.csv into per-defense scores and failure counts
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
 {"base": ..., "grid": ...} for sweeps).  A sweep runs its trials on
---workers threads (default 1).
+--workers threads (default 1), records a trial that raises as an error
+record, and resumes from its journal; --force starts an empty one.
 """
 from __future__ import annotations
 

@@ -20,6 +20,7 @@ seed).
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
@@ -151,9 +152,15 @@ class ClipDefense(_Transform):
         return self.threshold
 
     def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
-        """Scale the whole flattened vector by R = min{1, threshold/||G||}."""
-        norm = obs.norm()
-        factor = 1.0 if norm <= self.threshold else self.threshold / norm
+        """Scale the whole flattened vector by R = min{1, threshold/||G||}.
+        A non-finite norm (±inf or NaN in G, or an overflow) gives R = NaN:
+        the output is all NaN, with no floating-point warning."""
+        with np.errstate(over="ignore"):
+            norm = obs.norm()
+        if not math.isfinite(norm):
+            factor = math.nan
+        else:
+            factor = 1.0 if norm <= self.threshold else self.threshold / norm
         record = DefenseRecord(
             variant=self.variant,
             params={**asdict(self), "observed_norm": norm},
@@ -377,15 +384,18 @@ def _descend(params: NetworkParams, batches: list[DataBatch], eta_a: float, eta_
     theta = np.concatenate([params.a, params.W.ravel()])
     cur = NetworkParams(theta[:m], theta[m:].reshape(params.W.shape), params.activation)
     step_buf = np.empty_like(theta)
-    for step in range(steps):
-        g = gradient(cur, batches[step % len(batches)])
-        if transforms:
-            g = compose(transforms, g, derive_seed(seed, step))
-        np.multiply(eta_a, g.flat[:m], out=step_buf[:m])
-        np.multiply(eta_w, g.flat[m:], out=step_buf[m:])
-        theta -= step_buf
-        if not np.isfinite(theta).all():
-            return cur, step + 1
+    # overflow is an expected outcome here, and the isfinite check decides it
+    # the same way whatever the caller's warnings filter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            g = gradient(cur, batches[step % len(batches)])
+            if transforms:
+                g = compose(transforms, g, derive_seed(seed, step))
+            np.multiply(eta_a, g.flat[:m], out=step_buf[:m])
+            np.multiply(eta_w, g.flat[m:], out=step_buf[m:])
+            theta -= step_buf
+            if not np.isfinite(theta).all():
+                return cur, step + 1
     return cur, None
 
 

@@ -2,10 +2,12 @@
 
 A trial is a pure function of (config, trial index): the trial seed is a
 SplitMix-style hash of the base seed and the index, so adding grid points
-or trials never perturbs existing ones.  Sweeps emit ``results.csv`` (fixed
-schema below), ``results.json`` and a ``manifest.json``; every value except
-the wall-time measurement is bit-reproducible, and wall time is the last
-CSV column so determinism checks can strip it.
+or trials never perturbs existing ones.  A sweep's state is its journal,
+``results.jsonl``, one record per finished trial; ``results.csv`` (fixed
+schema below) and ``results.json`` are written from it, next to a
+``manifest.json``.  Every value except the wall-time measurement is
+bit-reproducible, and wall time is the last CSV column so determinism
+checks can strip it.
 
 CSV schema:
     config_hash, trial, d, m, B, defense, defense_param, attack, rmse,
@@ -469,14 +471,10 @@ def _sweep_hash(sweep_cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_csv_row(writer, row: dict):
-    writer.writerow({k: _fmt(row[k]) for k in CSV_FIELDS})
-
-
 def _drop_torn_tail(path: Path):
     """Cut the file back to its last newline: a kill mid-write leaves a
-    partial last row, which would otherwise count as a finished trial or
-    fail to parse, and the next append would continue it."""
+    partial last line, which would otherwise fail to parse, and the next
+    append would continue it."""
     with open(path, "rb+") as fh:
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
@@ -486,25 +484,46 @@ def read_results_csv(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _complete_trials(path: Path, points: list[ExperimentConfig]) -> set[tuple[str, int]]:
-    """The ``(config_hash, trial)`` pairs with a row for each configured
-    attack.  The rows of every other trial (killed between its rows) are
-    cut from the file, so the trial reruns whole."""
-    attacks = {p.config_hash(): {n for n in ("tensor", "gradmatch")
-                                 if getattr(p, n) is not None} for p in points}
-    rows = read_results_csv(path)
-    keys = [(row["config_hash"], int(row["trial"])) for row in rows]
-    seen: dict[tuple[str, int], set] = {}
-    for key, row in zip(keys, rows):
-        seen.setdefault(key, set()).add(row["attack"])
-    done = {key for key, names in seen.items() if names == attacks.get(key[0])}
-    kept = [row for key, row in zip(keys, rows) if key in done]
-    if len(kept) < len(rows):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(kept)
-    return done
+def _read_journal(path: Path, expected: set[tuple[str, int]]) -> list[TrialRecord]:
+    """The records of a sweep's journal, one JSON line per finished trial.
+    A torn last line is cut; a complete line that does not parse, is not a
+    trial of this sweep, repeats one or fails its stored ``record_hash`` is
+    a ConfigError naming the line."""
+    if not path.exists():
+        return []
+    _drop_torn_tail(path)
+    records, done = [], set()
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            spec = json.loads(line)
+            stored = spec.pop("record_hash", None)
+            rec = TrialRecord(**spec)
+            key = (rec.config_hash, rec.trial)
+            problem = ("is not a trial of this sweep" if key not in expected
+                       else "repeats a trial" if key in done
+                       else "fails its record_hash" if rec.record_hash() != stored else None)
+        except (ValueError, TypeError, AttributeError, KeyError) as e:
+            problem = f"does not parse as a trial record ({e!r})"
+        if problem:
+            raise ConfigError(f"{path} line {n} {problem}")
+        records.append(rec)
+        done.add(key)
+    return records
+
+
+def _trial_or_error(point: ExperimentConfig, trial: int) -> TrialRecord:
+    """``run_trial``, with an exception the trial raises recorded as every
+    configured attack's error (NaN rmse, no bound, no utility)."""
+    t0 = time.perf_counter()
+    try:
+        return run_trial(point, trial)
+    except Exception as e:
+        names = [n for n in ("tensor", "gradmatch") if getattr(point, n) is not None]
+        error = {"rmse": float("nan"), "assignment": None, "error": f"{type(e).__name__}: {e}"}
+        return TrialRecord(point.config_hash(), trial, point.d, point.m, point.B,
+                           point.defense_name, point.defense_param,
+                           {n: dict(error) for n in names}, bound=None, utility_loss=None,
+                           wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def sweep(
@@ -515,26 +534,26 @@ def sweep(
 ) -> dict:
     """Run the cross-product of the grid axes; one record per (point, trial).
 
-    Emits results.csv (appended after every trial, so an interrupted sweep
-    resumes without duplicating completed trials; a torn last row is cut
-    off, and a trial missing one of its attacks' rows is cut and rerun),
-    results.json and manifest.json.  Output is a pure function of (sweep
-    config, base seed) apart from the wall-time column and the manifest
-    timestamp, which a resume keeps.  Refuses to touch an existing complete
-    run unless ``force`` is set.
+    The sweep's state is its journal, results.jsonl: one line per finished
+    trial, appended as the trial ends.  A resume cuts a torn last line,
+    checks every other line and reruns only the trials the journal lacks.
+    results.csv and results.json are written from the journal's records
+    when the sweep ends, interrupted or not, and manifest.json describes
+    the grid.  A trial that raises becomes an error record.  Output is a
+    pure function of (sweep config, base seed) apart from the wall-time
+    column and the manifest timestamp, which a resume keeps.  Refuses to
+    touch an existing complete run unless ``force`` is set, which starts
+    from an empty journal.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "results.csv"
-    json_path = out / "results.json"
-    manifest_path = out / "manifest.json"
+    csv_path, json_path = out / "results.csv", out / "results.json"
+    journal_path, manifest_path = out / "results.jsonl", out / "manifest.json"
     points = _grid_points(sweep_cfg)
     shash = _sweep_hash(sweep_cfg)
-    expected = {
-        (p.config_hash(), t) for p in points for t in range(p.trials)
-    }
+    expected = {(p.config_hash(), t) for p in points for t in range(p.trials)}
 
-    done: set[tuple[str, int]] = set()
+    records: list[TrialRecord] = []
     created_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if manifest_path.exists() and not force:
         manifest = json.loads(manifest_path.read_text())
@@ -543,15 +562,12 @@ def sweep(
             raise ConfigError(
                 f"output dir {out} holds a different sweep (use force to overwrite)"
             )
-        if csv_path.exists():
-            _drop_torn_tail(csv_path)
-            done = _complete_trials(csv_path, points)
-        if done >= expected:
+        records = _read_journal(journal_path, expected)
+        if len(records) == len(expected):
             raise ConfigError(f"sweep already complete in {out} (use force to redo)")
     else:
-        for p in (csv_path, json_path, manifest_path):
-            if p.exists():
-                p.unlink()
+        for p in (csv_path, json_path, journal_path, manifest_path):
+            p.unlink(missing_ok=True)
 
     manifest = {
         "sweep_hash": shash,
@@ -563,59 +579,43 @@ def sweep(
     }
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    todo = [
-        (pi, t)
-        for pi, p in enumerate(points)
-        for t in range(p.trials)
-        if (p.config_hash(), t) not in done
-    ]
-
-    new_file = not csv_path.exists() or csv_path.stat().st_size == 0
-    records: list[TrialRecord] = []
-    with open(csv_path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        if new_file:
-            writer.writeheader()
-            fh.flush()
-
-        def emit(rec: TrialRecord):
-            for row in rec.to_rows():
-                _write_csv_row(writer, row)
-            fh.flush()
-            records.append(rec)
-
+    done = {(r.config_hash, r.trial) for r in records}
+    todo = [(p, t) for p in points for t in range(p.trials) if (p.config_hash(), t) not in done]
+    resumed = len(records)
+    try:
         # every trial runs on the pool, one worker included (the main thread's
         # heap re-faults per utility step); at most 4*workers trials submitted
         # and not yet emitted, emitted in the original order
         workers = max(workers, 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with open(journal_path, "a") as journal, ThreadPoolExecutor(workers) as pool:
+
+            def emit(rec: TrialRecord):
+                journal.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                journal.flush()
+                records.append(rec)
+
             pending = deque()
-            for pi, t in todo:
+            for p, t in todo:
                 if len(pending) == 4 * workers:
                     emit(pending.popleft().result())
-                pending.append(pool.submit(run_trial, points[pi], t))
+                pending.append(pool.submit(_trial_or_error, p, t))
             while pending:
                 emit(pending.popleft().result())
-
-    all_rows = read_results_csv(csv_path)
-    json_path.write_text(
-        json.dumps(
-            {
-                "sweep_hash": shash,
-                "rows": all_rows,
-                "records": [r.to_dict() for r in records],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    finally:
+        rows = [{k: _fmt(row[k]) for k in CSV_FIELDS} for r in records for row in r.to_rows()]
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
+        json_path.write_text(json.dumps(
+            {"sweep_hash": shash, "rows": rows, "records": [r.to_dict() for r in records]},
+            sort_keys=True, indent=2) + "\n")
     return {
         "csv": csv_path,
         "json": json_path,
         "manifest": manifest_path,
-        "rows": len(all_rows),
-        "new_records": len(records),
+        "rows": len(rows),
+        "new_records": len(records) - resumed,
     }
 
 
@@ -630,8 +630,9 @@ def aggregate_rows(
     trials, failed attacks (NaN) left out.  ``strongest-attack-min``: the
     strongest attack is the one with the smallest median error, and its
     error is the score (how evaluations are actually run).
-    ``paper-eq3-max``: the literal worst-attack maximum.  A defense whose
-    every attack failed keeps its entry with ``score`` None.
+    ``paper-eq3-max``: the literal worst-attack maximum.  ``failed`` counts
+    a defense's rows without an rmse, and a defense whose every attack
+    failed keeps its entry with ``score`` None.
 
     With ``utility_tol`` the scored defenses are additionally grouped into
     bins of comparable utility loss (a bin grows while consecutive sorted
@@ -645,9 +646,11 @@ def aggregate_rows(
     groups: dict[tuple[str, str], dict] = {}
     for row in rows:
         key = (row["defense"], row["defense_param"])
-        g = groups.setdefault(key, {"per_attack": {}, "utility": []})
+        g = groups.setdefault(key, {"per_attack": {}, "utility": [], "failed": 0})
         rm = row["rmse"]
-        if rm not in ("", "nan", None):
+        if rm in ("", "nan", None):
+            g["failed"] += 1
+        else:
             g["per_attack"].setdefault(row["attack"], []).append(float(rm))
         ut = row.get("utility_loss")
         if ut not in ("", None):
@@ -662,6 +665,7 @@ def aggregate_rows(
                 "score": pick(medians.values()) if medians else None,
                 "per_attack_median": medians,
                 "utility_median": float(np.median(g["utility"])) if g["utility"] else None,
+                "failed": g["failed"],
             }
         )
     out = {"mode": mode, "defenses": table}

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +111,7 @@ def test_clip_rescales_to_threshold():
     out = ClipDefense(2.0).apply(big, 0)
     assert out.norm() == pytest.approx(2.0, rel=1e-12)
     assert out.provenance[-1].clip_factor == pytest.approx(0.2, rel=1e-12)
+    assert out.flat.tobytes() == (big.flat * (2.0 / big.norm())).tobytes()
 
 
 def test_clip_zero_gradient_identity():
@@ -122,6 +125,20 @@ def test_clip_never_increases_norm():
     _, _, g = obs_of()
     for c in (0.1, 1.0, 10.0, 1000.0):
         assert ClipDefense(c).apply(g, 0).norm() <= g.norm() + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200],
+                         ids=["inf", "-inf", "nan", "norm-overflow"])
+def test_clip_of_a_non_finite_gradient_is_all_nan(bad):
+    # a non-finite norm gives factor NaN: one defined result and no warning
+    _, _, g = obs_of()
+    flat = g.flat.copy()
+    flat[[7, 8]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ClipDefense(1.0).apply(GradientObservation(flat, g.m, g.d), 0)
+    assert np.isnan(out.flat).all()
+    assert math.isnan(out.provenance[-1].clip_factor)
 
 
 # --- pruning -------------------------------------------------------------

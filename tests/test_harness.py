@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,7 @@ from gradleak.defenses import (
     PruneRatioDefense,
     PruneThresholdDefense,
 )
-from gradleak.errors import ConfigError, DegenerateObservationError
+from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError
 from gradleak.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -342,6 +343,7 @@ def test_aggregate_rows_ignores_failed_attacks():
     rows = score_rows({"tensor": float("nan"), "gradmatch": 0.4})
     (entry,) = aggregate_rows(rows)["defenses"]
     assert entry["score"] == 0.4 and entry["per_attack_median"] == {"gradmatch": 0.4}
+    assert entry["failed"] == 1
 
 
 def test_aggregate_rows_keeps_a_defense_whose_every_attack_failed():
@@ -350,7 +352,7 @@ def test_aggregate_rows_keeps_a_defense_whose_every_attack_failed():
     agg = aggregate_rows(rows, utility_tol=1.0)
     failed = [t for t in agg["defenses"] if t["defense"] == "noise"]
     assert failed == [{"defense": "noise", "defense_param": "0.1", "score": None,
-                       "per_attack_median": {}, "utility_median": 0.5}]
+                       "per_attack_median": {}, "utility_median": 0.5, "failed": 1}]
     # only scored defenses are compared at equal utility
     assert agg["utility_bins"] == [
         {"utility_range": [0.5, 0.5], "defenses": ["none()"], "best_defense": "none"}
@@ -431,12 +433,25 @@ def test_prune_chain_matches_argsort_oracle(monkeypatch):
 def test_utility_divergence_returns_inf():
     p = sample_params(4, 16, seed=0, activation=SP)
     b = sample_batch(4, 2, seed=1)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         val = utility_loss(p, [], b, steps=5, eta_a=1e280, eta_w=1e280)
     assert math.isinf(val)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "default"])
+def test_non_finite_descent_has_one_result_whatever_the_warnings_filter(action, capsys):
+    # an exp network's gradient overflows: the rollout diverges at step 2
+    # and training returns +inf, silently, under any warnings filter
+    p = sample_params(4, 64, seed=0, activation=Activation("exp"))
+    b = sample_batch(4, 2, seed=1)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        with pytest.raises(DivergenceError) as diverged:
+            dfs.local_aggregation(p, [b], 1e200, 1e200, 50)
+        val = utility_loss(p, [], b, steps=50, eta_a=1e6, eta_w=1e6)
+    assert diverged.value.step == 2 and val == math.inf
+    assert shown == [] and capsys.readouterr().err == ""
 
 
 UTILITY_CHAINS = {
@@ -550,7 +565,7 @@ def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
     # trial 0 stalls until 8 trials have started and then a little longer,
     # so an unbounded pool runs a 9th trial before any row is emitted
     cfg = sweep_config(trials=20)
-    csv_path = tmp_path / "out" / "results.csv"
+    csv_path, journal = tmp_path / "out" / "results.csv", tmp_path / "out" / "results.jsonl"
     real = hz.run_trial
     lock = threading.Lock()
     started = {n: threading.Event() for n in (8, 9)}
@@ -558,7 +573,7 @@ def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
 
     def tracked(point, trial):
         with lock:
-            emitted = csv_path.read_text().count("\n") - 1  # minus the header
+            emitted = journal.read_text().count("\n")  # one line per emitted trial
             ahead.append(len(ahead) + 1 - emitted)
             if len(ahead) in started:
                 started[len(ahead)].set()
@@ -606,9 +621,9 @@ def test_sweep_resume_keeps_manifest_timestamp(tmp_path):
     cfg = sweep_config(trials=2)
     out = tmp_path / "out"
     sweep(cfg, out)
-    csv_path, manifest_path = out / "results.csv", out / "manifest.json"
-    header, first = csv_path.read_text().splitlines()[:2]
-    csv_path.write_text(header + "\n" + first + "\n")
+    journal, manifest_path = out / "results.jsonl", out / "manifest.json"
+    journal.write_text(journal.read_text().splitlines(keepends=True)[0])
+    (out / "results.csv").unlink()  # an output only: the resume rewrites it
     manifest = json.loads(manifest_path.read_text())
     manifest["created_utc"] = "1970-01-01T00:00:00Z"
     manifest_path.write_text(json.dumps(manifest))
@@ -620,8 +635,8 @@ def test_sweep_resume_keeps_manifest_timestamp(tmp_path):
 @pytest.mark.parametrize(
     "tear",
     [
-        lambda row: row[:5],                             # inside config_hash
-        lambda row: ",".join(row.split(",")[:3]),        # after the trial column
+        lambda line: line[:line.index('"config_hash"') + 20],   # inside config_hash
+        lambda line: line.split(', "utility_loss"')[0],          # after the trial value
     ],
     ids=["inside-config-hash", "after-trial-column"],
 )
@@ -629,31 +644,117 @@ def test_sweep_resume_drops_torn_csv_tail(tmp_path, tear):
     cfg = sweep_config(trials=2)
     out = tmp_path / "out"
     sweep(cfg, out)
-    csv_path = out / "results.csv"
+    csv_path, journal = out / "results.csv", out / "results.jsonl"
     clean = csv_path.read_text()
-    header, first, second = clean.splitlines()
-    csv_path.write_text(header + "\n" + first + "\n" + tear(second))  # killed mid-write
+    first, second = journal.read_text().splitlines(keepends=True)
+    journal.write_text(first + tear(second))  # killed mid-write
     res = sweep(cfg, out)  # resume reruns the torn trial
     assert res["rows"] == 2 and res["new_records"] == 1
     assert strip_wall(csv_path.read_text()) == strip_wall(clean)
 
 
 def test_sweep_resume_reruns_a_trial_missing_an_attack_row(tmp_path):
-    # a trial with both attacks spans two rows; losing the second must not
-    # count the trial as done, and the resume rewrites it whole
+    # a trial with both attacks spans two CSV rows but one journal line;
+    # without that line the trial is not done, and the resume reruns it whole
     cfg = sweep_config(trials=2)
     cfg["base"]["attacks"] = {**FAST_ATTACKS, "gradmatch": {"optimizer": {"max_iters": 20}}}
     sweep(cfg, tmp_path / "clean")
     out = tmp_path / "out"
     sweep(cfg, out)
-    csv_path = out / "results.csv"
-    lines = csv_path.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 5
-    csv_path.write_bytes(b"".join(lines[:-1]))
+    csv_path, journal = out / "results.csv", out / "results.jsonl"
+    assert len(csv_path.read_bytes().splitlines()) == 5
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2
+    journal.write_bytes(lines[0])
     res = sweep(cfg, out)
     assert res["rows"] == 4 and res["new_records"] == 1
     clean = (tmp_path / "clean" / "results.csv").read_text()
     assert strip_wall(csv_path.read_text()) == strip_wall(clean)
+
+
+def test_sweep_records_a_failing_trial_and_goes_on(tmp_path):
+    # the second point's rollout diverges: its trial becomes an error record
+    cfg = sweep_config()
+    cfg["base"]["m"] = 128
+    cfg["grid"] = {"defenses": [[], [{"variant": "local_aggregation", "steps": 50,
+                                      "eta_a": 1e200, "eta_w": 1e200}]]}
+    res = sweep(cfg, tmp_path / "out")
+    rows = read_results_csv(res["csv"])
+    assert res["rows"] == 2 and rows[1]["rmse"] == "nan" and rows[0]["rmse"] != "nan"
+    failed = json.loads(res["json"].read_text())["records"][1]
+    assert failed["attacks"]["tensor"]["error"].startswith("DivergenceError: ")
+    assert (failed["bound"], failed["utility_loss"]) == (None, None)
+
+
+def test_resumed_sweep_json_holds_every_record(tmp_path, monkeypatch):
+    cfg = sweep_config(trials=3)
+    clean = json.loads(sweep(cfg, tmp_path / "clean")["json"].read_text())
+    real = hz.run_trial
+
+    def dying(point, trial):
+        if trial == 1:
+            raise KeyboardInterrupt("simulated kill")
+        return real(point, trial)
+
+    monkeypatch.setattr(hz, "run_trial", dying)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(cfg, tmp_path / "out")
+    monkeypatch.setattr(hz, "run_trial", real)
+    res = sweep(cfg, tmp_path / "out")
+    assert res["new_records"] == 2
+    data = json.loads(res["json"].read_text())
+    assert len(data["rows"]) == len(data["records"]) == 3
+    assert ([r["record_hash"] for r in data["records"]]
+            == [r["record_hash"] for r in clean["records"]])
+
+
+def _tampered(line: str) -> str:
+    rec = json.loads(line)
+    rec["attacks"]["tensor"]["rmse"] = 0.0
+    return json.dumps(rec, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [(lambda first, line: line.replace(":", "=", 1), "does not parse"),
+     (lambda first, line: line.replace('"wall_ms"', '"wall_s"'), "does not parse"),
+     (lambda first, line: _tampered(line), "fails its record_hash"),
+     (lambda first, line: first, "repeats a trial")],
+    ids=["not-json", "unknown-field", "tampered", "repeated"],
+)
+def test_sweep_rejects_a_corrupt_journal_line(tmp_path, corrupt, problem):
+    # a complete middle line that is not a record of this sweep's trial
+    cfg = sweep_config(trials=3)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    journal = out / "results.jsonl"
+    first, second, third = journal.read_text().splitlines()
+    journal.write_text(f"{first}\n{corrupt(first, second)}\n{third}\n")
+    with pytest.raises(ConfigError, match=f"results.jsonl line 2 {problem}"):
+        sweep(cfg, out)
+
+
+def test_sweep_rejects_a_journal_line_of_another_sweep(tmp_path):
+    cfg = sweep_config(trials=2)
+    sweep(cfg, tmp_path / "out")
+    sweep(sweep_config(trials=2, ms=(256,)), tmp_path / "other")
+    journal = tmp_path / "out" / "results.jsonl"
+    first = journal.read_text().splitlines(keepends=True)[0]
+    journal.write_text(first + (tmp_path / "other" / "results.jsonl").read_text())
+    with pytest.raises(ConfigError, match="line 2 is not a trial of this sweep"):
+        sweep(cfg, tmp_path / "out")
+
+
+def test_sweep_force_starts_from_an_empty_journal(tmp_path):
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    journal = out / "results.jsonl"
+    journal.write_text(journal.read_text() + "not a record\n")
+    res = sweep(cfg, out, force=True)
+    assert res["new_records"] == 2
+    assert len(journal.read_text().splitlines()) == 2
+    assert len(json.loads(res["json"].read_text())["records"]) == 2
 
 
 def test_sweep_rejects_mismatched_directory(tmp_path):
