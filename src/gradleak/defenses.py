@@ -36,7 +36,7 @@ from .errors import (
     _check,
     _check_flag,
 )
-from .network import DataBatch, GradientObservation, NetworkParams, gradient
+from .network import DataBatch, GradientObservation, NetworkParams, _halves, gradient
 from .seeding import derive_seed, rng_from
 
 __all__ = [
@@ -131,11 +131,14 @@ class NoiseDefense(_Transform):
 
     def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
         """Add the drawn noise in place in ``draw``, which becomes the output's
-        buffer; no draw shares the input's buffer."""
+        buffer; no draw shares the input's buffer.  The add runs by halves
+        (``network._halves``), each coordinate's sum the same."""
         provenance = (*obs.provenance, DefenseRecord(variant=self.variant, params=asdict(self)))
         if draw is None:
             return GradientObservation(obs.flat, obs.m, obs.d, provenance)
-        draw += obs.flat
+        flat = obs.flat
+        _halves(lambda lo, hi: np.add(draw[lo:hi], flat[lo:hi], out=draw[lo:hi]),
+                draw.size, draw.size)
         return GradientObservation(draw, obs.m, obs.d, provenance)
 
 

@@ -37,6 +37,7 @@ from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
     NetworkParams,
+    _spare_thread,
     gradient,
     loss,
     sample_batch,
@@ -381,13 +382,15 @@ def run_trial(
     bounds on, runs the attacks while this thread computes the bound (the
     bound's large working set stays in this thread's allocator arena).  The
     stages share only read-only inputs, so the record is the one a
-    sequential run gives.
+    sequential run gives.  This thread lends the helper one half of each
+    large kernel call it makes (``network._spare_thread``); each output
+    element gets the whole call's operations, so the bytes are unchanged.
 
     Utility training applies only the chain's transforms, so a leading
     aggregator is priced at the undefended utility."""
     t0 = time.perf_counter()
     bound = None
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
         trial_seed, params, batch, obs, truth = _trial_inputs(config, trial_idx, helper)
         attacks = (config, trial_seed, params, obs, truth, keep_samples)
         if config.compute_bounds:
@@ -595,12 +598,16 @@ def sweep(
                 records.append(rec)
 
             pending = deque()
-            for p, t in todo:
-                if len(pending) == 4 * workers:
+            try:
+                for p, t in todo:
+                    if len(pending) == 4 * workers:
+                        emit(pending.popleft().result())
+                    pending.append(pool.submit(_trial_or_error, p, t))
+                while pending:
                     emit(pending.popleft().result())
-                pending.append(pool.submit(_trial_or_error, p, t))
-            while pending:
-                emit(pending.popleft().result())
+            finally:
+                # an interrupted sweep runs no trial it has not started
+                pool.shutdown(cancel_futures=True)
     finally:
         rows = [{k: _fmt(row[k]) for k in CSV_FIELDS} for r in records for row in r.to_rows()]
         with open(csv_path, "w", newline="") as fh:

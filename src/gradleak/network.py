@@ -15,9 +15,17 @@ blocks into it in place, and the blocks are views of it.  The input
 Jacobian stacks per-sample blocks: row (i, s) holds the derivative of every gradient coordinate with respect to
 component s of sample x_i, so J has shape (B*d, m + m*d).  The library
 never forms J: ``input_gram`` builds J J^T from per-sample factors.
+
+A kernel whose W-sized work splits by output (``_halves``) hands one half
+to a spare thread while a trial lends it one (``_spare_thread``).  Each
+output element is computed by exactly the operations of the whole call, so
+the bytes do not depend on the split.
 """
 from __future__ import annotations
 
+import threading
+from concurrent.futures import wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +44,70 @@ __all__ = [
     "gradient",
     "input_gram",
 ]
+
+
+# a call splits in two when its largest W-sized array holds at least this
+# many elements: attack-d64's W (m d = 2^22) does, bound-d32's (2^19) does not
+_SPLIT_MIN = 1 << 21
+
+_lender = threading.local()
+
+
+@contextmanager
+def _spare_thread(executor):
+    """While the block runs, ``_halves`` on this thread hands one half of
+    each large enough call to ``executor``, a one-thread pool that must
+    never wait on this thread.  Other threads (the executor's own included)
+    keep running their calls whole."""
+    prev = getattr(_lender, "spare", None)
+    _lender.spare = executor
+    try:
+        yield
+    finally:
+        _lender.spare = prev
+
+
+def _halves(fn, n: int, size: int) -> None:
+    """Compute all n outputs of a call through ``fn(lo, hi)``, which writes
+    outputs [lo, hi) in place and is bit for bit the whole call's on them.
+
+    With a spare thread lent (``_spare_thread``), n >= 2 and ``size`` (the
+    call's largest W-sized array) at least ``_SPLIT_MIN``, the spare computes
+    [n//2, n) while this thread computes [0, n//2); a half the spare has not
+    started by then (it is still busy, say with the defense draws) is taken
+    back and run here.  Otherwise ``fn(0, n)`` runs whole.  An error from
+    either half surfaces only once neither half is running."""
+    spare = getattr(_lender, "spare", None)
+    if spare is None or n < 2 or size < _SPLIT_MIN:
+        fn(0, n)
+        return
+    h = n // 2
+    upper = spare.submit(fn, h, n)
+    try:
+        fn(0, h)
+    except BaseException:
+        if not upper.cancel():
+            wait([upper])
+        raise
+    if upper.cancel():
+        fn(h, n)
+    else:
+        upper.result()
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` into ``out`` (allocated as the whole call would), by row
+    halves of ``a`` through ``_halves``.  A row of a GEMM's output takes the
+    same operations whichever rows share the call; a matrix-vector product
+    does not, so a b of one column stays whole, and so does an a of fewer
+    than 4 rows (a half of one row would be a vector-matrix product)."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    if b.shape[1] < 2 or a.shape[0] < 4:
+        return np.matmul(a, b, out=out)
+    _halves(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), a.shape[0],
+            max(a.size, out.size))
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,13 +235,17 @@ def _batch_internals(params: NetworkParams, batch: DataBatch, order: int = 1):
         raise DimensionError(
             f"batch dimension {batch.d} does not match network dimension {params.d}"
         )
-    S = params.activation.derivatives(params.W @ batch.X, order)
+    S = params.activation.derivatives(_matmul_rows(params.W, batch.X), order)
     fx = S[0].T @ params.a            # (B,)
     return S, fx, 2.0 * (fx - batch.y)
 
 
 def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
-    """Exact gradient of the summed square loss at ``params`` on ``batch``."""
+    """Exact gradient of the summed square loss at ``params`` on ``batch``.
+
+    ``W @ X`` and the W-block ``C @ X^T`` run by row halves (``_matmul_rows``);
+    the reduction over m (``S0^T a``) and the matrix-vector ``S0 @ r`` stay
+    whole."""
     (S0, S1), _, r = _batch_internals(params, batch)
     m, d = params.m, params.d
     flat = np.empty(params.n_coords)  # both blocks written in place, no concatenation
@@ -177,7 +253,7 @@ def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
     C = S1 * r[None, :]               # (m, B): a_j s'(z_ji) r_i, one temporary
     C *= params.a[:, None]
     del S0, S1
-    np.matmul(C, batch.X.T, out=flat[m:].reshape(m, d))
+    _matmul_rows(C, batch.X.T, out=flat[m:].reshape(m, d))
     return GradientObservation(flat, m, d)
 
 

@@ -27,7 +27,11 @@ only in the sign of a zero, which the +0-started running total absorbs.  A
 GEMM, a pairwise or a symmetry-folded sum agrees to about 1e-14 relative,
 but the decomposition's restart selection is sensitive enough for that to
 pick another restart and move the reported rmse, so the summation order is
-part of the contract (tests/oracles.py holds the literal einsum).
+part of the contract (tests/oracles.py holds the literal einsum).  Splitting
+the entries keeps it: the contraction may run as two output halves over p,
+each entry with its own running total in ascending j, and the W-sized
+products (``W @ V``, the moment matrix's GEMM) by row halves, which give
+every output element the whole call's operations.
 
 Recovered samples carry an inherent sign and ordering ambiguity; both are
 resolved only at scoring time.  The whole pipeline is invariant to
@@ -44,7 +48,7 @@ import numpy as np
 from .activations import HermiteMoments, hermite_moments
 from .errors import AttackStageError, ConfigError, DimensionError, ProbeError, _check
 from .metrics import min_perm_distance
-from .network import GradientObservation, NetworkParams
+from .network import GradientObservation, NetworkParams, _halves, _matmul_rows
 from .seeding import rng_from
 
 __all__ = [
@@ -111,38 +115,52 @@ def _sym_matrix_vector(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-# products per chunk of the order-3 contraction: 512 KiB of float64, so a
-# chunk stays in L2
-_CHUNK_TERMS = 1 << 16
+# products per chunk of the order-3 contraction (or of one output half of
+# it): 1 MiB of float64, so a chunk stays in L2.  Halving it to 512 KiB
+# doubles the per-chunk Python work, which slows two halves running at once
+# (m=65536, B=8: 42 ms against 37)
+_CHUNK_TERMS = 1 << 17
 
 
 def _cube_contraction(g: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """sum_j g_j v_j^(x3), bit for bit as np.einsum("j,jp,jq,jr->pqr", g, vw, vw, vw).
 
-    Row 0 of each chunk's buffer holds the running total and rows 1.. the
-    chunk's terms ((g_j v_jp) v_jq) v_jr laid out [r, (p, q)], so the inner
-    loops run over B^2 entries; np.add.reduce over the leading axis adds the
-    rows strictly in order.  An einsum that sums no index writes a*b into a
-    zeroed output, so a term may be +0 where the product is -0; the running
-    total starts at +0, is never -0 and sums either zero alike.  At B = 1 the
-    reduction would be pairwise and the einsum sums in 8192-term buffer blocks,
-    so the einsum is kept there (an O(m) dot product).
+    The entries T[p] for p in [lo, hi) are summed on their own, by output
+    halves over p (``_halves``).  Row 0 of each chunk's buffer holds the
+    running total and rows 1.. the chunk's terms ((g_j v_jp) v_jq) v_jr laid
+    out [r, (p, q)], so the inner loops run over the half's B^2 (hi - lo)
+    entries; np.add.reduce over the leading axis adds the rows strictly in
+    order, so every entry adds its terms one at a time in ascending j
+    whichever entries share the call.  An einsum that sums no index writes
+    a*b into a zeroed output, so a term may be +0 where the product is -0;
+    the running total starts at +0, is never -0 and sums either zero alike.
+    At B = 1 the reduction would be pairwise and the einsum sums in
+    8192-term buffer blocks, so the einsum is kept there (an O(m) dot
+    product).
     """
     m, B = vw.shape
     if B == 1:
         return np.einsum("j,jp,jq,jr->pqr", g, vw, vw, vw)
-    chunk = max(1, _CHUNK_TERMS // B**3)
-    total = np.zeros((B, B * B))
-    buf = np.empty((min(chunk, m) + 1, B, B * B))
-    gvv = np.empty((min(chunk, m), B, B))
-    for j0 in range(0, m, chunk):
-        v = vw[j0:j0 + chunk]
-        rows = buf[:len(v) + 1]
-        rows[0] = total
-        pq = np.einsum("jp,jq->jpq", g[j0:j0 + chunk, None] * v, v, out=gvv[:len(v)])
-        np.einsum("jk,jr->jrk", pq.reshape(len(v), B * B), v, out=rows[1:])
-        np.add.reduce(rows, axis=0, out=total)
-    return np.ascontiguousarray(total.reshape(B, B, B).transpose(1, 2, 0))
+    T = np.empty((B, B, B))
+
+    def entries(lo, hi):
+        k = (hi - lo) * B
+        chunk = max(1, _CHUNK_TERMS // (k * B))
+        total = np.zeros((B, k))
+        buf = np.empty((min(chunk, m) + 1, B, k))
+        gvv = np.empty((min(chunk, m), hi - lo, B))
+        for j0 in range(0, m, chunk):
+            v = vw[j0:j0 + chunk]
+            rows = buf[:len(v) + 1]
+            rows[0] = total
+            pq = np.einsum("jp,jq->jpq", g[j0:j0 + chunk, None] * v[:, lo:hi], v,
+                           out=gvv[:len(v)])
+            np.einsum("jk,jr->jrk", pq.reshape(len(v), k), v, out=rows[1:])
+            np.add.reduce(rows, axis=0, out=total)
+        T[lo:hi] = total.reshape(B, hi - lo, B).transpose(1, 2, 0)
+
+    _halves(entries, B, g.size * B * B)  # sized by the (m, B, B) products g_j v_jp v_jq
+    return T
 
 
 def build_moment_matrix(
@@ -159,13 +177,27 @@ def build_moment_matrix(
         the order-3 Hermite tensor contracted with a unit probe ``a``:
         (1/m) sum_j g_j [ (w_j.a) w_j w_j^T - w_j a^T - a w_j^T - (w_j.a) I ]
 
-    Symmetric by construction either way.
+    Symmetric by construction either way.  The (d, m) operand W^T diag(g)
+    is filled by column halves into one F-order buffer and multiplied by W
+    by output-row halves (``_halves``), so each entry of P takes the whole
+    call's operations; the reductions over m (``grad_a @ W``, the means) and
+    the matrix-vector ``W @ probe`` stay whole.
     """
     m, d = W.shape
     if grad_a.shape != (m,):
         raise DimensionError(f"grad_a has shape {grad_a.shape}, expected ({m},)")
+
+    def weighted_gram(g):
+        """(W^T * g) @ W / m"""
+        A = np.empty((d, m), order="F")  # the layout of W.T * g
+        _halves(lambda lo, hi: np.multiply(W.T[:, lo:hi], g[lo:hi], out=A[:, lo:hi]), m,
+                W.size)
+        P = _matmul_rows(A, W)
+        P /= m
+        return P
+
     if moments.matrix_order == 2:
-        P = (W.T * grad_a) @ W / m
+        P = weighted_gram(grad_a)
         P -= float(np.mean(grad_a)) * np.eye(d)
         return P
     if probe is None:
@@ -174,7 +206,7 @@ def build_moment_matrix(
     probe = probe / np.linalg.norm(probe)
     s = W @ probe                      # (m,) inner products w_j . a
     gs = grad_a * s
-    P = (W.T * gs) @ W / m
+    P = weighted_gram(gs)
     u = (grad_a @ W) / m               # (1/m) sum_j g_j w_j
     P -= np.outer(u, probe) + np.outer(probe, u)
     P -= float(np.mean(gs)) * np.eye(d)
@@ -241,12 +273,16 @@ def build_projected_tensor(
         where sym3 symmetrizes the matrix-vector outer product.  The
         identity is validated against a sampling-based Stein oracle in the
         test suite.
+
+    ``W @ V`` runs by row halves and the order-3 contraction by output
+    halves over p (``_halves``), bit for bit the whole calls; the
+    reductions over m and the matrix-vector ``W @ probe`` stay whole.
     """
     m, d = W.shape
     B = V.shape[1]
     if not np.allclose(V.T @ V, np.eye(B), atol=1e-8):
         raise DimensionError("V must have orthonormal columns")
-    vw = W @ V  # (m, B) rows v_j
+    vw = _matmul_rows(W, V)  # (m, B) rows v_j
     if moments.tensor_order == 3:
         T = _cube_contraction(grad_a, vw) / m
         T -= _sym_outer_identity((grad_a @ vw) / m)

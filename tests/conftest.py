@@ -1,0 +1,28 @@
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from gradleak import network
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A one-thread pool that counts the calls submitted to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def split_halves(monkeypatch):
+    """Every kernel call on this thread that can split does: the size floor
+    is lowered to 0 and this thread lends a real one-thread pool, which the
+    fixture returns.  ``network._spare_thread(None)`` inside a test runs the
+    whole calls again."""
+    monkeypatch.setattr(network, "_SPLIT_MIN", 0)
+    with CountingPool() as pool, network._spare_thread(pool):
+        yield pool

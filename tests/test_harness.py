@@ -11,6 +11,7 @@ import pytest
 
 import gradleak.defenses as dfs
 import gradleak.harness as hz
+from gradleak import network
 from gradleak.activations import Activation
 from gradleak.bounds import bound_for_observation
 from gradleak.defenses import (
@@ -181,6 +182,82 @@ def test_concurrent_trials_match_the_oracle_under_fast_thread_switching():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+# --- kernel halves on the trial's helper -----------------------------------------
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that records the name of every function submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.names = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.names.append(fn.__name__)
+        return super().submit(fn, *args, **kwargs)
+
+
+def trial_helper_calls(monkeypatch, cfg, t):
+    """``run_trial(cfg, t)`` and the names of the calls its helper received
+    besides the draws and the attacks: one per kernel call split in halves."""
+    pools = []
+
+    def make(*args, **kwargs):
+        pools.append(RecordingPool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(hz, "ThreadPoolExecutor", make)
+    rec = run_trial(cfg, t)
+    monkeypatch.setattr(hz, "ThreadPoolExecutor", ThreadPoolExecutor)
+    (pool,) = pools
+    return rec, [n for n in pool.names if n not in ("draw_chain", "_attacks")]
+
+
+@pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
+@pytest.mark.parametrize("kind", ["exp", "softplus"])
+def test_split_trial_matches_the_sequential_oracle(monkeypatch, bounds, kind):
+    # every kernel call that can split does; with bounds on the attacks run on the
+    # helper, which lends nothing, so they never wait on themselves
+    monkeypatch.setattr(network, "_SPLIT_MIN", 0)
+    cfg = small_config(d=7, m=301, B=3, activation={"kind": kind}, attacks=BOTH_ATTACKS,
+                       defenses=OVERLAP_CHAINS["both-attacks"][1], compute_bounds=bounds)
+    for t in (0, 1):
+        rec, halves = trial_helper_calls(monkeypatch, cfg, t)
+        ref = sequential_run_trial(cfg, t)
+        # gradient (W @ X, C @ X^T) and the noise add, then the moment matrix (fill,
+        # GEMM) and the projected tensor (W @ V, contraction) or, with bounds on,
+        # the bound's W @ X while the helper runs the attacks whole
+        assert len(halves) == (4 if bounds else 7)
+        assert rec.record_hash() == ref.record_hash()
+        assert rec.bound == ref.bound
+        for name, res in ref.attacks.items():
+            assert rec.attacks[name]["rmse"] == res["rmse"]
+            assert rec.attacks[name]["assignment"] == res["assignment"]
+
+
+# perfbench's four workloads at their sizes; attacks and training cut short, which
+# leaves every kernel call's size as it is
+WORKLOAD_SIZES = {
+    "bound-d32": dict(d=32, m=16384, B=4, sigma=0.01, defenses=[
+        {"variant": "dropout", "rate": 0.5}, {"variant": "clip", "threshold": 1.0},
+        {"variant": "noise", "sigma0": 0.01}]),
+    "gradmatch-d16": dict(d=16, m=16384, B=2, compute_bounds=False,
+                          defenses=[{"variant": "noise", "sigma0": 0.1}],
+                          attacks={**FAST_ATTACKS, "gradmatch": {"optimizer": {"max_iters": 5}}}),
+    "attack-d64": dict(d=64, m=65536, B=8, sigma=0.01, compute_bounds=False,
+                       defenses=[{"variant": "noise", "sigma0": 0.01}]),
+    "sweep-utility": dict(d=16, m=4096, B=2, activation={"kind": "softplus"},
+                          compute_bounds=False, utility={"steps": 2},
+                          defenses=[{"variant": "clip", "threshold": 1.0},
+                                    {"variant": "noise", "sigma0": 0.01}]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SIZES))
+def test_only_attack_d64_splits_its_kernels(monkeypatch, workload):
+    _, halves = trial_helper_calls(monkeypatch, small_config(**WORKLOAD_SIZES[workload]), 0)
+    assert len(halves) == (7 if workload == "attack-d64" else 0)
 
 
 def _singular(*args):
@@ -587,6 +664,42 @@ def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
     assert res["rows"] == 20
     assert max(ahead) <= 8
     assert [int(r["trial"]) for r in read_results_csv(csv_path)] == list(range(20))
+
+
+def test_interrupted_sweep_runs_no_trial_it_has_not_started(tmp_path, monkeypatch):
+    # one worker, trial 1 interrupted: trials 3 and 4, submitted and not yet
+    # started, are cancelled; trial 0 was emitted before the interruption.
+    # Trial 2 runs until its pool is shut down, so trial 3 cannot start first.
+    real, ran, pools = hz.run_trial, [], []
+
+    class SignallingPool(ThreadPoolExecutor):
+        """Sets ``stopping`` once a shutdown has cancelled what it cancels."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.stopping = threading.Event()
+            pools.append(self)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            self.stopping.set()
+            super().shutdown(wait=wait)
+
+    def interrupted(point, trial):
+        ran.append(trial)
+        if trial == 1:
+            raise KeyboardInterrupt("simulated kill")
+        if trial == 2:
+            pools[0].stopping.wait(10)  # pools[0] is the sweep's, made before any trial
+        return real(point, trial)
+
+    monkeypatch.setattr(hz, "ThreadPoolExecutor", SignallingPool)
+    monkeypatch.setattr(hz, "run_trial", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(sweep_config(trials=6), tmp_path / "out", workers=1)
+    assert ran[:2] == [0, 1] and set(ran) <= {0, 1, 2}
+    lines = (tmp_path / "out" / "results.jsonl").read_text().splitlines()
+    assert [json.loads(line)["trial"] for line in lines] == [0]
 
 
 def test_sweep_resume_without_duplicates(tmp_path, monkeypatch):

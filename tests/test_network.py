@@ -1,3 +1,7 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -121,6 +125,74 @@ def test_gradient_equals_the_out_of_place_products_bit_for_bit(kind):
     grad_a = s @ r
     grad_W = (p.a[:, None] * (s1 * r[None, :])) @ b.X.T
     assert gradient(p, b).flat.tobytes() == np.concatenate([grad_a, grad_W.ravel()]).tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["softplus", "exp", "cubic"])
+def test_gradient_split_in_halves_equals_the_whole_call(split_halves, kind, B):
+    # W @ X and C @ X^T by row halves; odd m and odd d put the cut off any block
+    p = sample_params(7, 1001, seed=B, activation=Activation(kind, 0.7))
+    b = sample_batch(7, B, seed=B + 50)
+    split = gradient(p, b)
+    assert split_halves.submitted == (1 if B == 1 else 2)  # W @ X at B = 1 is a GEMV, whole
+    with network._spare_thread(None):
+        whole = gradient(p, b)
+    assert split.flat.tobytes() == whole.flat.tobytes()
+
+
+def test_row_halves_equal_the_whole_products_at_attack_d64_shapes(split_halves):
+    # the reference workload's sizes: W (65536, 64), B = 8, and the (d, m) operand of
+    # the moment matrix; the split products are the whole calls' bytes
+    rng = np.random.default_rng(64)
+    W = rng.standard_normal((65536, 64))
+    X = rng.standard_normal((64, 8))
+    A = W.T * rng.standard_normal(65536)
+    for a, b in ((W, X), (W @ X, X.T), (A, W)):
+        assert network._matmul_rows(a, b).tobytes() == (a @ b).tobytes()
+    assert split_halves.submitted == 3
+
+
+def test_halves_run_whole_without_a_spare_and_on_the_spare_thread():
+    calls = []
+    fn = lambda lo, hi: calls.append((lo, hi))  # noqa: E731
+    network._halves(fn, 9, 1 << 40)
+    assert calls == [(0, 9)]
+    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
+        calls.clear()
+        pool.submit(network._halves, fn, 9, 1 << 40).result()  # the spare lends nothing
+        assert calls == [(0, 9)]
+        calls.clear()
+        network._halves(fn, 9, network._SPLIT_MIN - 1)
+        assert calls == [(0, 9)]
+        calls.clear()
+        network._halves(fn, 9, network._SPLIT_MIN)
+        assert sorted(calls) == [(0, 4), (4, 9)]
+    calls.clear()
+    network._halves(fn, 9, 1 << 40)
+    assert calls == [(0, 9)]
+
+
+@pytest.mark.parametrize("raising", ["this thread", "spare"])
+def test_halves_error_surfaces_after_the_other_half_finished_writing(raising):
+    out = np.zeros(10)
+    started = threading.Event()
+
+    def fn(lo, hi):
+        if lo > 0:
+            started.set()
+        else:
+            assert started.wait(10)  # both halves are running
+        if (lo == 0) == (raising == "this thread"):
+            raise ValueError("half failed")
+        time.sleep(0.2)
+        out[lo:hi] = 1.0
+
+    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
+        with pytest.raises(ValueError, match="half failed"):
+            network._halves(fn, 10, 1 << 40)
+        written, failed = (out[5:], out[:5]) if raising == "this thread" else (out[:5], out[5:])
+        assert (written == 1.0).all()  # before the error surfaced
+        assert (failed == 0.0).all()
 
 
 def test_gradient_batch_linearity():

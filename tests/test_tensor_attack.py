@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradleak import network
 from gradleak.activations import Activation, hermite_moments
 from gradleak.defenses import ClipDefense, PruneRatioDefense
 from gradleak.errors import AttackStageError, ConfigError, DimensionError, ProbeError
@@ -214,8 +215,9 @@ def test_projected_tensor_order4_stein_oracle():
 
 @pytest.mark.parametrize("B", range(1, 9))
 @pytest.mark.parametrize("moments", [EXP_MO, SP_MO], ids=["order3", "order4"])
-def test_projected_tensor_matches_einsum_bitwise(B, moments):
-    # below, at and off a multiple of the chunk length
+def test_projected_tensor_matches_einsum_bitwise(B, moments, split_halves):
+    # below, at and off a multiple of the chunk length; whole, and with W @ V by row
+    # halves and the contraction by output halves over p (at B = 1 both stay whole)
     chunk = _CHUNK_TERMS // B**3
     rng = np.random.default_rng(100 + B)
     d = B + 2
@@ -225,13 +227,18 @@ def test_projected_tensor_matches_einsum_bitwise(B, moments):
         W = rng.standard_normal((m, d))
         g = rng.standard_normal(m)
         for pr in (None, probe):
-            T = build_projected_tensor(g, W, V, moments, probe=pr)
-            assert np.array_equal(T, einsum_projected_tensor(g, W, V, moments, probe=pr)), m
+            expected = einsum_projected_tensor(g, W, V, moments, probe=pr)
+            for spare in (None, split_halves):
+                with network._spare_thread(spare):
+                    T = build_projected_tensor(g, W, V, moments, probe=pr)
+                assert np.array_equal(T, expected), (m, spare)
+    assert split_halves.submitted == (0 if B == 1 else 12)
 
 
 @pytest.mark.parametrize("B", range(1, 9))
-def test_cube_contraction_keeps_signed_zeros_bitwise(B):
-    # -0 terms must not leave a -0 or a different sum in the running total
+def test_cube_contraction_keeps_signed_zeros_bitwise(B, split_halves):
+    # -0 terms must not leave a -0 or a different sum in the running total, whole
+    # or by output halves over p
     rng = np.random.default_rng(200 + B)
     m = 2 * (_CHUNK_TERMS // B**3) + 5
     g = rng.standard_normal(m)
@@ -240,9 +247,30 @@ def test_cube_contraction_keeps_signed_zeros_bitwise(B):
     v[rng.random((m, B)) < 0.2], v[rng.random((m, B)) < 0.1] = -0.0, 0.0
     v[:, 0] = -0.0  # a whole entry of -0 terms only
     for gg in (g, -np.abs(g)):
-        T = _cube_contraction(gg, v)
-        assert T.flags.c_contiguous
-        assert T.tobytes() == np.einsum("j,jp,jq,jr->pqr", gg, v, v, v).tobytes()
+        for spare in (None, split_halves):
+            with network._spare_thread(spare):
+                T = _cube_contraction(gg, v)
+            assert T.flags.c_contiguous
+            assert T.tobytes() == np.einsum("j,jp,jq,jr->pqr", gg, v, v, v).tobytes()
+    assert split_halves.submitted == (0 if B == 1 else 2)
+
+
+@pytest.mark.parametrize("d", [3, 7, 8])
+@pytest.mark.parametrize("moments", [EXP_MO, CUBIC_MO], ids=["order2", "order3-probe"])
+def test_moment_matrix_split_in_halves_equals_the_whole_call(split_halves, moments, d):
+    # the (d, m) operand by column halves, the GEMM by output-row halves (whole at d = 3)
+    rng = np.random.default_rng(300 + d)
+    m = 2001
+    W = rng.standard_normal((m, d))
+    g = rng.standard_normal(m)
+    g[::5] = -0.0
+    probe = rng.standard_normal(d)
+    for pr in (None, probe):
+        split = build_moment_matrix(g, W, moments, probe=pr)
+        with network._spare_thread(None):
+            whole = build_moment_matrix(g, W, moments, probe=pr)
+        assert split.tobytes() == whole.tobytes()
+    assert split_halves.submitted == (2 if d == 3 else 4)  # d = 3 keeps the GEMM whole
 
 
 def test_projected_tensor_probe_orthogonal_error():
