@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.hermite_e import hermeval
 
-from .errors import ConfigError, NoInformativeOrderError, _check
+from .errors import ConfigError, NoInformativeOrderError, _check, _floats
 
 __all__ = ["Activation", "HermiteMoments", "hermite_moments", "ZERO_MOMENT_THRESHOLD"]
 
@@ -56,6 +56,7 @@ class Activation:
     scale: float = 1.0
 
     def __post_init__(self):
+        _floats(self)
         if self.kind not in ("softplus", "exp", "cubic"):
             raise ConfigError(f"unknown activation kind {self.kind!r}")
         _check("activation scale must be a finite number > 0", self.scale,

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands:
-    attack   run the configured attacks on one trial, print the result JSON
-    bound    print the Cramer-Rao bound report for one trial
+    attack   print one trial's record as JSON; exit 1 if a stage failed
+    bound    print one trial's Cramer-Rao bound report (no attack runs)
     dp-calc  Gaussian-mechanism (epsilon, delta, sigma^2, sensitivity) math
     sweep    run a grid of trials into a journal, results.jsonl, and write
              results.csv / results.json from it
@@ -10,7 +10,7 @@ Subcommands:
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
 {"base": ..., "grid": ...} for sweeps).  A sweep runs its trials on
---workers threads (default 1), records a trial that raises as an error
+--workers threads (default 1), records each trial's failing stages in its
 record, and resumes from its journal; --force starts an empty one.
 """
 from __future__ import annotations
@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bounds as bnd
 from .activations import Activation
 from .errors import GradleakError
-from .harness import (SCORING_MODES, ExperimentConfig, _trial_inputs, aggregate_rows,
+from .harness import (SCORING_MODES, ExperimentConfig, _inputs, aggregate_rows,
                       read_results_csv, run_trial, sweep)
 from .network import sample_params
 from .seeding import derive_seed
@@ -50,16 +51,17 @@ def cmd_attack(args) -> int:
     config = _experiment_config(args)
     rec = run_trial(config, args.trial, keep_samples=True)
     _print_json(rec.to_dict())
-    return 0
+    return 1 if rec.errors or any(a["error"] for a in rec.attacks.values()) else 0
 
 
 def cmd_bound(args) -> int:
-    """The trial's bound without running its attacks: sample, observe, bound."""
+    """The trial's inputs stage, its draws made on a helper, then its bound."""
     config = _experiment_config(args)
     if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
-    _, params, _, obs, truth = _trial_inputs(config, args.trial)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        _, params, _, obs, truth = _inputs(config, args.trial, helper.submit)
     _print_json(bnd.bound_for_observation(params, truth, config.sigma, obs).to_dict())
     return 0
 

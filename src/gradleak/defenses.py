@@ -35,6 +35,7 @@ from .errors import (
     _build,
     _check,
     _check_flag,
+    _floats,
 )
 from .network import DataBatch, GradientObservation, NetworkParams, _halves, gradient
 from .seeding import derive_seed, rng_from
@@ -111,6 +112,7 @@ class NoiseDefense(_Transform):
     clip_scale: float = 1.0
 
     def __post_init__(self):
+        _floats(self)
         _check("noise sigma0 must be a number >= 0", self.sigma0, lambda x: x >= 0)
         _check("noise clip_scale must be a number > 0", self.clip_scale, lambda x: x > 0)
 
@@ -148,6 +150,7 @@ class ClipDefense(_Transform):
     threshold: float
 
     def __post_init__(self):
+        _floats(self)
         _check("clip threshold must be a number > 0", self.threshold, lambda x: x > 0)
 
     @property
@@ -185,6 +188,7 @@ class PruneRatioDefense(_Transform):
     ratio: float
 
     def __post_init__(self):
+        _floats(self)
         _check("prune ratio must be a number in [0, 1)", self.ratio, lambda x: 0 <= x < 1)
 
     @property
@@ -231,6 +235,7 @@ class PruneThresholdDefense(_Transform):
     cutoff: float
 
     def __post_init__(self):
+        _floats(self)
         _check("prune cutoff must be a number >= 0", self.cutoff, lambda x: x >= 0)
 
     @property
@@ -258,6 +263,7 @@ class DropoutDefense(_Transform):
     node_level: bool = True
 
     def __post_init__(self):
+        _floats(self)
         _check("dropout rate must be a number in [0, 1)", self.rate, lambda x: 0 <= x < 1)
         _check_flag("dropout node_level", self.node_level)
 
@@ -304,6 +310,7 @@ class LocalAggregationDefense:
     fresh_batches: bool = False
 
     def __post_init__(self):
+        _floats(self)
         _check(
             "local aggregation steps must be an integer >= 1",
             self.steps, lambda n: n >= 1, numbers.Integral,

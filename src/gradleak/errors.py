@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package, the checks configs run on
 construction, and the one way JSON becomes a config."""
 import numbers
+from dataclasses import fields
 
 
 class GradleakError(Exception):
@@ -26,7 +27,8 @@ class NoInformativeOrderError(GradleakError):
 
 
 class DegenerateObservationError(GradleakError):
-    """A defense destroyed the whole observation (e.g. every node dropped)."""
+    """The observation carries nothing to attack: a defense destroyed all of
+    it (e.g. every node dropped), or it holds non-finite values."""
 
 
 class DivergenceError(GradleakError):
@@ -62,6 +64,20 @@ def _check(what: str, value, ok, kind=numbers.Real):
         raise ConfigError(f"{what}, got {value!r}")
 
 
+def _float(value):
+    """An integer ``value`` (bools excepted) as a float, anything else as it
+    is, so that ``2`` and ``2.0`` make one config and one ``config_hash``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return float(value) if integral else value
+
+
+def _floats(cfg):
+    """``_float`` on every float-typed field of the frozen dataclass ``cfg``."""
+    for f in fields(cfg):
+        if f.type in ("float", "float | None"):
+            object.__setattr__(cfg, f.name, _float(getattr(cfg, f.name)))
+
+
 def _check_flag(what: str, value):
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
@@ -75,5 +91,5 @@ def _build(cls, spec, what: str, **typed):
         raise ConfigError(f"{what} must be a JSON object, got {spec!r}")
     try:
         return cls(**spec, **typed)
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:  # OverflowError: an integer past float range
         raise ConfigError(f"bad {what}: {e}") from e

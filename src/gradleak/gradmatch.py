@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, _check, _check_flag
+from .errors import ConfigError, DimensionError, DivergenceError, _check, _check_flag, _floats
 from .network import GradientObservation, NetworkParams
 from .seeding import rng_from
 from .tensor_attack import ReconstructionResult
@@ -57,6 +57,7 @@ class OptimizerConfig:
     max_halvings: int = 30
 
     def __post_init__(self):
+        _floats(self)
         _check("optimizer step_size must be a finite number > 0", self.step_size,
                lambda x: 0 < x < np.inf)
         for name in ("beta1", "beta2"):
@@ -83,6 +84,7 @@ class GradMatchConfig:
     feature_source: str | None = None
 
     def __post_init__(self):
+        _floats(self)
         for name, allowed in (("distance", _DISTANCES), ("feature_mode", _FEATURE_MODES),
                               ("feature_source", (None, "tensor"))):
             if getattr(self, name) not in allowed:

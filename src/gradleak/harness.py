@@ -24,7 +24,7 @@ import numbers
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,8 @@ import numpy as np
 from . import defenses as dfs
 from .activations import Activation
 from .bounds import bound_for_observation
-from .errors import ConfigError, GradleakError, _build, _check, _check_flag
+from .errors import (ConfigError, DegenerateObservationError, GradleakError, _build, _check,
+                     _check_flag, _floats)
 from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
@@ -122,6 +123,7 @@ class UtilityConfig:
     eta_w: float | None = None
 
     def __post_init__(self):
+        _floats(self)
         _check("utility steps must be an integer >= 1", self.steps, lambda n: n >= 1,
                numbers.Integral)
         for name in ("eta_a", "eta_w"):
@@ -150,6 +152,7 @@ class ExperimentConfig:
     utility: UtilityConfig | None = None
 
     def __post_init__(self):
+        _floats(self)
         for name in ("d", "m", "B", "trials"):
             _check(f"{name} must be an integer >= 1", getattr(self, name), lambda n: n >= 1,
                    numbers.Integral)
@@ -251,9 +254,12 @@ class TrialRecord:
     bound: dict | None
     utility_loss: float | None
     wall_ms: float
+    errors: dict = field(default_factory=dict)  # "bound"/"utility" -> why it is None
 
     def record_hash(self) -> str:
-        """Hash of the deterministic content (wall time and kept samples excluded)."""
+        """Hash of the deterministic content: no wall time, no kept samples,
+        and ``errors`` only when non-empty, so error-free records keep the
+        hashes that journals already store."""
         payload = {
             "config_hash": self.config_hash,
             "trial": self.trial,
@@ -261,6 +267,7 @@ class TrialRecord:
                         for name, res in self.attacks.items()},
             "bound": self.bound,
             "utility_loss": self.utility_loss,
+            **({"errors": self.errors} if self.errors else {}),
         }
         blob = json.dumps(payload, sort_keys=True, default=_fmt)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -280,149 +287,151 @@ class TrialRecord:
         return {**asdict(self), "record_hash": self.record_hash()}
 
 
-def _observe(config: ExperimentConfig, trial_seed: int):
-    """Sample the trial's network and batch and build the undefended release:
-    ``(params, batch, obs, truth)``, where ``obs`` is the gradient on
-    ``batch`` or the release of the chain's leading aggregator and ``truth``
-    every sample behind it (more than ``batch`` when local aggregation draws
-    fresh batches)."""
-    params = sample_params(
-        config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM), config.activation
-    )
-    batch = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-    agg = config.defenses[0] if config.defenses else None
-    if isinstance(agg, dfs.LocalAggregationDefense):
-        batches = [batch] + [
-            sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
-            for k in range(1, agg.steps if agg.fresh_batches else 1)
-        ]
-        truth = batch if len(batches) == 1 else DataBatch(
-            X=np.concatenate([b.X for b in batches], axis=1),
-            y=np.concatenate([b.y for b in batches]))
-        obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
-        return params, batch, obs, truth
-    if isinstance(agg, dfs.SecureAggregationDefense):
-        ends = np.cumsum(agg.batch_sizes)
-        obs = dfs.secure_aggregate([
-            (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
-            for b, e in zip(agg.batch_sizes, ends)
-        ])
-        return params, batch, obs, batch
-    return params, batch, gradient(params, batch), batch
+def _error(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
 
 
-def _trial_inputs(config: ExperimentConfig, trial_idx: int,
-                  helper: ThreadPoolExecutor | None = None):
-    """What trial ``trial_idx`` attacks: ``(trial_seed, params, batch, obs,
-    truth)``, ``_observe``'s release defended by the chain's transforms.
-
-    The transforms' draws are made on ``helper`` (a one-thread pool of the
-    caller's, or one of its own) while this thread samples and observes:
-    they come from their own seed stream, so the bytes are those of drawing
-    them afterwards."""
-    if helper is None:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            return _trial_inputs(config, trial_idx, helper)
+def _inputs(config: ExperimentConfig, trial_idx: int, submit):
+    """The inputs stage: ``(trial_seed, params, batch, obs, truth)``.  ``obs``
+    is the gradient on ``batch`` or the leading aggregator's release,
+    defended by the chain's transforms, whose draws go to ``submit`` while
+    this thread samples and observes (their own seed stream makes the bytes
+    those of drawing them afterwards); ``truth`` is every sample behind it.
+    Overflow is judged once, at the end: a non-finite observation is a
+    DegenerateObservationError under any warnings filter."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
-    transforms = config.transforms
-    if transforms:
-        draws = helper.submit(dfs.draw_chain, transforms,
-                              derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
-    params, batch, obs, truth = _observe(config, trial_seed)
-    if transforms:
-        obs = dfs.compose_drawn(transforms, obs, draws.result())
+    transforms, agg = config.transforms, (config.defenses or (None,))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if transforms:
+            draws = submit(dfs.draw_chain, transforms,
+                           derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
+        params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
+                               config.activation)
+        batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
+        if isinstance(agg, dfs.LocalAggregationDefense):
+            batches = [batch] + [
+                sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
+                for k in range(1, agg.steps if agg.fresh_batches else 1)
+            ]
+            if len(batches) > 1:
+                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
+                                  y=np.concatenate([b.y for b in batches]))
+            obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
+        elif isinstance(agg, dfs.SecureAggregationDefense):
+            ends = np.cumsum(agg.batch_sizes)
+            obs = dfs.secure_aggregate([
+                (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
+                for b, e in zip(agg.batch_sizes, ends)
+            ])
+        else:
+            obs = gradient(params, batch)
+        if transforms:
+            obs = dfs.compose_drawn(transforms, obs, draws.result())
+        flat = obs.flat  # min and max: no temporary of the observation's size
+        if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
+            raise DegenerateObservationError("the inputs stage made a non-finite observation")
     return trial_seed, params, batch, obs, truth
 
 
 def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
              obs, truth: DataBatch, keep_samples: bool) -> dict:
-    """Each configured attack's scored entry; an attack that fails with a
-    GradleakError records the error and a NaN rmse."""
+    """The attack stages: each configured attack's scored entry, gradmatch
+    after the tensor attack whose samples it may take as feature targets.
+    A failing attack gets a NaN rmse and its error (a GradleakError's
+    message, else ``"<Type>: <msg>"``); the other attack's entry stands."""
+    out = {}
 
-    def entry(res, *kept):
-        out = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None}
-        return {**out, **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
+    def stage(name, attack, *kept):
+        try:
+            res = attack()
+            out[name] = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None,
+                         **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
+            return res
+        except Exception as e:
+            out[name] = {"rmse": float("nan"), "assignment": None,
+                         "error": str(e) if isinstance(e, GradleakError) else _error(e)}
 
-    attack_out = {}
-    tensor_result = None
+    tensor = None
     if config.tensor is not None:
-        cfg = replace(config.tensor, seed=derive_seed(trial_seed, TENSOR_STREAM))
-        try:
-            tensor_result = score_reconstruction(
-                tensor_attack(obs, params, truth.B, cfg), truth.X, sign_resolve=True
-            )
-            attack_out["tensor"] = entry(tensor_result, "samples", "signs")
-        except GradleakError as e:
-            attack_out["tensor"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
+        tc = replace(config.tensor, seed=derive_seed(trial_seed, TENSOR_STREAM))
+        tensor = stage("tensor", lambda: score_reconstruction(
+            tensor_attack(obs, params, truth.B, tc), truth.X, sign_resolve=True),
+            "samples", "signs")
     if config.gradmatch is not None:
-        cfg = replace(config.gradmatch, seed=derive_seed(trial_seed, GRADMATCH_STREAM))
-        targets = None
-        if cfg.feature_source == "tensor" and tensor_result is not None:
-            targets = tensor_result.samples
+        gm = replace(config.gradmatch, seed=derive_seed(trial_seed, GRADMATCH_STREAM))
+        targets = None if tensor is None or gm.feature_source != "tensor" else tensor.samples
+        stage("gradmatch", lambda: score_reconstruction(
+            grad_match_attack(obs, params, truth.y, gm, feature_targets=targets), truth.X,
+            sign_resolve=gm.sign_resolve), "samples")
+    return out
+
+
+def _trial(config: ExperimentConfig, trial_idx: int, submit,
+           keep_samples: bool = False) -> TrialRecord:
+    """The trial's stages in order: inputs, the attacks, the bound, utility.
+
+    ``submit(fn, *args)`` returns a future of ``fn(*args)``, computed on a
+    helper thread or in place.  The defense draws go through it, and with
+    bounds on so do the attacks while this thread computes the bound (its
+    large working set stays in this thread's allocator arena).  Utility
+    runs last, its kernels whole.  Each stage records its own failure (any
+    Exception): a failed inputs stage is every attack's error and leaves no
+    bound or utility, an attack's stays in its entry, and a failed bound or
+    utility is None with its ``"<Type>: <msg>"`` in ``errors``."""
+    t0 = time.perf_counter()
+    bound = util = None
+    errors = {}
+
+    def stage(name, fn):
         try:
-            res = grad_match_attack(obs, params, truth.y, cfg, feature_targets=targets)
-            res = score_reconstruction(res, truth.X, sign_resolve=cfg.sign_resolve)
-            attack_out["gradmatch"] = entry(res, "samples")
-        except GradleakError as e:
-            attack_out["gradmatch"] = {"rmse": float("nan"), "assignment": None, "error": str(e)}
-    return attack_out
+            return fn()
+        except Exception as e:
+            errors[name] = _error(e)
+
+    try:
+        trial_seed, params, batch, obs, truth = _inputs(config, trial_idx, submit)
+    except Exception as e:
+        failed = {"rmse": float("nan"), "assignment": None, "error": _error(e)}
+        attacks = {n: dict(failed) for n in ("tensor", "gradmatch")
+                   if getattr(config, n) is not None}
+    else:
+        args = (config, trial_seed, params, obs, truth, keep_samples)
+        if config.compute_bounds:
+            pending = submit(_attacks, *args)
+            bound = stage("bound", lambda: bound_for_observation(
+                params, truth, config.sigma, obs).to_dict())
+            attacks = pending.result()
+        else:
+            attacks = _attacks(*args)
+        if config.utility is not None:
+            u = config.utility
+            with _spare_thread(None):
+                util = stage("utility", lambda: utility_loss(
+                    params, config.transforms, batch, steps=u.steps, eta_a=u.eta_a,
+                    eta_w=u.eta_w, seed=derive_seed(trial_seed, DEFENSE_STREAM, 1)))
+    return TrialRecord(config.config_hash(), trial_idx, config.d, config.m, config.B,
+                       config.defense_name, config.defense_param, attacks, bound, util,
+                       wall_ms=(time.perf_counter() - t0) * 1000.0, errors=errors)
 
 
 def run_trial(
     config: ExperimentConfig, trial_idx: int, keep_samples: bool = False
 ) -> TrialRecord:
-    """Sample, defend, attack, score and bound one trial.
+    """Sample, defend, attack, score and bound one trial: ``_trial``'s
+    stages, each failure recorded in the record it returns (only
+    KeyboardInterrupt and SystemExit propagate).  ``keep_samples`` also
+    stores each attack's recovered sample columns (omitted by default to
+    keep sweep artifacts small).
 
-    ``keep_samples`` additionally stores each attack's recovered sample
-    columns in the record (omitted by default to keep sweep artifacts
-    small).
-
-    The trial runs on two threads: a one-thread helper of its own makes the
-    defense draws while this thread samples (``_trial_inputs``) and, with
-    bounds on, runs the attacks while this thread computes the bound (the
-    bound's large working set stays in this thread's allocator arena).  The
-    stages share only read-only inputs, so the record is the one a
-    sequential run gives.  This thread lends the helper one half of each
-    large kernel call it makes (``network._spare_thread``); each output
-    element gets the whole call's operations, so the bytes are unchanged.
-
-    Utility training applies only the chain's transforms, so a leading
-    aggregator is priced at the undefended utility."""
-    t0 = time.perf_counter()
-    bound = None
+    A one-thread helper of the trial's own runs what ``_trial`` submits,
+    and this thread lends it one half of each large kernel call it makes
+    (``network._spare_thread``), each output element computed by the whole
+    call's operations.  The stages share only read-only inputs, so the
+    record is byte for byte the one a sequential run gives.  Utility
+    training applies only the chain's transforms, so a leading aggregator
+    is priced at the undefended utility."""
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
-        trial_seed, params, batch, obs, truth = _trial_inputs(config, trial_idx, helper)
-        attacks = (config, trial_seed, params, obs, truth, keep_samples)
-        if config.compute_bounds:
-            pending = helper.submit(_attacks, *attacks)
-            try:
-                bound = bound_for_observation(params, truth, config.sigma, obs).to_dict()
-            finally:
-                # an attack's error outranks the bound's, as when the attacks ran first
-                attack_out = pending.result()
-        else:
-            attack_out = _attacks(*attacks)
-
-    util = None
-    if config.utility is not None:
-        util = utility_loss(params, config.transforms, batch, steps=config.utility.steps,
-                            eta_a=config.utility.eta_a, eta_w=config.utility.eta_w,
-                            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1))
-
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return TrialRecord(
-        config_hash=config.config_hash(),
-        trial=trial_idx,
-        d=config.d,
-        m=config.m,
-        B=config.B,
-        defense=config.defense_name,
-        defense_param=config.defense_param,
-        attacks=attack_out,
-        bound=bound,
-        utility_loss=util,
-        wall_ms=wall_ms,
-    )
+        return _trial(config, trial_idx, helper.submit, keep_samples)
 
 
 def utility_loss(
@@ -514,21 +523,6 @@ def _read_journal(path: Path, expected: set[tuple[str, int]]) -> list[TrialRecor
     return records
 
 
-def _trial_or_error(point: ExperimentConfig, trial: int) -> TrialRecord:
-    """``run_trial``, with an exception the trial raises recorded as every
-    configured attack's error (NaN rmse, no bound, no utility)."""
-    t0 = time.perf_counter()
-    try:
-        return run_trial(point, trial)
-    except Exception as e:
-        names = [n for n in ("tensor", "gradmatch") if getattr(point, n) is not None]
-        error = {"rmse": float("nan"), "assignment": None, "error": f"{type(e).__name__}: {e}"}
-        return TrialRecord(point.config_hash(), trial, point.d, point.m, point.B,
-                           point.defense_name, point.defense_param,
-                           {n: dict(error) for n in names}, bound=None, utility_loss=None,
-                           wall_ms=(time.perf_counter() - t0) * 1000.0)
-
-
 def sweep(
     sweep_cfg: dict,
     out_dir: str | Path,
@@ -542,11 +536,11 @@ def sweep(
     checks every other line and reruns only the trials the journal lacks.
     results.csv and results.json are written from the journal's records
     when the sweep ends, interrupted or not, and manifest.json describes
-    the grid.  A trial that raises becomes an error record.  Output is a
-    pure function of (sweep config, base seed) apart from the wall-time
-    column and the manifest timestamp, which a resume keeps.  Refuses to
-    touch an existing complete run unless ``force`` is set, which starts
-    from an empty journal.
+    the grid.  A failing stage is recorded in its trial's record.  Output
+    is a pure function of (sweep config, base seed) apart from the
+    wall-time column and the manifest timestamp, which a resume keeps.
+    Refuses to touch an existing complete run unless ``force`` is set,
+    which starts from an empty journal.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -602,7 +596,7 @@ def sweep(
                 for p, t in todo:
                     if len(pending) == 4 * workers:
                         emit(pending.popleft().result())
-                    pending.append(pool.submit(_trial_or_error, p, t))
+                    pending.append(pool.submit(run_trial, p, t))
                 while pending:
                     emit(pending.popleft().result())
             finally:

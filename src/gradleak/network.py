@@ -73,16 +73,17 @@ def _halves(fn, n: int, size: int) -> None:
 
     With a spare thread lent (``_spare_thread``), n >= 2 and ``size`` (the
     call's largest W-sized array) at least ``_SPLIT_MIN``, the spare computes
-    [n//2, n) while this thread computes [0, n//2); a half the spare has not
-    started by then (it is still busy, say with the defense draws) is taken
-    back and run here.  Otherwise ``fn(0, n)`` runs whole.  An error from
-    either half surfaces only once neither half is running."""
+    [n//2, n) under this thread's ``np.errstate`` (numpy's is per thread)
+    while this thread computes [0, n//2); a half the spare has not started
+    by then (say it is still making the draws) is taken back and run here.
+    Otherwise ``fn(0, n)`` runs whole.  An error from either half surfaces
+    only once neither half is running."""
     spare = getattr(_lender, "spare", None)
     if spare is None or n < 2 or size < _SPLIT_MIN:
         fn(0, n)
         return
     h = n // 2
-    upper = spare.submit(fn, h, n)
+    upper = spare.submit(np.errstate(**np.geterr())(fn), h, n)
     try:
         fn(0, h)
     except BaseException:

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .activations import HermiteMoments, hermite_moments
-from .errors import AttackStageError, ConfigError, DimensionError, ProbeError, _check
+from .errors import (AttackStageError, ConfigError, DimensionError, ProbeError, _check, _float,
+                     _floats)
 from .metrics import min_perm_distance
 from .network import GradientObservation, NetworkParams, _halves, _matmul_rows
 from .seeding import rng_from
@@ -82,15 +83,16 @@ class TensorAttackConfig:
     power_iters: int = 100
     tol: float = 1e-10
     seed: int = 0
-    probe: tuple | None = None  # any sequence of d numbers, kept as a tuple
+    probe: tuple | None = None  # any sequence of d numbers, kept as a tuple of floats
 
     def __post_init__(self):
+        _floats(self)
         for name in ("subspace_iters", "restarts", "power_iters"):
             _check(f"tensor {name} must be an integer >= 1", getattr(self, name),
                    lambda n: n >= 1, numbers.Integral)
         _check("tensor tol must be a finite number >= 0", self.tol, lambda x: 0 <= x < np.inf)
         if self.probe is not None:
-            object.__setattr__(self, "probe", tuple(self.probe))
+            object.__setattr__(self, "probe", tuple(map(_float, self.probe)))
             for x in self.probe:
                 _check("tensor probe must hold finite numbers", x, lambda v: abs(v) < np.inf)
 

@@ -10,15 +10,15 @@ not check: ``input_jacobian`` reads the network's forward internals as
 ``interleaved_compose`` draws each step just before applying it, through
 the transforms' own ``draw`` and ``apply_draw``, so it checks the order of
 the draw-then-apply chain; the sequential trial (``sequential_run_trial``)
-runs the library's stages (``harness._observe``, ``harness._attacks``, the
-bound) one after the other on one thread, so it checks how ``run_trial``
-spreads them over two.
+runs the library's own stage list (``harness._trial``) on one thread, each
+submitted stage in place and every kernel call whole, so it checks how
+``run_trial`` spreads the same stages over two threads and splits kernels.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import time
+from concurrent.futures import Future
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,7 +27,7 @@ import gradleak.harness as hz
 from gradleak.bounds import BoundReport, cramer_rao_gram
 from gradleak.defenses import DefenseRecord, local_aggregation
 from gradleak.errors import ConfigError, DimensionError, DivergenceError
-from gradleak.harness import TrialRecord, utility_loss
+from gradleak.harness import TrialRecord
 from gradleak.network import (
     DataBatch,
     GradientObservation,
@@ -36,7 +36,7 @@ from gradleak.network import (
     gradient,
     loss,
 )
-from gradleak.seeding import DEFENSE_STREAM, derive_seed
+from gradleak.seeding import derive_seed
 
 
 def central_differences(f, x: np.ndarray, step: float) -> np.ndarray:
@@ -326,47 +326,21 @@ def local_aggregation_reference(params: NetworkParams, batches: list[DataBatch],
     return np.concatenate([(params.a - a) / eta_a, ((params.W - W) / eta_w).ravel()])
 
 
-def sequential_trial_inputs(config, trial_idx: int):
-    """``harness._trial_inputs`` on one thread: the undefended release, then
-    the chain's transforms drawn as each step applies."""
-    trial_seed = derive_seed(config.base_seed, trial_idx)
-    params, batch, obs, truth = hz._observe(config, trial_seed)
-    if config.transforms:
-        obs = interleaved_compose(config.transforms, obs, derive_seed(trial_seed, DEFENSE_STREAM))
-    return trial_seed, params, batch, obs, truth
+def inline_submit(fn, *args) -> Future:
+    """A ``submit`` that runs ``fn(*args)`` in place: its result or its
+    exception waits in the returned future, as a helper thread's would."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as e:
+        done.set_exception(e)
+    return done
 
 
 def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
-    """``harness.run_trial`` on one thread: inputs, attacks, bound and utility
-    one after the other. The attacks and the bound are the harness's own
-    (looked up on the module, so a test's monkeypatch reaches both sides);
-    only their order on one thread is the oracle's."""
-    t0 = time.perf_counter()
-    trial_seed, params, batch, obs, truth = sequential_trial_inputs(config, trial_idx)
-    attack_out = hz._attacks(config, trial_seed, params, obs, truth, keep_samples)
-    bound = None
-    if config.compute_bounds:
-        bound = hz.bound_for_observation(params, truth, config.sigma, obs).to_dict()
-
-    util = None
-    if config.utility is not None:
-        util = utility_loss(params, config.transforms, batch, steps=config.utility.steps,
-                            eta_a=config.utility.eta_a, eta_w=config.utility.eta_w,
-                            seed=derive_seed(trial_seed, DEFENSE_STREAM, 1))
-
-    return TrialRecord(
-        config_hash=config.config_hash(),
-        trial=trial_idx,
-        d=config.d,
-        m=config.m,
-        B=config.B,
-        defense=config.defense_name,
-        defense_param=config.defense_param,
-        attacks=attack_out,
-        bound=bound,
-        utility_loss=util,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    """``harness.run_trial`` on one thread: the harness's stage list with
+    ``inline_submit`` and no thread lent to split kernels."""
+    return hz._trial(config, trial_idx, inline_submit, keep_samples)
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

@@ -1,7 +1,9 @@
 import json
+import threading
 
 import pytest
 
+import gradleak.defenses as dfs
 import gradleak.harness as hz
 from gradleak.activations import Activation
 from gradleak.bounds import dp_delta, estimate_sensitivity
@@ -119,6 +121,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
         {"d": 4, "m": 8, "B": 1, "compute_bounds": "false"},
         {"d": 4, "m": 8, "B": 1, "sigma": float("nan")},
         {"d": 4, "m": 8, "B": 1, "sigma": float("inf")},
+        {"d": 4, "m": 8, "B": 1, "sigma": 10**400},  # an integer no float can hold
+        {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {"probe": [10**400, 0, 0, 0]}}},
         {"d": 4, "m": 8, "B": 1, "defenses": [{"variant": "noise", "sigma0": "0.1"}]},
         {"d": 4, "m": 8, "B": 1, "defenses": [{"variant": "prune_threshold", "cutoff": float("nan")}]},
         {"d": 4, "m": 8, "B": 1, "attacks": {"tensor": {"restarts": 0}}},
@@ -149,12 +153,35 @@ def test_bound_runs_no_attack(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(exp))
     expected = run_trial(ExperimentConfig.from_dict(exp), 1).bound
+    attacked, draws_on_main = [], []
+    real_draw = dfs.draw_chain
 
     def no_attack(*args, **kwargs):
+        attacked.append(True)
         raise AssertionError("gradleak bound ran an attack")
+
+    def draw(*args):
+        draws_on_main.append(threading.current_thread() is threading.main_thread())
+        return real_draw(*args)
 
     monkeypatch.setattr(hz, "grad_match_attack", no_attack)
     monkeypatch.setattr(hz, "tensor_attack", no_attack)
+    monkeypatch.setattr(dfs, "draw_chain", draw)
     code, out = run_cli(capsys, "bound", "--config", str(cfg_path), "--trial", "1")
     assert code == 0
     assert json.loads(out) == json.loads(json.dumps(expected))
+    assert attacked == [] and draws_on_main == [False]  # the draws ran on a helper
+
+
+def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):
+    # the exp activation at scale 1e307 overflows the gradient: the inputs
+    # stage fails, and gradleak bound, which has no record to print, says why
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(
+        {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp", "scale": 1e307}}))
+    code, out = run_cli(capsys, "attack", "--config", str(cfg_path))
+    assert code == 1
+    assert json.loads(out)["attacks"]["tensor"]["error"] == (
+        "DegenerateObservationError: the inputs stage made a non-finite observation")
+    assert main(["bound", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: the inputs stage made a non-finite observation\n"

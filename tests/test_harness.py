@@ -21,7 +21,7 @@ from gradleak.defenses import (
     PruneRatioDefense,
     PruneThresholdDefense,
 )
-from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError
+from gradleak.errors import ConfigError, DivergenceError
 from gradleak.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -32,13 +32,15 @@ from gradleak.harness import (
     aggregate_rows,
 )
 from gradleak.network import sample_batch, sample_params
+from gradleak.seeding import DEFENSE_STREAM, derive_seed
 from gradleak.tensor_attack import ReconstructionResult
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
+    inline_submit,
     input_jacobian,
+    interleaved_compose,
     sequential_run_trial,
-    sequential_trial_inputs,
     utility_loss_reference,
 )
 
@@ -158,7 +160,14 @@ def test_two_thread_trial_matches_the_sequential_oracle(chain):
     over, defenses = OVERLAP_CHAINS[chain]
     cfg = small_config(defenses=defenses, utility={"steps": 5}, **over)
     for t in (0, 1):
-        obs, ref_obs = hz._trial_inputs(cfg, t)[3], sequential_trial_inputs(cfg, t)[3]
+        # the inputs stage draws the chain on the helper, then applies it: the
+        # bytes of drawing each step just before it applies
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            obs = hz._inputs(cfg, t, helper.submit)[3]
+        aggregator = cfg.defenses[:len(cfg.defenses) - len(cfg.transforms)]
+        undefended = dataclasses.replace(cfg, defenses=aggregator)
+        seed, *_, release, _ = hz._inputs(undefended, t, inline_submit)
+        ref_obs = interleaved_compose(cfg.transforms, release, derive_seed(seed, DEFENSE_STREAM))
         assert obs.flat.tobytes() == ref_obs.flat.tobytes()
         rec, ref = run_trial(cfg, t), sequential_run_trial(cfg, t)
         assert rec.bound is not None and rec.utility_loss is not None
@@ -264,57 +273,123 @@ def _singular(*args):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def test_bound_error_propagates_as_in_a_sequential_trial(monkeypatch):
-    cfg = small_config(defenses=[NOISE])
-    monkeypatch.setattr(hz, "bound_for_observation", _singular)
+def _crash(*args, **kwargs):
+    raise RuntimeError("attack crashed")
+
+
+def recorded_as_in_a_sequential_trial(cfg, t=0):
+    """``run_trial(cfg, t)``, checked against the sequential oracle and for
+    leaving no thread behind."""
     before = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        sequential_run_trial(cfg, 0)
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        run_trial(cfg, 0)
+    rec = run_trial(cfg, t)
     assert threading.active_count() == before
+    ref = sequential_run_trial(cfg, t)
+    assert rec.record_hash() == ref.record_hash()
+    assert json.dumps(rec.attacks) == json.dumps(ref.attacks)  # NaN rmse included
+    assert (rec.bound, rec.errors) == (ref.bound, ref.errors)
+    return rec
 
 
-def test_attack_error_outranks_a_bound_error_as_in_a_sequential_trial(monkeypatch):
-    # attacks ran before the bound, so a crashing attack hides a failing bound
-    def crashing(*args):
-        raise RuntimeError("attack crashed")
+def same_entry(a, b):
+    return (a["rmse"], a["assignment"], a["error"]) == (b["rmse"], b["assignment"], b["error"])
 
-    cfg = small_config(defenses=[NOISE])
-    monkeypatch.setattr(hz, "tensor_attack", crashing)
+
+def test_a_failing_bound_is_recorded_as_in_a_sequential_trial(monkeypatch):
+    # the bound fails on the trial's thread while both attacks run on the helper
+    cfg = small_config(defenses=[NOISE], attacks=BOTH_ATTACKS, utility={"steps": 5})
+    clean = run_trial(cfg, 0)
     monkeypatch.setattr(hz, "bound_for_observation", _singular)
-    before = threading.active_count()
-    for trial in (sequential_run_trial, run_trial):
-        with pytest.raises(RuntimeError, match="attack crashed"):
-            trial(cfg, 0)
-    assert threading.active_count() == before
+    rec = recorded_as_in_a_sequential_trial(cfg)
+    assert rec.bound is None and rec.errors == {"bound": "LinAlgError: Singular matrix"}
+    assert rec.utility_loss == clean.utility_loss
+    for name, res in clean.attacks.items():
+        assert res["error"] is None and same_entry(rec.attacks[name], res)
 
 
-def test_sampling_error_surfaces_while_the_draw_runs(monkeypatch):
+def test_a_crashing_attack_and_a_failing_bound_each_keep_their_own_error(monkeypatch):
+    # gradmatch takes no feature targets here, so the tensor attack's crash leaves it as it was
+    attacks = {"tensor": FAST_ATTACKS["tensor"], "gradmatch": {"optimizer": {"max_iters": 40}}}
+    cfg = small_config(defenses=[NOISE], attacks=attacks)
+    clean = run_trial(cfg, 0)
+    monkeypatch.setattr(hz, "tensor_attack", _crash)
+    monkeypatch.setattr(hz, "bound_for_observation", _singular)
+    rec = recorded_as_in_a_sequential_trial(cfg)
+    tensor = rec.attacks["tensor"]
+    assert math.isnan(tensor["rmse"]) and tensor["assignment"] is None
+    assert tensor["error"] == "RuntimeError: attack crashed"
+    assert same_entry(rec.attacks["gradmatch"], clean.attacks["gradmatch"])
+    assert rec.bound is None and rec.errors == {"bound": "LinAlgError: Singular matrix"}
+
+
+@pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
+def test_a_gradmatch_crash_leaves_the_tensor_entry_intact(monkeypatch, bounds):
+    cfg = small_config(defenses=[NOISE], attacks=BOTH_ATTACKS, compute_bounds=bounds)
+    clean = run_trial(cfg, 0)
+    monkeypatch.setattr(hz, "grad_match_attack", _crash)
+    rec = recorded_as_in_a_sequential_trial(cfg)
+    assert same_entry(rec.attacks["tensor"], clean.attacks["tensor"])
+    assert rec.attacks["gradmatch"]["error"] == "RuntimeError: attack crashed"
+    assert (rec.bound, rec.errors) == (clean.bound, {})
+
+
+def test_a_failing_utility_is_recorded_as_in_a_sequential_trial(monkeypatch):
+    cfg = small_config(defenses=[NOISE], utility={"steps": 5})
+    clean = run_trial(cfg, 0)
+    monkeypatch.setattr(hz, "utility_loss", _crash)
+    rec = recorded_as_in_a_sequential_trial(cfg)
+    assert rec.utility_loss is None and rec.errors == {"utility": "RuntimeError: attack crashed"}
+    assert (rec.attacks, rec.bound) == (clean.attacks, clean.bound)
+
+
+def test_a_sampling_error_is_recorded_while_the_draw_runs(monkeypatch):
+    # the inputs stage fails every attack with its error; nothing else runs
     def broken(*args):
         raise RuntimeError("sampler broke")
 
     monkeypatch.setattr(hz, "sample_params", broken)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="sampler broke"):
-        run_trial(small_config(defenses=[NOISE]), 0)
-    assert threading.active_count() == before
+    monkeypatch.setattr(hz, "bound_for_observation", _crash)
+    cfg = small_config(defenses=[NOISE], attacks=BOTH_ATTACKS, utility={"steps": 5})
+    rec = recorded_as_in_a_sequential_trial(cfg)
+    for res in rec.attacks.values():
+        assert res["error"] == "RuntimeError: sampler broke" and res["assignment"] is None
+    assert (rec.bound, rec.utility_loss, rec.errors) == (None, None, {})
 
 
-def test_draw_error_surfaces_as_in_a_sequential_trial():
+def test_a_draw_error_is_recorded_as_in_a_sequential_trial():
     # a 0.9 dropout of a one-unit network drops the unit for some trial
     cfg = small_config(m=1, defenses=[{"variant": "dropout", "rate": 0.9}], trials=20)
-    before = threading.active_count()
-    raised = []
+    failed = []
     for t in range(cfg.trials):
-        try:
-            sequential_run_trial(cfg, t)
-        except DegenerateObservationError:
-            with pytest.raises(DegenerateObservationError, match="every hidden unit"):
-                run_trial(cfg, t)
-            raised.append(t)
-    assert raised
-    assert threading.active_count() == before
+        error = recorded_as_in_a_sequential_trial(cfg, t).attacks["tensor"]["error"] or ""
+        if error.startswith("DegenerateObservationError: "):
+            assert "every hidden unit" in error
+            failed.append(t)
+    assert failed
+
+
+# the exp activation at scale 1e307 overflows the gradient of trial 0
+OVERFLOWING = {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp", "scale": 1e307}}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+@pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
+def test_a_non_finite_observation_gives_one_record_whatever_the_warnings_filter(
+        request, capsys, bounds, split):
+    if split:  # every kernel call splits, its upper half on the helper
+        request.getfixturevalue("split_halves")
+    cfg = ExperimentConfig.from_dict({**OVERFLOWING, "compute_bounds": bounds})
+    texts = set()
+    for action in ("error", "ignore", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            rec = run_trial(cfg, 0)
+        texts.add(json.dumps({k: v for k, v in rec.to_dict().items() if k != "wall_ms"},
+                             sort_keys=True))
+    assert len(texts) == 1
+    assert rec.attacks["tensor"]["error"] == (
+        "DegenerateObservationError: the inputs stage made a non-finite observation")
+    assert (rec.bound, rec.utility_loss, rec.errors) == (None, None, {})
+    assert capsys.readouterr().err == ""
 
 
 def test_trials_leave_no_thread_behind(tmp_path):
@@ -346,7 +421,7 @@ BOUND_CHAINS = {
 def _bound_and_dense_oracle(defenses):
     """The trial's bound next to the dense-Jacobian fold of the same chain."""
     cfg = small_config(defenses=defenses)
-    _, params, _, obs, full = hz._trial_inputs(cfg, 0)
+    _, params, _, obs, full = hz._inputs(cfg, 0, inline_submit)
     fast = bound_for_observation(params, full, cfg.sigma, obs)
     assert fast.to_dict() == run_trial(cfg, 0).bound
     dense = dense_bound_for_observation(input_jacobian(params, full), cfg.sigma, full.B, obs)
@@ -821,6 +896,23 @@ def test_resumed_sweep_json_holds_every_record(tmp_path, monkeypatch):
             == [r["record_hash"] for r in clean["records"]])
 
 
+def test_a_journal_line_without_errors_still_resumes(tmp_path):
+    # a line written before records had an errors field: the resume reads it
+    # as a record without errors and keeps its record_hash
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    clean = json.loads(sweep(cfg, out)["json"].read_text())["records"]
+    journal = out / "results.jsonl"
+    first = json.loads(journal.read_text().splitlines()[0])
+    del first["errors"]
+    journal.write_text(json.dumps(first, sort_keys=True) + "\n")
+    res = sweep(cfg, out)
+    assert res["new_records"] == 1
+    records = json.loads(res["json"].read_text())["records"]
+    assert [r["record_hash"] for r in records] == [r["record_hash"] for r in clean]
+    assert [r["errors"] for r in records] == [{}, {}]
+
+
 def _tampered(line: str) -> str:
     rec = json.loads(line)
     rec["attacks"]["tensor"]["rmse"] = 0.0
@@ -1049,6 +1141,58 @@ def test_an_explicit_default_hashes_like_an_omitted_one(spec, explicit):
     short = ExperimentConfig.from_dict({**base, **spec})
     assert ExperimentConfig.from_dict({**base, **explicit}) == short
     assert ExperimentConfig.from_dict({**base, **explicit}).config_hash() == short.config_hash()
+
+
+# every float-typed config field: an integral value it accepts, and the spec
+# that sets it (the tensor probe holds floats too)
+FLOAT_FIELDS = {
+    "ExperimentConfig.sigma": (2, lambda v: {"sigma": v}),
+    "Activation.scale": (2, lambda v: {"activation": {"kind": "exp", "scale": v}}),
+    "NoiseDefense.sigma0": (2, lambda v: {"defenses": [{"variant": "noise", "sigma0": v}]}),
+    "NoiseDefense.clip_scale": (2, lambda v: {"defenses": [
+        {"variant": "noise", "sigma0": 0.1, "clip_scale": v}]}),
+    "ClipDefense.threshold": (2, lambda v: {"defenses": [{"variant": "clip", "threshold": v}]}),
+    "PruneRatioDefense.ratio": (0, lambda v: {"defenses": [
+        {"variant": "prune_ratio", "ratio": v}]}),
+    "PruneThresholdDefense.cutoff": (2, lambda v: {"defenses": [
+        {"variant": "prune_threshold", "cutoff": v}]}),
+    "DropoutDefense.rate": (0, lambda v: {"defenses": [{"variant": "dropout", "rate": v}]}),
+    "LocalAggregationDefense.eta_a": (2, lambda v: {"defenses": [
+        {"variant": "local_aggregation", "steps": 2, "eta_a": v}]}),
+    "LocalAggregationDefense.eta_w": (2, lambda v: {"defenses": [
+        {"variant": "local_aggregation", "steps": 2, "eta_w": v}]}),
+    "TensorAttackConfig.tol": (2, lambda v: {"attacks": {"tensor": {"tol": v}}}),
+    "TensorAttackConfig.probe": (2, lambda v: {"attacks": {"tensor": {"probe": [v, 0, 0, v]}}}),
+    "GradMatchConfig.alpha_feature": (2, lambda v: {"attacks": {"gradmatch": {
+        "alpha_feature": v}}}),
+    **{f"OptimizerConfig.{name}": (value, lambda v, name=name: {"attacks": {"gradmatch": {
+        "optimizer": {name: v}}}})
+       for name, value in (("step_size", 2), ("beta1", 0), ("beta2", 0), ("eps", 2),
+                           ("grad_tol", 2))},
+    "UtilityConfig.eta_a": (2, lambda v: {"utility": {"eta_a": v}}),
+    "UtilityConfig.eta_w": (2, lambda v: {"utility": {"eta_w": v}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_FIELDS))
+def test_a_float_field_hashes_alike_spelled_as_an_int_or_a_float(name):
+    value, spec = FLOAT_FIELDS[name]
+    base = {"d": 4, "m": 8, "B": 1}
+    as_int = ExperimentConfig.from_dict({**base, **spec(value)})
+    as_float = ExperimentConfig.from_dict({**base, **spec(float(value))})
+    assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
+    assert as_int.config_hash() == as_float.config_hash()
+
+
+def test_every_float_field_is_respelled_above():
+    from gradleak.gradmatch import GradMatchConfig, OptimizerConfig
+    from gradleak.tensor_attack import TensorAttackConfig
+
+    classes = (ExperimentConfig, hz.UtilityConfig, Activation, TensorAttackConfig,
+               GradMatchConfig, OptimizerConfig, *dfs._BY_VARIANT.values())
+    floats = {f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+              if f.type in ("float", "float | None")}
+    assert floats == FLOAT_FIELDS.keys() - {"TensorAttackConfig.probe"}
 
 
 def test_config_is_immutable_and_round_trips():

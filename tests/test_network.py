@@ -152,6 +152,23 @@ def test_row_halves_equal_the_whole_products_at_attack_d64_shapes(split_halves):
     assert split_halves.submitted == 3
 
 
+def test_the_spare_half_runs_under_the_callers_errstate(split_halves):
+    # numpy keeps np.errstate per thread; the lower half waits until the spare
+    # has started the upper one, so the spare certainly runs it
+    started, over = threading.Event(), {}
+
+    def fn(lo, hi):
+        if lo == 0:
+            assert started.wait(timeout=10)
+        else:
+            started.set()
+        over[lo] = np.geterr()["over"]
+
+    with np.errstate(over="ignore"):
+        network._halves(fn, 2, 1)
+    assert over == {0: "ignore", 1: "ignore"} and split_halves.submitted == 1
+
+
 def test_halves_run_whole_without_a_spare_and_on_the_spare_thread():
     calls = []
     fn = lambda lo, hi: calls.append((lo, hi))  # noqa: E731
