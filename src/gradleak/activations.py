@@ -72,21 +72,27 @@ class Activation:
 
     def derivatives(self, z, order: int) -> tuple:
         """``(s, s', s'')[:order + 1]`` at ``z`` for order 0, 1 or 2; ``exp``
-        returns one read-only array for every order."""
+        returns one read-only array for every order.  Scale 1.0 skips the
+        multiply by the scale: x * 1.0 is x bit for bit."""
         c = float(self.scale)
+
+        def scaled(v):
+            return v if c == 1.0 else c * v
+
         if self.kind == "exp":
             e = np.exp(z)
-            e *= c  # c * exp(z) without a second temporary
+            if c != 1.0:
+                e *= c  # c * exp(z) without a second temporary
             e.flags.writeable = False
             return (e,) * (order + 1)
         if self.kind == "softplus":
-            out = (c * np.logaddexp(0.0, z),)
+            out = (scaled(np.logaddexp(0.0, z)),)
             if order == 0:
                 return out
             sig = _sigmoid(z)
-            out += (c * sig,)
+            out += (scaled(sig),)
             return out if order == 1 else (*out, out[1] * (1.0 - sig))
-        terms = (lambda: c * z**3, lambda: 3.0 * c * z**2, lambda: 6.0 * c * z)
+        terms = (lambda: scaled(z**3), lambda: 3.0 * c * z**2, lambda: 6.0 * c * z)
         return tuple(t() for t in terms[:order + 1])
 
 

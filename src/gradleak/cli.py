@@ -2,7 +2,8 @@
 
 Subcommands:
     attack   print one trial's record as JSON; exit 1 if a stage failed
-    bound    print one trial's Cramer-Rao bound report (no attack runs)
+    bound    print one trial's Cramer-Rao bound report (no attack runs);
+             exit 1 if the bound failed
     dp-calc  Gaussian-mechanism (epsilon, delta, sigma^2, sensitivity) math
     sweep    run a grid of trials into a journal, results.jsonl, and write
              results.csv / results.json from it
@@ -24,9 +25,9 @@ from pathlib import Path
 from . import bounds as bnd
 from .activations import Activation
 from .errors import GradleakError
-from .harness import (SCORING_MODES, ExperimentConfig, _inputs, aggregate_rows,
+from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, aggregate_rows,
                       read_results_csv, run_trial, sweep)
-from .network import sample_params
+from .network import _quiet, sample_params
 from .seeding import derive_seed
 
 
@@ -55,14 +56,22 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    """The trial's inputs stage, its draws made on a helper, then its bound."""
+    """The trial's inputs stage, its draws made on a helper, then its bound.
+    A failing bound prints ``error: <Type>: <msg>`` and exits 1, as a trial
+    with a failed stage does in ``attack``."""
     config = _experiment_config(args)
     if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
     with ThreadPoolExecutor(max_workers=1) as helper:
         _, params, _, obs, truth = _inputs(config, args.trial, helper.submit)
-    _print_json(bnd.bound_for_observation(params, truth, config.sigma, obs).to_dict())
+    try:
+        with _quiet():
+            report = bnd.bound_for_observation(params, truth, config.sigma, obs)
+    except Exception as e:
+        print(f"error: {_error(e)}", file=sys.stderr)
+        return 1
+    _print_json(report.to_dict())
     return 0
 
 

@@ -21,13 +21,14 @@ iteration makes a few GEMM passes over W and t_W plus O(m B) work.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, _check, _check_flag, _floats
-from .network import GradientObservation, NetworkParams
+from .network import GradientObservation, NetworkParams, _quiet
 from .seeding import rng_from
 from .tensor_attack import ReconstructionResult
 
@@ -140,13 +141,16 @@ def _matching_objective(params: NetworkParams, target: GradientObservation, y, c
         Z = (W @ X).T.copy()                   # (B, m), like every hidden-unit array
         S0, S1, S2 = act.derivatives(Z, 2)
         r = 2.0 * (S0 @ a - y)
+        rc = r[:, None]
         aS1 = a * S1
-        C = a * (S1 * r[:, None])              # g_W = C^T X^T, rounded as in gradient()
+        C = S1 * rc
+        C *= a                                 # g_W = C^T X^T, rounded as in gradient()
         g_a = r @ S0
         XX = Xt @ X
         TX = (t_W @ X).T.copy()                # rows (t_W x_i)^T
         if squared:
-            da, dW = g_a - t_a, C.T @ Xt - t_W
+            da, dW = g_a - t_a, C.T @ Xt
+            dW -= t_W
             stats = ((float(da @ da),), (float(np.vdot(dW, dW)),))
         else:
             stats = ((float(g_a @ g_a), float(g_a @ t_a), tt[0]),
@@ -160,12 +164,23 @@ def _matching_objective(params: NetworkParams, target: GradientObservation, y, c
         if not np.isfinite(val):
             raise DivergenceError("gradient-matching loss is non-finite for this candidate")
         (alpha_a, beta_a), (alpha_W, beta_W) = coef[0], coef[1]
-        u_a = alpha_a * t_a + beta_a * g_a
-        c = alpha_W * TX + beta_W * (XX @ C)   # rows (u_W x_i)^T
+        # The cograd pulled back, in place into arrays no longer read: every
+        # product and sum keeps its operands, only swapped across * or +.
+        u_a = alpha_a * t_a
+        u_a += np.multiply(g_a, beta_a, out=g_a)
+        c = XX @ C
+        c *= beta_W
+        c += np.multiply(TX, alpha_W, out=TX)  # rows (u_W x_i)^T
         uW_aS1 = alpha_W * (aS1 @ t_W) + beta_W * ((aS1 @ C.T) @ Xt)
         h = 2.0 * (S0 @ u_a + np.einsum("ij,ij->i", aS1, c))  # weight of h_i = W^T (a s'_i)
-        F = r[:, None] * (u_a * S1 + a * S2 * c) + h[:, None] * aS1
-        return val, (F @ W + r[:, None] * uW_aS1).T
+        F = S1 * u_a                           # F = r (u_a s' + a s'' c) + h (a s')
+        c *= aS1 if S2 is S1 else a * S2
+        F += c
+        F *= rc
+        F += np.multiply(aS1, h[:, None], out=aS1)
+        G = F @ W
+        G += np.multiply(uW_aS1, rc, out=uW_aS1)
+        return val, G.T
 
     return objective
 
@@ -251,7 +266,7 @@ def feature_regularizer(
 
 
 def _project_columns(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=0)
+    norms = np.sqrt(np.add.reduce(X * X, axis=0))  # np.linalg.norm(X, axis=0)'s arithmetic
     return X / np.where(norms > 1e-300, norms, 1.0)
 
 
@@ -272,7 +287,9 @@ def grad_match_attack(
     backtracked until the objective does not increase, making accepted
     steps monotone.  Deterministic given (config, seed).  If the loss turns
     non-finite the best iterate so far is returned with a ``diverged``
-    flag instead of raising.  The diagnostics keep the iterates'
+    flag instead of raising; floating-point errors are left to that check
+    (``network._quiet``), so the result is the same, and silent, under any
+    warnings filter.  The diagnostics keep the iterates'
     ``trajectory_hash`` and the per-iteration ``loss_history``: they are
     how the tests observe determinism, sign-flip invariance and the
     monotone steps.
@@ -301,73 +318,75 @@ def grad_match_attack(
     iterations = 0
     loss_history: list[float] = []
 
-    match = _matching_objective(params, obs, labels, cfg)
+    with _quiet():
+        match = _matching_objective(params, obs, labels, cfg)
 
-    def objective(Xc, pairing_in):
-        val, grad = match(Xc)
-        if use_feature:
-            fval, fgrad, pairing_out = feature_regularizer(
-                Xc, feature_targets, cfg.feature_mode, pairing_in
+        def objective(Xc, pairing_in):
+            val, grad = match(Xc)
+            if use_feature:
+                fval, fgrad, pairing_out = feature_regularizer(
+                    Xc, feature_targets, cfg.feature_mode, pairing_in
+                )
+                val += cfg.alpha_feature * fval
+                grad = grad + cfg.alpha_feature * fgrad
+            else:
+                pairing_out = pairing_in
+            return val, grad, pairing_out
+
+        for t in range(1, opt.max_iters + 1):
+            iterations = t
+            if use_feature and cfg.feature_mode == "cosine2" and (t - 1) % cfg.pairing_refresh == 0:
+                pairing = None  # recompute greedily from the current iterate
+            try:
+                cur_loss, grad, pairing = objective(X, pairing)
+            except DivergenceError:
+                diverged = True
+                break
+            loss_history.append(cur_loss)
+            if cur_loss < best_loss:
+                best_loss, best_X = cur_loss, X.copy()
+            flat = grad.ravel(order="K")
+            gnorm = math.sqrt(flat.dot(flat))  # np.linalg.norm(grad)'s arithmetic
+            if gnorm < opt.grad_tol:
+                break
+            mom = opt.beta1 * mom + (1.0 - opt.beta1) * grad
+            vel = opt.beta2 * vel + (1.0 - opt.beta2) * grad * grad
+            step = (mom / (1.0 - opt.beta1**t)) / (
+                np.sqrt(vel / (1.0 - opt.beta2**t)) + opt.eps
             )
-            val += cfg.alpha_feature * fval
-            grad = grad + cfg.alpha_feature * fgrad
-        else:
-            pairing_out = pairing_in
-        return val, grad, pairing_out
+            if opt.halve_on_increase:
+                scale = 1.0
+                accepted = X
+                for _ in range(opt.max_halvings):
+                    cand = _project_columns(X - opt.step_size * scale * step)
+                    try:
+                        cand_loss, _, _ = objective(cand, pairing)
+                    except DivergenceError:
+                        cand_loss = np.inf
+                    if cand_loss <= cur_loss:
+                        accepted = cand
+                        break
+                    scale *= 0.5
+                X = accepted
+            else:
+                X = _project_columns(X - opt.step_size * step)
+            traj.update(np.ascontiguousarray(X).tobytes())
 
-    for t in range(1, opt.max_iters + 1):
-        iterations = t
-        if use_feature and cfg.feature_mode == "cosine2" and (t - 1) % cfg.pairing_refresh == 0:
-            pairing = None  # recompute greedily from the current iterate
+        # final iterate may beat the stored best
         try:
-            cur_loss, grad, pairing = objective(X, pairing)
+            final_loss, _, _ = objective(X, pairing)
+            if final_loss < best_loss:
+                best_loss, best_X = final_loss, X.copy()
         except DivergenceError:
             diverged = True
-            break
-        loss_history.append(cur_loss)
-        if cur_loss < best_loss:
-            best_loss, best_X = cur_loss, X.copy()
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < opt.grad_tol:
-            break
-        mom = opt.beta1 * mom + (1.0 - opt.beta1) * grad
-        vel = opt.beta2 * vel + (1.0 - opt.beta2) * grad * grad
-        step = (mom / (1.0 - opt.beta1**t)) / (
-            np.sqrt(vel / (1.0 - opt.beta2**t)) + opt.eps
+
+        return ReconstructionResult(
+            samples=_project_columns(best_X),
+            diagnostics={
+                "final_loss": float(best_loss),
+                "iterations": iterations,
+                "trajectory_hash": traj.hexdigest(),
+                "diverged": diverged,
+                "loss_history": loss_history,
+            },
         )
-        if opt.halve_on_increase:
-            scale = 1.0
-            accepted = X
-            for _ in range(opt.max_halvings):
-                cand = _project_columns(X - opt.step_size * scale * step)
-                try:
-                    cand_loss, _, _ = objective(cand, pairing)
-                except DivergenceError:
-                    cand_loss = np.inf
-                if cand_loss <= cur_loss:
-                    accepted = cand
-                    break
-                scale *= 0.5
-            X = accepted
-        else:
-            X = _project_columns(X - opt.step_size * step)
-        traj.update(np.ascontiguousarray(X).tobytes())
-
-    # final iterate may beat the stored best
-    try:
-        final_loss, _, _ = objective(X, pairing)
-        if final_loss < best_loss:
-            best_loss, best_X = final_loss, X.copy()
-    except DivergenceError:
-        diverged = True
-
-    return ReconstructionResult(
-        samples=_project_columns(best_X),
-        diagnostics={
-            "final_loss": float(best_loss),
-            "iterations": iterations,
-            "trajectory_hash": traj.hexdigest(),
-            "diverged": diverged,
-            "loss_history": loss_history,
-        },
-    )

@@ -38,6 +38,7 @@ from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
     NetworkParams,
+    _quiet,
     _spare_thread,
     gradient,
     loss,
@@ -301,7 +302,7 @@ def _inputs(config: ExperimentConfig, trial_idx: int, submit):
     DegenerateObservationError under any warnings filter."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
     transforms, agg = config.transforms, (config.defenses or (None,))[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         if transforms:
             draws = submit(dfs.draw_chain, transforms,
                            derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
@@ -343,7 +344,8 @@ def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
 
     def stage(name, attack, *kept):
         try:
-            res = attack()
+            with _quiet():  # its own: the attacks may run on the helper
+                res = attack()
             out[name] = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None,
                          **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
             return res
@@ -377,14 +379,18 @@ def _trial(config: ExperimentConfig, trial_idx: int, submit,
     runs last, its kernels whole.  Each stage records its own failure (any
     Exception): a failed inputs stage is every attack's error and leaves no
     bound or utility, an attack's stays in its entry, and a failed bound or
-    utility is None with its ``"<Type>: <msg>"`` in ``errors``."""
+    utility is None with its ``"<Type>: <msg>"`` in ``errors``.  Every stage
+    runs with numpy's floating-point errors ignored (``network._quiet``) and
+    decides by its own checks, so the record is the same, and nothing is
+    printed, under any warnings filter."""
     t0 = time.perf_counter()
     bound = util = None
     errors = {}
 
     def stage(name, fn):
         try:
-            return fn()
+            with _quiet():
+                return fn()
         except Exception as e:
             errors[name] = _error(e)
 

@@ -53,6 +53,14 @@ _SPLIT_MIN = 1 << 21
 _lender = threading.local()
 
 
+def _quiet():
+    """numpy's floating-point errors ignored on this thread (``errstate`` is
+    per thread): the caller's explicit checks decide what a non-finite
+    value means, so its result is the same, and nothing is printed, under
+    any warnings filter."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 @contextmanager
 def _spare_thread(executor):
     """While the block runs, ``_halves`` on this thread hands one half of

@@ -40,6 +40,7 @@ cannot defend it.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -341,11 +342,11 @@ def decompose_tensor(
         best_u, best_lam, best_conv = None, 0.0, False
         for _ in range(restarts):
             u = rng.standard_normal(n)
-            u /= np.linalg.norm(u)
+            u /= math.sqrt(u.dot(u))  # np.linalg.norm(u)'s arithmetic, less Python
             conv = False
             for _ in range(iters):
                 nxt = np.einsum("pqr,q,r->p", work, u, u)
-                nrm = np.linalg.norm(nxt)
+                nrm = math.sqrt(nxt.dot(nxt))
                 if nrm < 1e-300:
                     break
                 nxt /= nrm

@@ -3,9 +3,12 @@
 Everything here is deliberately slow and obvious: finite differences for
 derivatives, explicit enumeration and scipy's solver for assignments,
 literal Hermite-tensor algebra for the projected builders, the dense input
-Jacobian for the closed-form Gram, out-of-place descent loops for the
-in-place one.  Three call library code on purpose, for the part they do
-not check: ``input_jacobian`` reads the network's forward internals as
+Jacobian for the closed-form Gram, out-of-place descent loops and an
+allocating gradient-matching objective for the in-place ones,
+``np.linalg.norm`` in the tensor decomposition.  Four call library code
+on purpose, for the part they do not check: the allocating objective takes
+its distance groups and cosine coefficients from ``gradmatch``;
+``input_jacobian`` reads the network's forward internals as
 ``input_gram`` does (the finite-difference Jacobian checks those);
 ``interleaved_compose`` draws each step just before applying it, through
 the transforms' own ``draw`` and ``apply_draw``, so it checks the order of
@@ -27,6 +30,7 @@ import gradleak.harness as hz
 from gradleak.bounds import BoundReport, cramer_rao_gram
 from gradleak.defenses import DefenseRecord, local_aggregation
 from gradleak.errors import ConfigError, DimensionError, DivergenceError
+from gradleak.gradmatch import _cosine_terms, _distance_groups
 from gradleak.harness import TrialRecord
 from gradleak.network import (
     DataBatch,
@@ -36,7 +40,7 @@ from gradleak.network import (
     gradient,
     loss,
 )
-from gradleak.seeding import derive_seed
+from gradleak.seeding import derive_seed, rng_from
 
 
 def central_differences(f, x: np.ndarray, step: float) -> np.ndarray:
@@ -238,6 +242,93 @@ def dense_grad_match_loss(X_cand, y, params: NetworkParams, target: GradientObse
     if not np.isfinite(val):
         raise DivergenceError("gradient-matching loss is non-finite for this candidate")
     return val, gradient_input_vjp(params, batch, u_a, u_W)
+
+
+def allocating_matching_objective(params: NetworkParams, target: GradientObservation, y, cfg):
+    """``gradmatch._matching_objective`` as it was written before its cograd
+    lines went in place: every product and sum a fresh array, in the
+    formulas' own order.  The library's objective must equal it bit for bit.
+    Distance groups and cosine coefficients come from the library."""
+    W, a, act = params.W, params.a, params.activation
+    t_a, t_W = target.grad_a, target.grad_W
+    squared = cfg.distance == "squared-l2"
+    groups = _distance_groups(cfg, target)
+    tt = (float(t_a @ t_a), float(np.vdot(t_W, t_W)))
+
+    def objective(X: np.ndarray):
+        if X.shape[0] != params.d or y.shape != (X.shape[1],):
+            raise DimensionError(f"candidate shape {X.shape} / labels {y.shape} "
+                                 f"inconsistent with d={params.d}")
+        Xt = X.T
+        Z = (W @ X).T.copy()
+        S0, S1, S2 = act.derivatives(Z, 2)
+        r = 2.0 * (S0 @ a - y)
+        aS1 = a * S1
+        C = a * (S1 * r[:, None])
+        g_a = r @ S0
+        XX = Xt @ X
+        TX = (t_W @ X).T.copy()
+        if squared:
+            da, dW = g_a - t_a, C.T @ Xt - t_W
+            stats = ((float(da @ da),), (float(np.vdot(dW, dW)),))
+        else:
+            stats = ((float(g_a @ g_a), float(g_a @ t_a), tt[0]),
+                     (float(np.sum((C @ C.T) * XX)), float(np.vdot(C, TX)), tt[1]))
+        val, coef = 0.0, {}
+        for blocks, w in groups:
+            total = [sum(col) for col in zip(*(stats[k] for k in blocks))]
+            v, alpha, beta = (total[0], -2.0, 2.0) if squared else _cosine_terms(*total)
+            val += w * v
+            coef.update((k, (w * alpha, w * beta)) for k in blocks)
+        if not np.isfinite(val):
+            raise DivergenceError("gradient-matching loss is non-finite for this candidate")
+        (alpha_a, beta_a), (alpha_W, beta_W) = coef[0], coef[1]
+        u_a = alpha_a * t_a + beta_a * g_a
+        c = alpha_W * TX + beta_W * (XX @ C)
+        uW_aS1 = alpha_W * (aS1 @ t_W) + beta_W * ((aS1 @ C.T) @ Xt)
+        h = 2.0 * (S0 @ u_a + np.einsum("ij,ij->i", aS1, c))
+        F = r[:, None] * (u_a * S1 + a * S2 * c) + h[:, None] * aS1
+        return val, (F @ W + r[:, None] * uW_aS1).T
+
+    return objective
+
+
+def norm_decompose_tensor(T: np.ndarray, B: int, restarts: int = 10, iters: int = 100,
+                          seed: int = 0, tol: float = 1e-10):
+    """``tensor_attack.decompose_tensor`` with each iterate normalised by
+    ``np.linalg.norm``, as it was before the library took the square root
+    of the iterate's dot product itself; the two must agree bit for bit."""
+    n = T.shape[0]
+    rng = rng_from(seed)
+    work = T.copy()
+    weights = np.empty(B)
+    vectors = np.empty((n, B))
+    converged = np.zeros(B, dtype=bool)
+    for comp in range(B):
+        best_u, best_lam, best_conv = None, 0.0, False
+        for _ in range(restarts):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            conv = False
+            for _ in range(iters):
+                nxt = np.einsum("pqr,q,r->p", work, u, u)
+                nrm = np.linalg.norm(nxt)
+                if nrm < 1e-300:
+                    break
+                nxt /= nrm
+                if 1.0 - abs(float(nxt @ u)) < tol:
+                    u = nxt
+                    conv = True
+                    break
+                u = nxt
+            lam = float(np.einsum("pqr,p,q,r->", work, u, u, u))
+            if best_u is None or abs(lam) > abs(best_lam):
+                best_u, best_lam, best_conv = u, lam, conv
+        weights[comp] = best_lam
+        vectors[:, comp] = best_u
+        converged[comp] = best_conv
+        work = work - best_lam * np.einsum("p,q,r->pqr", best_u, best_u, best_u)
+    return weights, vectors, converged
 
 
 def argsort_prune_mask(flat: np.ndarray, ratio: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
+import gradleak.bounds as bnd
 import gradleak.defenses as dfs
 import gradleak.harness as hz
 from gradleak.activations import Activation
@@ -185,3 +187,15 @@ def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):
         "DegenerateObservationError: the inputs stage made a non-finite observation")
     assert main(["bound", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "error: the inputs stage made a non-finite observation\n"
+
+
+def test_a_failing_bound_is_printed_and_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp"}}))
+    monkeypatch.setattr(bnd, "bound_for_observation", fail)
+    assert main(["bound", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: LinAlgError: Eigenvalues did not converge\n" and out.out == ""

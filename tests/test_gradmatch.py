@@ -13,7 +13,8 @@ from gradleak.gradmatch import (
 )
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import score_reconstruction
-from oracles import dense_grad_match_loss
+import gradleak.gradmatch as gm
+from oracles import allocating_matching_objective, dense_grad_match_loss
 
 SP = Activation("softplus")
 
@@ -103,6 +104,56 @@ def test_loss_matches_dense_oracle(case):
                 where = (name, distance, reweight)
                 assert abs(val - ref_val) <= 1e-12 * abs(ref_val), where
                 assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad), where
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("kind", ["exp", "softplus", "cubic"])
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_objective_equals_the_allocating_oracle_bitwise(kind, scale, B):
+    """The in-place objective against its allocating form, value and
+    gradient bit for bit, at candidates near the target's batch and far
+    from it, for both distances with and without group reweighting."""
+    rng = np.random.default_rng(31 + B)
+    p, b, _ = setup(d=5, m=48, B=B, seed=B, activation=Activation(kind, scale))
+    targets = _oracle_targets(p, b, rng)
+    far = rng.standard_normal(b.X.shape)
+    near = b.X + 1e-3 * rng.standard_normal(b.X.shape)
+    for name in ("clean", "noisy", "pruned"):
+        for distance in ("squared-l2", "negative-cosine"):
+            for reweight in (False, True):
+                cfg = GradMatchConfig(distance=distance, group_reweighting=reweight)
+                fast = gm._matching_objective(p, targets[name], b.y, cfg)
+                slow = allocating_matching_objective(p, targets[name], b.y, cfg)
+                for X in (near, far):
+                    val, grad = fast(X)
+                    ref_val, ref_grad = slow(X)
+                    where = (name, distance, reweight)
+                    assert val == ref_val and np.array_equal(grad, ref_grad), where
+
+
+@pytest.mark.parametrize("feature_mode", ["off", "cosine2", "subspace"])
+@pytest.mark.parametrize("halve", [False, True], ids=["plain", "halving"])
+def test_attack_trajectory_equals_the_allocating_objectives(monkeypatch, feature_mode, halve):
+    p, b, g = setup(d=6, m=40, seed=12, activation=Activation("exp", 0.37))
+    noisy = NoiseDefense(0.01).apply(g, 5)
+    Z = b.X + 0.1 * np.random.default_rng(13).standard_normal(b.X.shape)
+    cfg = GradMatchConfig(
+        distance="negative-cosine", group_reweighting=True, feature_mode=feature_mode,
+        alpha_feature=0.1, seed=3,
+        optimizer=OptimizerConfig(max_iters=60, step_size=0.2, halve_on_increase=halve))
+    fast = grad_match_attack(noisy, p, b.y, cfg, feature_targets=Z)
+    monkeypatch.setattr(gm, "_matching_objective", allocating_matching_objective)
+    slow = grad_match_attack(noisy, p, b.y, cfg, feature_targets=Z)
+    assert fast.diagnostics == slow.diagnostics
+    assert np.array_equal(fast.samples, slow.samples)
+
+
+def test_column_projection_is_the_norms_arithmetic():
+    X = np.random.default_rng(14).standard_normal((7, 5)) * np.logspace(-3, 3, 5)
+    X[:, 2] = 0.0
+    for Y in (X, X.T.copy().T):  # C and Fortran layouts
+        norms = np.linalg.norm(Y, axis=0)
+        assert np.array_equal(gm._project_columns(Y), Y / np.where(norms > 1e-300, norms, 1.0))
 
 
 def test_cosine_distance_target_scale_invariant():

@@ -392,6 +392,29 @@ def test_a_non_finite_observation_gives_one_record_whatever_the_warnings_filter(
     assert capsys.readouterr().err == ""
 
 
+# at scale 1e100 the observation of trial 0 is finite, but the attacks,
+# the bound and utility training overflow
+OVERFLOWING_LATER = {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp", "scale": 1e100},
+                     "attacks": {"tensor": {}, "gradmatch": {"optimizer": {"max_iters": 20}}},
+                     "sigma": 0.1, "utility": {"steps": 5}}
+
+
+@pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
+def test_stages_after_the_inputs_give_one_record_whatever_the_warnings_filter(capsys, bounds):
+    cfg = ExperimentConfig.from_dict({**OVERFLOWING_LATER, "compute_bounds": bounds})
+    hashes = set()
+    for action in ("error", "ignore", "default"):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action)
+            rec = run_trial(cfg, 0)
+        hashes.add(rec.record_hash())
+        assert shown == [], action
+    assert len(hashes) == 1
+    assert rec.attacks["tensor"]["error"] is not None  # its own check, not a warning
+    assert "Warning" not in json.dumps(rec.to_dict())
+    assert capsys.readouterr().err == ""
+
+
 def test_trials_leave_no_thread_behind(tmp_path):
     before = threading.active_count()
     run_trial(small_config(defenses=[NOISE]), 0)

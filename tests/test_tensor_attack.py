@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from gradleak.tensor_attack import (
     score_reconstruction,
     tensor_attack,
 )
-from oracles import einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope
+from oracles import (einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope,
+                     norm_decompose_tensor)
 
 SP = Activation("softplus")
 EXP = Activation("exp")
@@ -320,6 +323,24 @@ def test_decompose_noisy_perturbation():
     for truth, idx in ((a, order[0]), (b, order[1])):
         angle = np.arccos(min(1.0, abs(float(vectors[:, idx] @ truth))))
         assert angle < 0.1
+
+
+@pytest.mark.parametrize("B", range(1, 9))
+def test_decompose_equals_the_norm_oracle_bitwise(B):
+    """Weights, vectors and flags bit for bit the oracle's, on a noisy
+    rank-B tensor in n = B and B + 1 dimensions; one iteration per restart
+    leaves components unconverged."""
+    rng = np.random.default_rng(40 + B)
+    for n, iters in ((B, 100), (B + 1, 100), (B + 1, 1)):
+        V = rng.standard_normal((n, B))
+        E = rng.standard_normal((n, n, n))
+        T = np.einsum("pi,qi,ri->pqr", V, V, V) + 0.05 * sum(
+            np.transpose(E, axes) for axes in itertools.permutations(range(3)))
+        got = decompose_tensor(T, B, restarts=4, iters=iters, seed=B)
+        want = norm_decompose_tensor(T, B, restarts=4, iters=iters, seed=B)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, iters)
+        if iters == 1:
+            assert not got[2].all()
 
 
 def test_decompose_bad_rank():
