@@ -3,16 +3,17 @@
 Subcommands:
     attack   print one trial's record as JSON; exit 1 if a stage failed
     bound    print one trial's Cramer-Rao bound report (no attack runs);
-             exit 1 if the bound failed
+             exit 1, with one "error: ..." line, if a stage failed
     dp-calc  Gaussian-mechanism (epsilon, delta, sigma^2, sensitivity) math
     sweep    run a grid of trials into a journal, results.jsonl, and write
              results.csv / results.json from it
     report   aggregate a results.csv into per-defense scores and failure counts
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
-{"base": ..., "grid": ...} for sweeps).  A sweep runs its trials on
---workers threads (default 1), records each trial's failing stages in its
-record, and resumes from its journal; --force starts an empty one.
+{"base": ..., "grid": ...} for sweeps); one that does not read exits 2.
+A sweep runs its trials on --workers threads (default 1), records each
+trial's failing stages in its record, and resumes from its journal;
+--force starts an empty one.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ from pathlib import Path
 from . import bounds as bnd
 from .activations import Activation
 from .errors import GradleakError
-from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, aggregate_rows,
-                      read_results_csv, run_trial, sweep)
-from .network import _quiet, sample_params
+from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _stage,
+                      aggregate_rows, read_results_csv, run_trial, sweep)
+from .network import sample_params
 from .seeding import derive_seed
 
 
@@ -56,19 +57,19 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    """The trial's inputs stage, its draws made on a helper, then its bound.
-    A failing bound prints ``error: <Type>: <msg>`` and exits 1, as a trial
-    with a failed stage does in ``attack``."""
+    """The trial's inputs stage, its draws made on a helper, then its bound,
+    each run by ``_stage``.  A failing stage prints ``error: <Type>: <msg>``
+    and exits 1, as a trial with a failed stage does in ``attack``."""
     config = _experiment_config(args)
     if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
     with ThreadPoolExecutor(max_workers=1) as helper:
-        _, params, _, obs, truth = _inputs(config, args.trial, helper.submit)
-    try:
-        with _quiet():
-            report = bnd.bound_for_observation(params, truth, config.sigma, obs)
-    except Exception as e:
+        inputs, e = _stage(_inputs, config, args.trial, helper.submit)
+    if e is None:
+        _, params, _, obs, truth = inputs
+        report, e = _stage(bnd.bound_for_observation, params, truth, config.sigma, obs)
+    if e is not None:
         print(f"error: {_error(e)}", file=sys.stderr)
         return 1
     _print_json(report.to_dict())

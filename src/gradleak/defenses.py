@@ -37,7 +37,7 @@ from .errors import (
     _check_flag,
     _floats,
 )
-from .network import DataBatch, GradientObservation, NetworkParams, _halves, gradient
+from .network import DataBatch, GradientObservation, NetworkParams, _halves, _quiet, gradient
 from .seeding import derive_seed, rng_from
 
 __all__ = [
@@ -161,7 +161,7 @@ class ClipDefense(_Transform):
         """Scale the whole flattened vector by R = min{1, threshold/||G||}.
         A non-finite norm (±inf or NaN in G, or an overflow) gives R = NaN:
         the output is all NaN, with no floating-point warning."""
-        with np.errstate(over="ignore"):
+        with _quiet():
             norm = obs.norm()
         if not math.isfinite(norm):
             factor = math.nan
@@ -396,11 +396,14 @@ def _descend(params: NetworkParams, batches: list[DataBatch], eta_a: float, eta_
     step_buf = np.empty_like(theta)
     # overflow is an expected outcome here, and the isfinite check decides it
     # the same way whatever the caller's warnings filter
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         for step in range(steps):
             g = gradient(cur, batches[step % len(batches)])
             if transforms:
-                g = compose(transforms, g, derive_seed(seed, step))
+                try:
+                    g = compose(transforms, g, derive_seed(seed, step))
+                except DegenerateObservationError:  # dropout left nothing to send
+                    continue
             np.multiply(eta_a, g.flat[:m], out=step_buf[:m])
             np.multiply(eta_w, g.flat[m:], out=step_buf[m:])
             theta -= step_buf

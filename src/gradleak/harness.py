@@ -292,45 +292,56 @@ def _error(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
+def _stage(fn, *args):
+    """Run one stage: ``(fn(*args), None)``, or ``(None, e)`` for any Exception
+    e.  numpy's floating-point errors are ignored (``network._quiet``): the
+    stage decides by its own checks, the same under any warnings filter."""
+    try:
+        with _quiet():
+            return fn(*args), None
+    except Exception as e:
+        return None, e
+
+
 def _inputs(config: ExperimentConfig, trial_idx: int, submit):
     """The inputs stage: ``(trial_seed, params, batch, obs, truth)``.  ``obs``
     is the gradient on ``batch`` or the leading aggregator's release,
     defended by the chain's transforms, whose draws go to ``submit`` while
     this thread samples and observes (their own seed stream makes the bytes
     those of drawing them afterwards); ``truth`` is every sample behind it.
-    Overflow is judged once, at the end: a non-finite observation is a
+    Overflow is judged once, at the end: run by ``_stage``, and the draws
+    under its ``_quiet`` on the helper, a non-finite observation is a
     DegenerateObservationError under any warnings filter."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
     transforms, agg = config.transforms, (config.defenses or (None,))[0]
-    with _quiet():
-        if transforms:
-            draws = submit(dfs.draw_chain, transforms,
-                           derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
-        params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
-                               config.activation)
-        batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-        if isinstance(agg, dfs.LocalAggregationDefense):
-            batches = [batch] + [
-                sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
-                for k in range(1, agg.steps if agg.fresh_batches else 1)
-            ]
-            if len(batches) > 1:
-                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
-                                  y=np.concatenate([b.y for b in batches]))
-            obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
-        elif isinstance(agg, dfs.SecureAggregationDefense):
-            ends = np.cumsum(agg.batch_sizes)
-            obs = dfs.secure_aggregate([
-                (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
-                for b, e in zip(agg.batch_sizes, ends)
-            ])
-        else:
-            obs = gradient(params, batch)
-        if transforms:
-            obs = dfs.compose_drawn(transforms, obs, draws.result())
-        flat = obs.flat  # min and max: no temporary of the observation's size
-        if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
-            raise DegenerateObservationError("the inputs stage made a non-finite observation")
+    if transforms:
+        draws = submit(_quiet()(dfs.draw_chain), transforms,
+                       derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
+    params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
+                           config.activation)
+    batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
+    if isinstance(agg, dfs.LocalAggregationDefense):
+        batches = [batch] + [
+            sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
+            for k in range(1, agg.steps if agg.fresh_batches else 1)
+        ]
+        if len(batches) > 1:
+            truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
+                              y=np.concatenate([b.y for b in batches]))
+        obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
+    elif isinstance(agg, dfs.SecureAggregationDefense):
+        ends = np.cumsum(agg.batch_sizes)
+        obs = dfs.secure_aggregate([
+            (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
+            for b, e in zip(agg.batch_sizes, ends)
+        ])
+    else:
+        obs = gradient(params, batch)
+    if transforms:
+        obs = dfs.compose_drawn(transforms, obs, draws.result())
+    flat = obs.flat  # min and max: no temporary of the observation's size
+    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
+        raise DegenerateObservationError("the inputs stage made a non-finite observation")
     return trial_seed, params, batch, obs, truth
 
 
@@ -343,15 +354,14 @@ def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
     out = {}
 
     def stage(name, attack, *kept):
-        try:
-            with _quiet():  # its own: the attacks may run on the helper
-                res = attack()
+        res, e = _stage(attack)
+        if e is None:
             out[name] = {"rmse": res.rmse, "assignment": res.assignment.tolist(), "error": None,
                          **{k: getattr(res, k).tolist() for k in kept if keep_samples}}
-            return res
-        except Exception as e:
+        else:
             out[name] = {"rmse": float("nan"), "assignment": None,
                          "error": str(e) if isinstance(e, GradleakError) else _error(e)}
+        return res
 
     tensor = None
     if config.tensor is not None:
@@ -376,31 +386,29 @@ def _trial(config: ExperimentConfig, trial_idx: int, submit,
     helper thread or in place.  The defense draws go through it, and with
     bounds on so do the attacks while this thread computes the bound (its
     large working set stays in this thread's allocator arena).  Utility
-    runs last, its kernels whole.  Each stage records its own failure (any
-    Exception): a failed inputs stage is every attack's error and leaves no
-    bound or utility, an attack's stays in its entry, and a failed bound or
-    utility is None with its ``"<Type>: <msg>"`` in ``errors``.  Every stage
-    runs with numpy's floating-point errors ignored (``network._quiet``) and
-    decides by its own checks, so the record is the same, and nothing is
-    printed, under any warnings filter."""
+    runs last, its kernels whole.  Each stage runs through ``_stage`` and
+    records its own failure: a failed inputs stage is every attack's error
+    and leaves no bound or utility, an attack's stays in its entry, and a
+    failed bound or utility is None with its ``"<Type>: <msg>"`` in
+    ``errors``.  So the record is the same, and nothing is printed, under
+    any warnings filter."""
     t0 = time.perf_counter()
     bound = util = None
     errors = {}
 
     def stage(name, fn):
-        try:
-            with _quiet():
-                return fn()
-        except Exception as e:
+        value, e = _stage(fn)
+        if e is not None:
             errors[name] = _error(e)
+        return value
 
-    try:
-        trial_seed, params, batch, obs, truth = _inputs(config, trial_idx, submit)
-    except Exception as e:
+    inputs, e = _stage(_inputs, config, trial_idx, submit)
+    if e is not None:
         failed = {"rmse": float("nan"), "assignment": None, "error": _error(e)}
         attacks = {n: dict(failed) for n in ("tensor", "gradmatch")
                    if getattr(config, n) is not None}
     else:
+        trial_seed, params, batch, obs, truth = inputs
         args = (config, trial_seed, params, obs, truth, keep_samples)
         if config.compute_bounds:
             pending = submit(_attacks, *args)
@@ -424,10 +432,10 @@ def run_trial(
     config: ExperimentConfig, trial_idx: int, keep_samples: bool = False
 ) -> TrialRecord:
     """Sample, defend, attack, score and bound one trial: ``_trial``'s
-    stages, each failure recorded in the record it returns (only
-    KeyboardInterrupt and SystemExit propagate).  ``keep_samples`` also
-    stores each attack's recovered sample columns (omitted by default to
-    keep sweep artifacts small).
+    stages, each run by ``_stage``, so any Exception is recorded in the
+    record it returns (only KeyboardInterrupt and SystemExit propagate).
+    ``keep_samples`` also stores each attack's recovered sample columns
+    (omitted by default to keep sweep artifacts small).
 
     A one-thread helper of the trial's own runs what ``_trial`` submits,
     and this thread lends it one half of each large kernel call it makes

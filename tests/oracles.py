@@ -29,7 +29,8 @@ from scipy.optimize import linear_sum_assignment
 import gradleak.harness as hz
 from gradleak.bounds import BoundReport, cramer_rao_gram
 from gradleak.defenses import DefenseRecord, local_aggregation
-from gradleak.errors import ConfigError, DimensionError, DivergenceError
+from gradleak.errors import (ConfigError, DegenerateObservationError, DimensionError,
+                             DivergenceError)
 from gradleak.gradmatch import _cosine_terms, _distance_groups
 from gradleak.harness import TrialRecord
 from gradleak.network import (
@@ -368,7 +369,8 @@ def utility_loss_reference(
     seed: int = 0,
 ) -> float:
     """``harness.utility_loss`` as an out-of-place loop: fresh ``a`` and ``W``
-    arrays every step, each checked for finiteness on its own."""
+    arrays every step, each checked for finiteness on its own.  A step whose
+    dropout leaves nothing is skipped: that client sends nothing."""
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     m = params.m
@@ -381,7 +383,10 @@ def utility_loss_reference(
         cur = NetworkParams(a=a, W=W, activation=params.activation)
         g = gradient(cur, batch)
         if defense_transforms:
-            g = interleaved_compose(defense_transforms, g, derive_seed(seed, step))
+            try:
+                g = interleaved_compose(defense_transforms, g, derive_seed(seed, step))
+            except DegenerateObservationError:
+                continue
         a = a - eta_a * g.grad_a
         W = W - eta_w * g.grad_W
         if not (np.isfinite(a).all() and np.isfinite(W).all()):

@@ -178,6 +178,7 @@ def test_bound_runs_no_attack(tmp_path, capsys, monkeypatch):
 def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):
     # the exp activation at scale 1e307 overflows the gradient: the inputs
     # stage fails, and gradleak bound, which has no record to print, says why
+    # in one line, as for any failed stage
     cfg_path = tmp_path / "overflow.json"
     cfg_path.write_text(json.dumps(
         {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp", "scale": 1e307}}))
@@ -185,8 +186,21 @@ def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["attacks"]["tensor"]["error"] == (
         "DegenerateObservationError: the inputs stage made a non-finite observation")
-    assert main(["bound", "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == "error: the inputs stage made a non-finite observation\n"
+    assert main(["bound", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: DegenerateObservationError: the inputs stage made a non-finite observation\n")
+
+
+def test_a_crashing_inputs_stage_fails_the_bound_with_one_line(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise ValueError("boom")
+
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp"}}))
+    monkeypatch.setattr(hz, "sample_params", boom)
+    assert main(["bound", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: ValueError: boom\n" and out.out == ""
 
 
 def test_a_failing_bound_is_printed_and_exits_1(tmp_path, capsys, monkeypatch):

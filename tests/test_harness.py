@@ -21,7 +21,7 @@ from gradleak.defenses import (
     PruneRatioDefense,
     PruneThresholdDefense,
 )
-from gradleak.errors import ConfigError, DivergenceError
+from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError
 from gradleak.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -369,6 +369,9 @@ def test_a_draw_error_is_recorded_as_in_a_sequential_trial():
 
 # the exp activation at scale 1e307 overflows the gradient of trial 0
 OVERFLOWING = {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp", "scale": 1e307}}
+# noise at sigma0 1e308 overflows its own draw, made on the trial's helper
+NOISE_OVERFLOWING = {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp"},
+                     "defenses": [{"variant": "noise", "sigma0": 1e308}]}
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
@@ -377,18 +380,21 @@ def test_a_non_finite_observation_gives_one_record_whatever_the_warnings_filter(
         request, capsys, bounds, split):
     if split:  # every kernel call splits, its upper half on the helper
         request.getfixturevalue("split_halves")
-    cfg = ExperimentConfig.from_dict({**OVERFLOWING, "compute_bounds": bounds})
-    texts = set()
-    for action in ("error", "ignore", "default"):
-        with warnings.catch_warnings():
-            warnings.simplefilter(action)
-            rec = run_trial(cfg, 0)
-        texts.add(json.dumps({k: v for k, v in rec.to_dict().items() if k != "wall_ms"},
-                             sort_keys=True))
-    assert len(texts) == 1
-    assert rec.attacks["tensor"]["error"] == (
-        "DegenerateObservationError: the inputs stage made a non-finite observation")
-    assert (rec.bound, rec.utility_loss, rec.errors) == (None, None, {})
+    for spec in (OVERFLOWING, NOISE_OVERFLOWING):
+        cfg = ExperimentConfig.from_dict({**spec, "compute_bounds": bounds})
+        texts = set()
+        for action in ("error", "ignore", "default"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                rec = run_trial(cfg, 0)
+            texts.add(json.dumps({k: v for k, v in rec.to_dict().items() if k != "wall_ms"},
+                                 sort_keys=True))
+        assert len(texts) == 1
+        assert rec.attacks["tensor"]["error"] == (
+            "DegenerateObservationError: the inputs stage made a non-finite observation")
+        assert (rec.bound, rec.utility_loss, rec.errors) == (None, None, {})
+    # the noise trial's record, the one the "ignore" filter always gave
+    assert rec.record_hash() == ("237700c2088d7810" if bounds else "b5b178b161c1e060")
     assert capsys.readouterr().err == ""
 
 
@@ -662,6 +668,36 @@ def test_utility_loss_matches_reference_when_diverging(chain):
         fast = utility_loss(*args, **kw)
         ref = utility_loss_reference(*args, **kw)
     assert fast.hex() == ref.hex() == "inf"
+
+
+def test_a_training_step_whose_dropout_leaves_nothing_sends_nothing():
+    # a 0.9 dropout of 4 units drops every one on some training step of each
+    # trial: that step updates nothing, and training goes on; in trial 1 it also
+    # drops every unit of the observation, which fails the inputs stage
+    cfg = small_config(d=4, m=4, base_seed=0, trials=3, compute_bounds=False,
+                       defenses=[{"variant": "dropout", "rate": 0.9}], utility={"steps": 5})
+    (dropout,) = cfg.transforms
+    emptied = set()
+    for t in range(cfg.trials):
+        rec = run_trial(cfg, t)
+        trial_seed, params, batch, _, _ = hz._inputs(dataclasses.replace(cfg, defenses=()), t,
+                                                     inline_submit)
+        seed = derive_seed(trial_seed, DEFENSE_STREAM, 1)
+        for step in range(5):
+            try:
+                dropout.draw(derive_seed(derive_seed(seed, step), 0), cfg.m, cfg.d)
+            except DegenerateObservationError:
+                emptied.add(t)
+        ref = utility_loss_reference(params, [dropout], batch, steps=5, seed=seed)
+        if t == 1:
+            assert rec.attacks["tensor"]["error"] == (
+                "DegenerateObservationError: dropout removed every hidden unit; "
+                "nothing observable remains")
+            assert rec.utility_loss is None
+        else:
+            assert rec.errors == {} and rec.utility_loss.hex() == ref.hex()
+        assert utility_loss(params, [dropout], batch, steps=5, seed=seed).hex() == ref.hex()
+    assert emptied == {0, 1, 2}
 
 
 # --- sweep ----------------------------------------------------------------------

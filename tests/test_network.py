@@ -1,6 +1,7 @@
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,13 @@ def test_the_spare_half_runs_under_the_callers_errstate(split_halves):
     with np.errstate(over="ignore"):
         network._halves(fn, 2, 1)
     assert over == {0: "ignore", 1: "ignore"} and split_halves.submitted == 1
+
+
+def test_only_network_spells_out_a_floating_point_error_policy():
+    # every other module ignores numpy's floating-point errors through _quiet
+    src = Path(network.__file__).parent
+    assert [f.name for f in sorted(src.glob("*.py")) if "np.errstate(" in f.read_text()] == [
+        "network.py"]
 
 
 def test_halves_run_whole_without_a_spare_and_on_the_spare_thread():
