@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _check
 from .network import DataBatch, GradientObservation, NetworkParams, gradient, input_gram
 from .seeding import rng_from
 
@@ -170,6 +170,12 @@ def bound_for_observation(
     return rep
 
 
+def _finite_positive(**values):
+    """ConfigError unless each value is a finite number > 0 (NaN and inf fail)."""
+    for name, value in values.items():
+        _check(f"{name} must be a finite number > 0", value, lambda v: 0 < v < math.inf)
+
+
 def dp_lambda_star(epsilon: float, sigma_sq: float, sensitivity: float) -> float:
     """Moment order minimizing the closed-form failure probability."""
     return sigma_sq * epsilon / sensitivity - 0.5
@@ -183,8 +189,7 @@ def dp_delta(epsilon: float, sigma_sq: float, sensitivity: float) -> float:
     the vacuous delta = 1.  The formula's derivation needs the optimizing
     order >= 1; use ``dp_lambda_star`` to check (the harness flags it).
     """
-    if epsilon <= 0 or sigma_sq <= 0 or sensitivity <= 0:
-        raise ConfigError("epsilon, sigma_sq and sensitivity must all be > 0")
+    _finite_positive(epsilon=epsilon, sigma_sq=sigma_sq, sensitivity=sensitivity)
     t = dp_lambda_star(epsilon, sigma_sq, sensitivity)
     if t <= 0:
         return 1.0
@@ -200,15 +205,10 @@ def required_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     sigma^2 = sensitivity (t + 1/2) / eps, homogeneous of degree 1 in the
     sensitivity.  Round-trips through ``dp_delta`` to relative 1e-9.
     """
-    if epsilon <= 0 or sensitivity <= 0:
-        raise ConfigError("epsilon and sensitivity must be > 0")
-    if not 0 < delta < 1:
-        raise ConfigError("delta must lie strictly between 0 and 1")
+    _finite_positive(epsilon=epsilon, sensitivity=sensitivity)
+    _check("delta must lie strictly between 0 and 1", delta, lambda v: 0 < v < 1)
     L = math.log(1.0 / delta)
-    disc = L * L + epsilon * L
-    if disc < 0:  # unreachable for valid inputs; kept as an explicit guard
-        raise ConfigError("no real solution for these parameters")
-    t = (L + math.sqrt(disc)) / epsilon
+    t = (L + math.sqrt(L * L + epsilon * L)) / epsilon
     return sensitivity * (t + 0.5) / epsilon
 
 

@@ -11,6 +11,9 @@ Subcommands:
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
 {"base": ..., "grid": ...} for sweeps); one that does not read exits 2.
+A config is a trial's only input: its "base_seed" (a sweep's
+"base.base_seed") is the only seed, so one config gives one record, and
+an interrupted sweep resumes from the same file.
 A sweep runs its trials on --workers threads (default 1), records each
 trial's failing stages in its record, and resumes from its journal;
 --force starts an empty one.
@@ -28,7 +31,7 @@ from .activations import Activation
 from .errors import GradleakError
 from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _stage,
                       aggregate_rows, read_results_csv, run_trial, sweep)
-from .network import sample_params
+from .network import _spare_thread, sample_params
 from .seeding import derive_seed
 
 
@@ -42,15 +45,8 @@ def _print_json(obj):
     sys.stdout.write("\n")
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    spec = _load_config(args.config)
-    if args.seed is not None:
-        spec["base_seed"] = args.seed
-    return ExperimentConfig.from_dict(spec)
-
-
 def cmd_attack(args) -> int:
-    config = _experiment_config(args)
+    config = ExperimentConfig.from_dict(_load_config(args.config))
     rec = run_trial(config, args.trial, keep_samples=True)
     _print_json(rec.to_dict())
     return 1 if rec.errors or any(a["error"] for a in rec.attacks.values()) else 0
@@ -58,17 +54,18 @@ def cmd_attack(args) -> int:
 
 def cmd_bound(args) -> int:
     """The trial's inputs stage, its draws made on a helper, then its bound,
-    each run by ``_stage``.  A failing stage prints ``error: <Type>: <msg>``
-    and exits 1, as a trial with a failed stage does in ``attack``."""
-    config = _experiment_config(args)
+    each run by ``_stage`` with the helper lent for kernel halves, as in
+    ``run_trial``.  A failing stage prints ``error: <Type>: <msg>`` and exits
+    1, as a trial with a failed stage does in ``attack``."""
+    config = ExperimentConfig.from_dict(_load_config(args.config))
     if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
         inputs, e = _stage(_inputs, config, args.trial, helper.submit)
-    if e is None:
-        _, params, _, obs, truth = inputs
-        report, e = _stage(bnd.bound_for_observation, params, truth, config.sigma, obs)
+        if e is None:
+            _, params, _, obs, truth = inputs
+            report, e = _stage(bnd.bound_for_observation, params, truth, config.sigma, obs)
     if e is not None:
         print(f"error: {_error(e)}", file=sys.stderr)
         return 1
@@ -106,10 +103,7 @@ def cmd_dp_calc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _load_config(args.config)
-    if args.seed is not None:
-        spec.setdefault("base", {})["base_seed"] = args.seed
-    res = sweep(spec, args.out, force=args.force, workers=args.workers)
+    res = sweep(_load_config(args.config), args.out, force=args.force, workers=args.workers)
     _print_json({k: str(v) for k, v in res.items()})
     return 0
 
@@ -127,13 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("attack", help="single attack trial, result as JSON")
     pa.add_argument("--config", required=True)
     pa.add_argument("--trial", type=int, default=0)
-    pa.add_argument("--seed", type=int, default=None)
     pa.set_defaults(fn=cmd_attack)
 
     pb = sub.add_parser("bound", help="bound report for one trial, as JSON")
     pb.add_argument("--config", required=True)
     pb.add_argument("--trial", type=int, default=0)
-    pb.add_argument("--seed", type=int, default=None)
     pb.set_defaults(fn=cmd_bound)
 
     pd = sub.add_parser("dp-calc", help="Gaussian-mechanism calculator")
@@ -152,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", required=True)
     ps.add_argument("--force", action="store_true")
-    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--workers", type=int, default=1)
     ps.set_defaults(fn=cmd_sweep)
 

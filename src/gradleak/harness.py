@@ -385,13 +385,12 @@ def _trial(config: ExperimentConfig, trial_idx: int, submit,
     ``submit(fn, *args)`` returns a future of ``fn(*args)``, computed on a
     helper thread or in place.  The defense draws go through it, and with
     bounds on so do the attacks while this thread computes the bound (its
-    large working set stays in this thread's allocator arena).  Utility
-    runs last, its kernels whole.  Each stage runs through ``_stage`` and
-    records its own failure: a failed inputs stage is every attack's error
-    and leaves no bound or utility, an attack's stays in its entry, and a
-    failed bound or utility is None with its ``"<Type>: <msg>"`` in
-    ``errors``.  So the record is the same, and nothing is printed, under
-    any warnings filter."""
+    large working set stays in this thread's allocator arena).  Each stage
+    runs through ``_stage`` and records its own failure: a failed inputs
+    stage is every attack's error and leaves no bound or utility, an
+    attack's stays in its entry, and a failed bound or utility is None with
+    its ``"<Type>: <msg>"`` in ``errors``.  So the record is the same, and
+    nothing is printed, under any warnings filter."""
     t0 = time.perf_counter()
     bound = util = None
     errors = {}
@@ -419,10 +418,9 @@ def _trial(config: ExperimentConfig, trial_idx: int, submit,
             attacks = _attacks(*args)
         if config.utility is not None:
             u = config.utility
-            with _spare_thread(None):
-                util = stage("utility", lambda: utility_loss(
-                    params, config.transforms, batch, steps=u.steps, eta_a=u.eta_a,
-                    eta_w=u.eta_w, seed=derive_seed(trial_seed, DEFENSE_STREAM, 1)))
+            util = stage("utility", lambda: utility_loss(
+                params, config.transforms, batch, steps=u.steps, eta_a=u.eta_a,
+                eta_w=u.eta_w, seed=derive_seed(trial_seed, DEFENSE_STREAM, 1)))
     return TrialRecord(config.config_hash(), trial_idx, config.d, config.m, config.B,
                        config.defense_name, config.defense_param, attacks, bound, util,
                        wall_ms=(time.perf_counter() - t0) * 1000.0, errors=errors)
@@ -438,12 +436,13 @@ def run_trial(
     (omitted by default to keep sweep artifacts small).
 
     A one-thread helper of the trial's own runs what ``_trial`` submits,
-    and this thread lends it one half of each large kernel call it makes
-    (``network._spare_thread``), each output element computed by the whole
-    call's operations.  The stages share only read-only inputs, so the
-    record is byte for byte the one a sequential run gives.  Utility
-    training applies only the chain's transforms, so a leading aggregator
-    is priced at the undefended utility."""
+    and in every stage, utility training included, this thread lends it one
+    half of each large kernel call it makes (``network._spare_thread``), each
+    output element computed by the whole call's operations.  The stages
+    share only read-only inputs, so the record is byte for byte the one a
+    sequential run gives.  Utility training applies only the chain's
+    transforms, so a leading aggregator is priced at the undefended
+    utility."""
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
         return _trial(config, trial_idx, helper.submit, keep_samples)
 

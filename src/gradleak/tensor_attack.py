@@ -384,8 +384,6 @@ def tensor_attack(
     def _stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except AttackStageError:
-            raise
         except Exception as e:
             raise AttackStageError(name, e) from e
 

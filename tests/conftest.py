@@ -17,6 +17,18 @@ class CountingPool(ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that records the name of every function submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.names = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.names.append(fn.__name__)
+        return super().submit(fn, *args, **kwargs)
+
+
 @pytest.fixture
 def split_halves(monkeypatch):
     """Every kernel call on this thread that can split does: the size floor

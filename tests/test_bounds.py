@@ -223,6 +223,22 @@ def test_dp_parameter_validation():
         required_sigma(1.0, 1.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("arg", [0, 1, 2])
+def test_dp_calculator_rejects_a_non_finite_argument(arg, bad):
+    # epsilon, sigma_sq and sensitivity must be finite: NaN and inf pass a test
+    # of x <= 0 and would come out as a NaN, 0 or vacuous delta
+    forward = [1.0, 20.0, 2.0]
+    forward[arg] = bad
+    with pytest.raises(ConfigError, match="must be a finite number > 0"):
+        dp_delta(*forward)
+    if arg != 1:  # the inverse takes delta, not sigma_sq
+        inverse = [1.0, 1e-5, 2.0]
+        inverse[arg] = bad
+        with pytest.raises(ConfigError, match="must be a finite number > 0"):
+            required_sigma(*inverse)
+
+
 # --- sensitivity ------------------------------------------------------------
 
 def test_sensitivity_monotone_in_trials():

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 import gradleak.bounds as bnd
+import gradleak.cli as cli
 import gradleak.defenses as dfs
 import gradleak.harness as hz
+from gradleak import network
 from gradleak.activations import Activation
 from gradleak.bounds import dp_delta, estimate_sensitivity
 from gradleak.cli import main
 from gradleak.harness import ExperimentConfig, run_trial
 from gradleak.network import sample_params
 from gradleak.seeding import derive_seed
+from conftest import RecordingPool
+from oracles import sequential_run_trial
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +50,34 @@ def test_dp_calc_samples_the_sensitivity_at_a_width(capsys):
     assert payload["sensitivity"] == estimate_sensitivity(params, 5, 3)
     assert payload["sensitivity_sampled_from"] == {"d": 4, "m": 64, "trials": 5}
     assert payload["delta"] == dp_delta(1.0, 20.0, payload["sensitivity"])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("flag, name, given", [
+    ("--epsilon", "epsilon", ["--sigma2", "20", "--sensitivity", "2"]),
+    ("--epsilon", "epsilon", ["--delta", "1e-5", "--sensitivity", "2"]),
+    ("--sigma2", "sigma_sq", ["--epsilon", "1", "--sensitivity", "2"]),
+    ("--sensitivity", "sensitivity", ["--epsilon", "1", "--sigma2", "20"]),
+    ("--sensitivity", "sensitivity", ["--epsilon", "1", "--delta", "1e-5"]),
+])
+def test_dp_calc_rejects_a_non_finite_value(capsys, flag, name, given, bad):
+    # a config error: nothing on stdout, one line on stderr and exit 2
+    assert main(["dp-calc", *given, flag, bad]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {name} must be a finite number > 0, got {bad}\n"
+
+
+@pytest.mark.parametrize("command", ["attack", "bound", "sweep"])
+def test_the_config_is_the_only_seed(capsys, command):
+    # only dp-calc, which reads no config, takes --seed; a trial's seed is the
+    # config's base_seed, so a config alone reruns or resumes it
+    argv = [command, "--config", "exp.json", "--seed", "3"] + (
+        ["--out", "run"] if command == "sweep" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_attack_and_report_round_trip(tmp_path, capsys):
@@ -173,6 +205,31 @@ def test_bound_runs_no_attack(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out) == json.loads(json.dumps(expected))
     assert attacked == [] and draws_on_main == [False]  # the draws ran on a helper
+
+
+def test_bound_lends_its_helper_kernel_halves(tmp_path, capsys, monkeypatch):
+    # every kernel call that can split does, its upper half on the helper that
+    # made the draws; the report is the one whole calls on one thread give
+    monkeypatch.setattr(network, "_SPLIT_MIN", 0)
+    spec = {"d": 7, "m": 301, "B": 3, "activation": {"kind": "softplus"}, "sigma": 0.1,
+            "defenses": [{"variant": "clip", "threshold": 1.0},
+                         {"variant": "noise", "sigma0": 0.01}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(spec))
+    pools = []
+
+    def make(*args, **kwargs):
+        pools.append(RecordingPool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", make)
+    code, out = run_cli(capsys, "bound", "--config", str(cfg_path), "--trial", "1")
+    assert code == 0
+    expected = sequential_run_trial(ExperimentConfig.from_dict(spec), 1).bound
+    assert json.loads(out) == json.loads(json.dumps(expected))
+    # the draws, gradient's W @ X and C @ X^T, the noise add and the bound's W @ X
+    (pool,) = pools
+    assert pool.names == ["draw_chain"] + ["<lambda>"] * 4
 
 
 def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):

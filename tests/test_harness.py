@@ -34,6 +34,7 @@ from gradleak.harness import (
 from gradleak.network import sample_batch, sample_params
 from gradleak.seeding import DEFENSE_STREAM, derive_seed
 from gradleak.tensor_attack import ReconstructionResult
+from conftest import RecordingPool
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
@@ -195,18 +196,6 @@ def test_concurrent_trials_match_the_oracle_under_fast_thread_switching():
 
 # --- kernel halves on the trial's helper -----------------------------------------
 
-class RecordingPool(ThreadPoolExecutor):
-    """A thread pool that records the name of every function submitted to it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.names = []
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.names.append(fn.__name__)
-        return super().submit(fn, *args, **kwargs)
-
-
 def trial_helper_calls(monkeypatch, cfg, t):
     """``run_trial(cfg, t)`` and the names of the calls its helper received
     besides the draws and the attacks: one per kernel call split in halves."""
@@ -243,6 +232,23 @@ def test_split_trial_matches_the_sequential_oracle(monkeypatch, bounds, kind):
         for name, res in ref.attacks.items():
             assert rec.attacks[name]["rmse"] == res["rmse"]
             assert rec.attacks[name]["assignment"] == res["assignment"]
+
+
+@pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
+def test_utility_training_lends_the_helper(monkeypatch, bounds):
+    # utility training splits its kernels like every other stage on the trial's
+    # thread, bit for bit: each of its 4 steps hands the helper gradient's two
+    # halves and the noise add's, and its final loss one of W @ X
+    monkeypatch.setattr(network, "_SPLIT_MIN", 0)
+    spec = dict(d=7, m=301, B=3, activation={"kind": "softplus"}, attacks=BOTH_ATTACKS,
+                defenses=OVERLAP_CHAINS["clip-noise"][1], compute_bounds=bounds)
+    cfg, untrained = small_config(utility={"steps": 4}, **spec), small_config(**spec)
+    for t in (0, 1):
+        rec, halves = trial_helper_calls(monkeypatch, cfg, t)
+        ref = sequential_run_trial(cfg, t)
+        assert len(halves) == len(trial_helper_calls(monkeypatch, untrained, t)[1]) + 4 * 3 + 1
+        assert rec.record_hash() == ref.record_hash()
+        assert rec.utility_loss == ref.utility_loss and rec.utility_loss is not None
 
 
 # perfbench's four workloads at their sizes; attacks and training cut short, which
