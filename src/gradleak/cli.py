@@ -53,16 +53,17 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    """The trial's inputs stage, its draws made on a helper, then its bound,
-    each run by ``_stage`` with the helper lent for kernel halves, as in
-    ``run_trial``.  A failing stage prints ``error: <Type>: <msg>`` and exits
-    1, as a trial with a failed stage does in ``attack``."""
+    """The trial's inputs stage, then its bound, each run by ``_stage`` with
+    a helper lent as in ``run_trial``: work handed to it runs under the
+    errstate of the thread that handed it.  A failing stage prints
+    ``error: <Type>: <msg>`` and exits 1, as a trial with a failed stage
+    does in ``attack``."""
     config = ExperimentConfig.from_dict(_load_config(args.config))
     if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
-        inputs, e = _stage(_inputs, config, args.trial, helper.submit)
+        inputs, e = _stage(_inputs, config, args.trial)
         if e is None:
             _, params, _, obs, truth = inputs
             report, e = _stage(bnd.bound_for_observation, params, truth, config.sigma, obs)
@@ -77,9 +78,6 @@ def cmd_dp_calc(args) -> int:
     sens = args.sensitivity
     out = {"epsilon": args.epsilon}
     if sens is None:
-        if args.m is None:
-            print("need --sensitivity or --m to sample one", file=sys.stderr)
-            return 1
         activation = Activation(args.activation)
         params = sample_params(args.d, args.m, derive_seed(args.seed, 0xD9), activation)
         sens = bnd.estimate_sensitivity(params, trials=args.trials, seed=args.seed)
@@ -88,12 +86,9 @@ def cmd_dp_calc(args) -> int:
     if args.sigma2 is not None:
         out["sigma2"] = args.sigma2
         out["delta"] = bnd.dp_delta(args.epsilon, args.sigma2, sens)
-    elif args.delta is not None:
+    else:
         out["delta"] = args.delta
         out["sigma2"] = bnd.required_sigma(args.epsilon, args.delta, sens)
-    else:
-        print("need --sigma2 (forward) or --delta (inverse)", file=sys.stderr)
-        return 1
     lam = bnd.dp_lambda_star(args.epsilon, out["sigma2"], sens)
     out["lambda_star"] = lam
     if lam < 1:
@@ -130,11 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("dp-calc", help="Gaussian-mechanism calculator")
     pd.add_argument("--epsilon", type=float, required=True)
-    pd.add_argument("--delta", type=float, default=None)
-    pd.add_argument("--sigma2", type=float, default=None)
-    pd.add_argument("--sensitivity", type=float, default=None)
+    noise = pd.add_mutually_exclusive_group(required=True)
+    noise.add_argument("--sigma2", type=float, help="forward: the delta of this noise")
+    noise.add_argument("--delta", type=float, help="inverse: the noise for this delta")
+    sens = pd.add_mutually_exclusive_group(required=True)
+    sens.add_argument("--sensitivity", type=float)
+    sens.add_argument("--m", type=int, help="sample sensitivity at this width")
     pd.add_argument("--d", type=int, default=16)
-    pd.add_argument("--m", type=int, default=None, help="sample sensitivity at this width")
     pd.add_argument("--trials", type=int, default=200)
     pd.add_argument("--activation", default="softplus")
     pd.add_argument("--seed", type=int, default=0)

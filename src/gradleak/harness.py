@@ -38,6 +38,7 @@ from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
     NetworkParams,
+    _beside,
     _quiet,
     _spare_thread,
     gradient,
@@ -303,42 +304,44 @@ def _stage(fn, *args):
         return None, e
 
 
-def _inputs(config: ExperimentConfig, trial_idx: int, submit):
+def _inputs(config: ExperimentConfig, trial_idx: int):
     """The inputs stage: ``(trial_seed, params, batch, obs, truth)``.  ``obs``
     is the gradient on ``batch`` or the leading aggregator's release,
-    defended by the chain's transforms, whose draws go to ``submit`` while
-    this thread samples and observes (their own seed stream makes the bytes
-    those of drawing them afterwards); ``truth`` is every sample behind it.
-    Overflow is judged once, at the end: run by ``_stage``, and the draws
-    under its ``_quiet`` on the helper, a non-finite observation is a
+    defended by the chain's transforms, whose draws are made beside the
+    sampling and the observation (``network._beside``; their own seed
+    stream makes the bytes those of drawing them afterwards); ``truth`` is
+    every sample behind it.  Overflow is judged once, at the end: run by
+    ``_stage``, the draws included, a non-finite observation is a
     DegenerateObservationError under any warnings filter."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
     transforms, agg = config.transforms, (config.defenses or (None,))[0]
-    if transforms:
-        draws = submit(_quiet()(dfs.draw_chain), transforms,
-                       derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d)
-    params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
-                           config.activation)
-    batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-    if isinstance(agg, dfs.LocalAggregationDefense):
-        batches = [batch] + [
-            sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
-            for k in range(1, agg.steps if agg.fresh_batches else 1)
-        ]
-        if len(batches) > 1:
-            truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
-                              y=np.concatenate([b.y for b in batches]))
-        obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
-    elif isinstance(agg, dfs.SecureAggregationDefense):
-        ends = np.cumsum(agg.batch_sizes)
-        obs = dfs.secure_aggregate([
-            (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
-            for b, e in zip(agg.batch_sizes, ends)
-        ])
-    else:
-        obs = gradient(params, batch)
-    if transforms:
-        obs = dfs.compose_drawn(transforms, obs, draws.result())
+
+    def observe():
+        params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
+                               config.activation)
+        batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
+        if isinstance(agg, dfs.LocalAggregationDefense):
+            batches = [batch] + [
+                sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
+                for k in range(1, agg.steps if agg.fresh_batches else 1)
+            ]
+            if len(batches) > 1:
+                truth = DataBatch(X=np.concatenate([b.X for b in batches], axis=1),
+                                  y=np.concatenate([b.y for b in batches]))
+            obs = dfs.local_aggregation(params, batches, agg.eta_a, agg.eta_w, agg.steps)
+        elif isinstance(agg, dfs.SecureAggregationDefense):
+            ends = np.cumsum(agg.batch_sizes)
+            obs = dfs.secure_aggregate([
+                (gradient(params, DataBatch(X=batch.X[:, e - b:e], y=batch.y[e - b:e])), b)
+                for b, e in zip(agg.batch_sizes, ends)
+            ])
+        else:
+            obs = gradient(params, batch)
+        return params, batch, obs, truth
+
+    draws, (params, batch, obs, truth) = _beside(lambda: transforms and dfs.draw_chain(
+        transforms, derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d), observe)
+    obs = dfs.compose_drawn(transforms, obs, draws)
     flat = obs.flat  # min and max: no temporary of the observation's size
     if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
         raise DegenerateObservationError("the inputs stage made a non-finite observation")
@@ -378,14 +381,13 @@ def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
     return out
 
 
-def _trial(config: ExperimentConfig, trial_idx: int, submit,
-           keep_samples: bool = False) -> TrialRecord:
+def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
     """The trial's stages in order: inputs, the attacks, the bound, utility.
 
-    ``submit(fn, *args)`` returns a future of ``fn(*args)``, computed on a
-    helper thread or in place.  The defense draws go through it, and with
-    bounds on so do the attacks while this thread computes the bound (its
-    large working set stays in this thread's allocator arena).  Each stage
+    With bounds on, the attacks run beside the bound (``network._beside``),
+    so on a lent helper while this thread computes the bound (its large
+    working set stays in this thread's allocator arena).  Work handed to the
+    helper runs under the errstate of the thread that handed it.  Each stage
     runs through ``_stage`` and records its own failure: a failed inputs
     stage is every attack's error and leaves no bound or utility, an
     attack's stays in its entry, and a failed bound or utility is None with
@@ -401,7 +403,7 @@ def _trial(config: ExperimentConfig, trial_idx: int, submit,
             errors[name] = _error(e)
         return value
 
-    inputs, e = _stage(_inputs, config, trial_idx, submit)
+    inputs, e = _stage(_inputs, config, trial_idx)
     if e is not None:
         failed = {"rmse": float("nan"), "assignment": None, "error": _error(e)}
         attacks = {n: dict(failed) for n in ("tensor", "gradmatch")
@@ -410,10 +412,10 @@ def _trial(config: ExperimentConfig, trial_idx: int, submit,
         trial_seed, params, batch, obs, truth = inputs
         args = (config, trial_seed, params, obs, truth, keep_samples)
         if config.compute_bounds:
-            pending = submit(_attacks, *args)
-            bound = stage("bound", lambda: bound_for_observation(
-                params, truth, config.sigma, obs).to_dict())
-            attacks = pending.result()
+            attacks, bound = _beside(
+                lambda: _attacks(*args),
+                lambda: stage("bound", lambda: bound_for_observation(
+                    params, truth, config.sigma, obs).to_dict()))
         else:
             attacks = _attacks(*args)
         if config.utility is not None:
@@ -435,16 +437,15 @@ def run_trial(
     ``keep_samples`` also stores each attack's recovered sample columns
     (omitted by default to keep sweep artifacts small).
 
-    A one-thread helper of the trial's own runs what ``_trial`` submits,
-    and in every stage, utility training included, this thread lends it one
-    half of each large kernel call it makes (``network._spare_thread``), each
-    output element computed by the whole call's operations.  The stages
-    share only read-only inputs, so the record is byte for byte the one a
-    sequential run gives.  Utility training applies only the chain's
-    transforms, so a leading aggregator is priced at the undefended
-    utility."""
+    The trial lends a one-thread helper of its own to every stage
+    (``network._spare_thread``); work handed to it runs under the errstate
+    of the thread that handed it.  Each kernel's output element gets the
+    whole call's operations and the stages share only read-only inputs, so
+    the record is byte for byte the one a run with no helper gives.
+    Utility training applies only the chain's transforms, so a leading
+    aggregator is priced at the undefended utility."""
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
-        return _trial(config, trial_idx, helper.submit, keep_samples)
+        return _trial(config, trial_idx, keep_samples)
 
 
 def utility_loss(

@@ -16,10 +16,11 @@ Jacobian stacks per-sample blocks: row (i, s) holds the derivative of every grad
 component s of sample x_i, so J has shape (B*d, m + m*d).  The library
 never forms J: ``input_gram`` builds J J^T from per-sample factors.
 
-A kernel whose W-sized work splits by output (``_halves``) hands one half
-to a spare thread while a trial lends it one (``_spare_thread``).  Each
-output element is computed by exactly the operations of the whole call, so
-the bytes do not depend on the split.
+``_beside`` is the one way a thread hands work to the helper it lends
+(``_spare_thread``), and that work runs under the handing thread's
+``np.errstate``.  A trial hands it the defense draws, the attacks and one
+half of each large kernel call (``_halves``); each output element gets the
+whole call's operations, so the bytes do not depend on the split.
 """
 from __future__ import annotations
 
@@ -63,10 +64,9 @@ def _quiet():
 
 @contextmanager
 def _spare_thread(executor):
-    """While the block runs, ``_halves`` on this thread hands one half of
-    each large enough call to ``executor``, a one-thread pool that must
-    never wait on this thread.  Other threads (the executor's own included)
-    keep running their calls whole."""
+    """While the block runs, ``_beside`` on this thread hands its ``there`` to
+    ``executor``, a one-thread pool that must never wait on this thread.
+    Other threads (the executor's own included) lend nothing."""
     prev = getattr(_lender, "spare", None)
     _lender.spare = executor
     try:
@@ -75,33 +75,39 @@ def _spare_thread(executor):
         _lender.spare = prev
 
 
+def _beside(there, here):
+    """``(there(), here())``.  With a spare thread lent (``_spare_thread``),
+    the spare runs ``there`` under this thread's ``np.errstate`` (numpy's is
+    per thread) while this thread runs ``here``; a ``there`` the spare has
+    not started by then (say it is still busy with earlier work) is taken
+    back and run here.  Otherwise both run here, ``here`` first.  An error
+    surfaces only once neither is running, ``here``'s first."""
+    spare = getattr(_lender, "spare", None)
+    if spare is None:
+        done = here()
+        return there(), done
+    pending = spare.submit(np.errstate(**np.geterr())(there))
+    try:
+        done = here()
+    except BaseException:
+        if not pending.cancel():
+            wait([pending])
+        raise
+    return (there() if pending.cancel() else pending.result()), done
+
+
 def _halves(fn, n: int, size: int) -> None:
     """Compute all n outputs of a call through ``fn(lo, hi)``, which writes
     outputs [lo, hi) in place and is bit for bit the whole call's on them.
 
-    With a spare thread lent (``_spare_thread``), n >= 2 and ``size`` (the
-    call's largest W-sized array) at least ``_SPLIT_MIN``, the spare computes
-    [n//2, n) under this thread's ``np.errstate`` (numpy's is per thread)
-    while this thread computes [0, n//2); a half the spare has not started
-    by then (say it is still making the draws) is taken back and run here.
-    Otherwise ``fn(0, n)`` runs whole.  An error from either half surfaces
-    only once neither half is running."""
-    spare = getattr(_lender, "spare", None)
-    if spare is None or n < 2 or size < _SPLIT_MIN:
+    With a spare thread lent, n >= 2 and ``size`` (the call's largest
+    W-sized array) at least ``_SPLIT_MIN``, [n//2, n) runs ``_beside``
+    [0, n//2); otherwise ``fn(0, n)`` runs whole."""
+    if getattr(_lender, "spare", None) is None or n < 2 or size < _SPLIT_MIN:
         fn(0, n)
         return
     h = n // 2
-    upper = spare.submit(np.errstate(**np.geterr())(fn), h, n)
-    try:
-        fn(0, h)
-    except BaseException:
-        if not upper.cancel():
-            wait([upper])
-        raise
-    if upper.cancel():
-        fn(h, n)
-    else:
-        upper.result()
+    _beside(lambda: fn(h, n), lambda: fn(0, h))
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -121,7 +127,7 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Weights of the two-layer network; treat arrays as immutable."""
+    """Weights of the two-layer network, both arrays read-only once built."""
 
     a: np.ndarray          # (m,)   second-layer weights
     W: np.ndarray          # (m, d) first-layer weight rows
@@ -132,6 +138,7 @@ class NetworkParams:
             raise DimensionError(
                 f"inconsistent parameter shapes a{self.a.shape} W{self.W.shape}"
             )
+        self.a.flags.writeable = self.W.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -149,7 +156,7 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class DataBatch:
-    """Unit-norm samples as columns of X with +/-1 labels."""
+    """Unit-norm samples as columns of X with +/-1 labels, read-only once built."""
 
     X: np.ndarray  # (d, B)
     y: np.ndarray  # (B,)
@@ -157,6 +164,7 @@ class DataBatch:
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[1],):
             raise DimensionError(f"inconsistent batch shapes X{self.X.shape} y{self.y.shape}")
+        self.X.flags.writeable = self.y.flags.writeable = False
 
     @property
     def B(self) -> int:

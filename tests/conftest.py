@@ -5,27 +5,17 @@ import pytest
 from gradleak import network
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A one-thread pool that counts the calls submitted to it."""
-
-    def __init__(self):
-        super().__init__(max_workers=1)
-        self.submitted = 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(fn, *args, **kwargs)
-
-
 class RecordingPool(ThreadPoolExecutor):
-    """A thread pool that records the name of every function submitted to it."""
+    """A thread pool that records the qualified name of every function
+    submitted to it: ``network._beside`` submits its ``there`` under its own
+    name, so a kernel half is ``_halves.<locals>.<lambda>``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.names = []
 
     def submit(self, fn, /, *args, **kwargs):
-        self.names.append(fn.__name__)
+        self.names.append(fn.__qualname__)
         return super().submit(fn, *args, **kwargs)
 
 
@@ -36,5 +26,5 @@ def split_halves(monkeypatch):
     fixture returns.  ``network._spare_thread(None)`` inside a test runs the
     whole calls again."""
     monkeypatch.setattr(network, "_SPLIT_MIN", 0)
-    with CountingPool() as pool, network._spare_thread(pool):
+    with RecordingPool(max_workers=1) as pool, network._spare_thread(pool):
         yield pool

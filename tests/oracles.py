@@ -13,15 +13,14 @@ its distance groups and cosine coefficients from ``gradmatch``;
 ``interleaved_compose`` draws each step just before applying it, through
 the transforms' own ``draw`` and ``apply_draw``, so it checks the order of
 the draw-then-apply chain; the sequential trial (``sequential_run_trial``)
-runs the library's own stage list (``harness._trial``) on one thread, each
-submitted stage in place and every kernel call whole, so it checks how
-``run_trial`` spreads the same stages over two threads and splits kernels.
+runs the library's own stage list (``harness._trial``) on one thread with
+no helper lent, so it checks how ``run_trial`` spreads the same stages over
+two threads and splits kernels.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import Future
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -38,6 +37,7 @@ from gradleak.network import (
     GradientObservation,
     NetworkParams,
     _input_gradients,
+    _spare_thread,
     gradient,
     loss,
 )
@@ -46,7 +46,9 @@ from gradleak.seeding import derive_seed, rng_from
 
 def central_differences(f, x: np.ndarray, step: float) -> np.ndarray:
     """Central differences of ``f()`` over every entry of ``x`` in C order, one
-    row per entry: the entry is set to x +- step in place, then restored."""
+    row per entry: the entry is set to x +- step in place, then restored, so
+    ``x`` is a writable buffer that ``f`` reads (a frozen batch or parameter
+    set reads it through a read-only view)."""
     rows = []
     for k in np.ndindex(x.shape):
         x0 = x[k]
@@ -71,8 +73,9 @@ def fd_loss_gradient(params: NetworkParams, batch: DataBatch, step: float = 1e-5
 def fd_input_jacobian(params: NetworkParams, batch: DataBatch, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of the flattened gradient over every input
     coordinate; returns shape (B*d, m + m*d), row i*d + s for x_i[s]."""
-    moved = DataBatch(X=batch.X.copy(), y=batch.y)
-    return central_differences(lambda: gradient(params, moved).flat, moved.X.T, step)
+    X = batch.X.copy()
+    moved = DataBatch(X=X[:], y=batch.y)
+    return central_differences(lambda: gradient(params, moved).flat, X.T, step)
 
 
 def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
@@ -123,11 +126,12 @@ def local_aggregation_jacobian_fd(params: NetworkParams, batches: list[DataBatch
     """Exact multi-step Jacobian by central finite differences on the
     rollout observation, rows in ``fd_input_jacobian``'s order batch by
     batch; expensive opt-in for small problems."""
-    moved = [DataBatch(X=b.X.copy(), y=b.y) for b in batches]
+    Xs = [b.X.copy() for b in batches]
+    moved = [DataBatch(X=X[:], y=b.y) for X, b in zip(Xs, batches)]
     return np.vstack([
         central_differences(
-            lambda: local_aggregation(params, moved, eta_a, eta_w, steps).flat, b.X.T, eps)
-        for b in moved
+            lambda: local_aggregation(params, moved, eta_a, eta_w, steps).flat, X.T, eps)
+        for X in Xs
     ])
 
 
@@ -422,21 +426,12 @@ def local_aggregation_reference(params: NetworkParams, batches: list[DataBatch],
     return np.concatenate([(params.a - a) / eta_a, ((params.W - W) / eta_w).ravel()])
 
 
-def inline_submit(fn, *args) -> Future:
-    """A ``submit`` that runs ``fn(*args)`` in place: its result or its
-    exception waits in the returned future, as a helper thread's would."""
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as e:
-        done.set_exception(e)
-    return done
-
-
 def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
-    """``harness.run_trial`` on one thread: the harness's stage list with
-    ``inline_submit`` and no thread lent to split kernels."""
-    return hz._trial(config, trial_idx, inline_submit, keep_samples)
+    """``harness.run_trial`` on one thread: the harness's stage list with no
+    helper lent, so each stage's ``_beside`` work and every kernel call runs
+    whole in place."""
+    with _spare_thread(None):
+        return hz._trial(config, trial_idx, keep_samples)
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

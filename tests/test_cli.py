@@ -68,6 +68,23 @@ def test_dp_calc_rejects_a_non_finite_value(capsys, flag, name, given, bad):
     assert out.err == f"error: {name} must be a finite number > 0, got {bad}\n"
 
 
+@pytest.mark.parametrize("given, message", [
+    (["--sensitivity", "2"], "one of the arguments --sigma2 --delta is required"),
+    (["--sigma2", "20"], "one of the arguments --sensitivity --m is required"),
+    (["--sigma2", "20", "--delta", "1e-5", "--sensitivity", "2"],
+     "argument --delta: not allowed with argument --sigma2"),
+    (["--sigma2", "20", "--sensitivity", "2", "--m", "64"],
+     "argument --m: not allowed with argument --sensitivity"),
+], ids=["no-noise", "no-sensitivity", "sigma2-and-delta", "sensitivity-and-m"])
+def test_dp_calc_takes_exactly_one_of_each_pair(capsys, given, message):
+    # argparse's usage error: exit 2, nothing on stdout, no value silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["dp-calc", "--epsilon", "1", *given])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
 @pytest.mark.parametrize("command", ["attack", "bound", "sweep"])
 def test_the_config_is_the_only_seed(capsys, command):
     # only dp-calc, which reads no config, takes --seed; a trial's seed is the
@@ -187,8 +204,8 @@ def test_bound_runs_no_attack(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(exp))
     expected = run_trial(ExperimentConfig.from_dict(exp), 1).bound
-    attacked, draws_on_main = [], []
-    real_draw = dfs.draw_chain
+    attacked, draws_on_main, drawing = [], [], threading.Event()
+    real_draw, real_sample = dfs.draw_chain, hz.sample_params
 
     def no_attack(*args, **kwargs):
         attacked.append(True)
@@ -196,11 +213,19 @@ def test_bound_runs_no_attack(tmp_path, capsys, monkeypatch):
 
     def draw(*args):
         draws_on_main.append(threading.current_thread() is threading.main_thread())
+        drawing.set()
         return real_draw(*args)
+
+    def sample_params(*args):
+        # sampling waits until the helper has started the draws, so they are
+        # never taken back to this thread
+        assert drawing.wait(10)
+        return real_sample(*args)
 
     monkeypatch.setattr(hz, "grad_match_attack", no_attack)
     monkeypatch.setattr(hz, "tensor_attack", no_attack)
     monkeypatch.setattr(dfs, "draw_chain", draw)
+    monkeypatch.setattr(hz, "sample_params", sample_params)
     code, out = run_cli(capsys, "bound", "--config", str(cfg_path), "--trial", "1")
     assert code == 0
     assert json.loads(out) == json.loads(json.dumps(expected))
@@ -229,7 +254,15 @@ def test_bound_lends_its_helper_kernel_halves(tmp_path, capsys, monkeypatch):
     assert json.loads(out) == json.loads(json.dumps(expected))
     # the draws, gradient's W @ X and C @ X^T, the noise add and the bound's W @ X
     (pool,) = pools
-    assert pool.names == ["draw_chain"] + ["<lambda>"] * 4
+    assert pool.names == ["_inputs.<locals>.<lambda>"] + ["_halves.<locals>.<lambda>"] * 4
+
+
+def test_bound_on_a_config_without_bounds_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "nobounds.json"
+    cfg_path.write_text(json.dumps({"d": 4, "m": 64, "B": 2, "compute_bounds": False}))
+    assert main(["bound", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "bounds disabled in this config\n"
 
 
 def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):

@@ -38,7 +38,6 @@ from conftest import RecordingPool
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
-    inline_submit,
     input_jacobian,
     interleaved_compose,
     sequential_run_trial,
@@ -163,11 +162,11 @@ def test_two_thread_trial_matches_the_sequential_oracle(chain):
     for t in (0, 1):
         # the inputs stage draws the chain on the helper, then applies it: the
         # bytes of drawing each step just before it applies
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            obs = hz._inputs(cfg, t, helper.submit)[3]
+        with ThreadPoolExecutor(max_workers=1) as helper, network._spare_thread(helper):
+            obs = hz._inputs(cfg, t)[3]
         aggregator = cfg.defenses[:len(cfg.defenses) - len(cfg.transforms)]
         undefended = dataclasses.replace(cfg, defenses=aggregator)
-        seed, *_, release, _ = hz._inputs(undefended, t, inline_submit)
+        seed, *_, release, _ = hz._inputs(undefended, t)
         ref_obs = interleaved_compose(cfg.transforms, release, derive_seed(seed, DEFENSE_STREAM))
         assert obs.flat.tobytes() == ref_obs.flat.tobytes()
         rec, ref = run_trial(cfg, t), sequential_run_trial(cfg, t)
@@ -209,7 +208,7 @@ def trial_helper_calls(monkeypatch, cfg, t):
     rec = run_trial(cfg, t)
     monkeypatch.setattr(hz, "ThreadPoolExecutor", ThreadPoolExecutor)
     (pool,) = pools
-    return rec, [n for n in pool.names if n not in ("draw_chain", "_attacks")]
+    return rec, [n for n in pool.names if n.startswith("_halves.")]
 
 
 @pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
@@ -456,7 +455,7 @@ BOUND_CHAINS = {
 def _bound_and_dense_oracle(defenses):
     """The trial's bound next to the dense-Jacobian fold of the same chain."""
     cfg = small_config(defenses=defenses)
-    _, params, _, obs, full = hz._inputs(cfg, 0, inline_submit)
+    _, params, _, obs, full = hz._inputs(cfg, 0)
     fast = bound_for_observation(params, full, cfg.sigma, obs)
     assert fast.to_dict() == run_trial(cfg, 0).bound
     dense = dense_bound_for_observation(input_jacobian(params, full), cfg.sigma, full.B, obs)
@@ -686,8 +685,7 @@ def test_a_training_step_whose_dropout_leaves_nothing_sends_nothing():
     emptied = set()
     for t in range(cfg.trials):
         rec = run_trial(cfg, t)
-        trial_seed, params, batch, _, _ = hz._inputs(dataclasses.replace(cfg, defenses=()), t,
-                                                     inline_submit)
+        trial_seed, params, batch, _, _ = hz._inputs(dataclasses.replace(cfg, defenses=()), t)
         seed = derive_seed(trial_seed, DEFENSE_STREAM, 1)
         for step in range(5):
             try:
@@ -904,6 +902,20 @@ def test_sweep_resume_drops_torn_csv_tail(tmp_path, tear):
     res = sweep(cfg, out)  # resume reruns the torn trial
     assert res["rows"] == 2 and res["new_records"] == 1
     assert strip_wall(csv_path.read_text()) == strip_wall(clean)
+
+
+def test_sweep_killed_before_its_journal_existed_reruns_every_trial(tmp_path):
+    # the manifest is written before the journal is opened; a kill between the
+    # two leaves no journal, and the resume runs every trial
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    clean = (out / "results.csv").read_text()
+    for name in ("results.jsonl", "results.csv", "results.json"):
+        (out / name).unlink()
+    res = sweep(cfg, out)
+    assert res["rows"] == 2 and res["new_records"] == 2
+    assert strip_wall((out / "results.csv").read_text()) == strip_wall(clean)
 
 
 def test_sweep_resume_reruns_a_trial_missing_an_attack_row(tmp_path):

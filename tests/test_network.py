@@ -135,7 +135,7 @@ def test_gradient_split_in_halves_equals_the_whole_call(split_halves, kind, B):
     p = sample_params(7, 1001, seed=B, activation=Activation(kind, 0.7))
     b = sample_batch(7, B, seed=B + 50)
     split = gradient(p, b)
-    assert split_halves.submitted == (1 if B == 1 else 2)  # W @ X at B = 1 is a GEMV, whole
+    assert len(split_halves.names) == (1 if B == 1 else 2)  # W @ X at B = 1 is a GEMV, whole
     with network._spare_thread(None):
         whole = gradient(p, b)
     assert split.flat.tobytes() == whole.flat.tobytes()
@@ -150,7 +150,7 @@ def test_row_halves_equal_the_whole_products_at_attack_d64_shapes(split_halves):
     A = W.T * rng.standard_normal(65536)
     for a, b in ((W, X), (W @ X, X.T), (A, W)):
         assert network._matmul_rows(a, b).tobytes() == (a @ b).tobytes()
-    assert split_halves.submitted == 3
+    assert len(split_halves.names) == 3
 
 
 def test_the_spare_half_runs_under_the_callers_errstate(split_halves):
@@ -167,7 +167,7 @@ def test_the_spare_half_runs_under_the_callers_errstate(split_halves):
 
     with np.errstate(over="ignore"):
         network._halves(fn, 2, 1)
-    assert over == {0: "ignore", 1: "ignore"} and split_halves.submitted == 1
+    assert over == {0: "ignore", 1: "ignore"} and len(split_halves.names) == 1
 
 
 def test_only_network_spells_out_a_floating_point_error_policy():
@@ -218,6 +218,43 @@ def test_halves_error_surfaces_after_the_other_half_finished_writing(raising):
         written, failed = (out[5:], out[:5]) if raising == "this thread" else (out[:5], out[5:])
         assert (written == 1.0).all()  # before the error surfaced
         assert (failed == 0.0).all()
+
+
+def test_beside_without_a_spare_runs_here_first():
+    ran = []
+    assert network._beside(lambda: ran.append("there") or 1,
+                           lambda: ran.append("here") or 2) == (1, 2)
+    assert ran == ["here", "there"]
+
+
+def test_beside_takes_back_work_the_spare_has_not_started():
+    me, ran, release = threading.current_thread(), [], threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
+        pool.submit(release.wait, 10)  # the spare is busy until here has ended
+        got = network._beside(lambda: ran.append(("there", threading.current_thread())) or 1,
+                              lambda: ran.append(("here", threading.current_thread())) or 2)
+        release.set()
+    assert got == (1, 2) and ran == [("here", me), ("there", me)]
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["no-spare", "spare"])
+def test_beside_raises_heres_error_first(spare):
+    def fail(name):
+        raise ValueError(name)
+
+    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool if spare else None):
+        with pytest.raises(ValueError, match="here"):
+            network._beside(lambda: fail("there"), lambda: fail("here"))
+
+
+def test_sampled_params_and_batch_are_read_only():
+    # both trial threads read them, so a write would corrupt the other's work
+    p = sample_params(3, 5, seed=1, activation=SP)
+    b = sample_batch(3, 2, seed=2)
+    for name, arr in (("W", p.W), ("a", p.a), ("X", b.X), ("y", b.y)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        assert not arr.flags.writeable, name
 
 
 def test_gradient_batch_linearity():

@@ -235,7 +235,7 @@ def test_projected_tensor_matches_einsum_bitwise(B, moments, split_halves):
                 with network._spare_thread(spare):
                     T = build_projected_tensor(g, W, V, moments, probe=pr)
                 assert np.array_equal(T, expected), (m, spare)
-    assert split_halves.submitted == (0 if B == 1 else 12)
+    assert len(split_halves.names) == (0 if B == 1 else 12)
 
 
 @pytest.mark.parametrize("B", range(1, 9))
@@ -255,7 +255,7 @@ def test_cube_contraction_keeps_signed_zeros_bitwise(B, split_halves):
                 T = _cube_contraction(gg, v)
             assert T.flags.c_contiguous
             assert T.tobytes() == np.einsum("j,jp,jq,jr->pqr", gg, v, v, v).tobytes()
-    assert split_halves.submitted == (0 if B == 1 else 2)
+    assert len(split_halves.names) == (0 if B == 1 else 2)
 
 
 @pytest.mark.parametrize("d", [3, 7, 8])
@@ -273,7 +273,7 @@ def test_moment_matrix_split_in_halves_equals_the_whole_call(split_halves, momen
         with network._spare_thread(None):
             whole = build_moment_matrix(g, W, moments, probe=pr)
         assert split.tobytes() == whole.tobytes()
-    assert split_halves.submitted == (2 if d == 3 else 4)  # d = 3 keeps the GEMM whole
+    assert len(split_halves.names) == (2 if d == 3 else 4)  # d = 3 keeps the GEMM whole
 
 
 def test_projected_tensor_probe_orthogonal_error():
