@@ -10,7 +10,9 @@ Subcommands:
     report   aggregate a results.csv into per-defense scores and failure counts
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
-{"base": ..., "grid": ...} for sweeps); one that does not read exits 2.
+{"base": ..., "grid": ...} for sweeps); a config or CSV that does not read
+exits 2 with one "error: ..." line.  Output cut short by a closed stdout
+(``| head``) exits 1 quietly.
 A config is a trial's only input: its "base_seed" (a sweep's
 "base.base_seed") is the only seed, so one config gives one record, and
 an interrupted sweep resumes from the same file.
@@ -22,22 +24,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bounds as bnd
 from .activations import Activation
-from .errors import GradleakError
+from .errors import ConfigError, GradleakError
 from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _stage,
                       aggregate_rows, read_results_csv, run_trial, sweep)
 from .network import _spare_thread, sample_params
 from .seeding import derive_seed
 
 
+def _read(path: str, load):
+    """``load(path)``; a file that cannot be opened or does not parse (an
+    ``OSError`` or ``ValueError``) is a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return _read(path, lambda p: json.loads(Path(p).read_text()))
 
 
 def _print_json(obj):
@@ -104,7 +115,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_results_csv(Path(args.csv))
+    rows = _read(args.csv, lambda p: read_results_csv(Path(p)))
     _print_json(aggregate_rows(rows, mode=args.mode, utility_tol=args.utility_tol))
     return 0
 
@@ -155,10 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except GradleakError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): Python's documented recipe,
+        # stdout pointed at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

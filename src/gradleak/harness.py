@@ -594,9 +594,9 @@ def sweep(
     todo = [(p, t) for p in points for t in range(p.trials) if (p.config_hash(), t) not in done]
     resumed = len(records)
     try:
-        # every trial runs on the pool, one worker included (the main thread's
-        # heap re-faults per utility step); at most 4*workers trials submitted
-        # and not yet emitted, emitted in the original order
+        # every trial runs on the pool, one worker included, so a trial takes
+        # one execution path whatever the worker count; at most 4*workers
+        # trials submitted and not yet emitted, emitted in the original order
         workers = max(workers, 1)
         with open(journal_path, "a") as journal, ThreadPoolExecutor(workers) as pool:
 

@@ -21,9 +21,14 @@ never forms J: ``input_gram`` builds J J^T from per-sample factors.
 ``np.errstate``.  A trial hands it the defense draws, the attacks and one
 half of each large kernel call (``_halves``); each output element gets the
 whole call's operations, so the bytes do not depend on the split.
+
+On glibc, importing the module keeps freed memory in the process
+(``_keep_freed_memory``), so a trial reuses the pages the last one freed.
 """
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 from concurrent.futures import wait
 from contextlib import contextmanager
@@ -52,6 +57,34 @@ __all__ = [
 _SPLIT_MIN = 1 << 21
 
 _lender = threading.local()
+
+
+def _keep_freed_memory() -> None:
+    """On glibc, have malloc serve every large array from its heap, never
+    give freed heap back to the kernel, and serve every thread from one
+    arena.  A trial then reuses the pages the last one freed (W, the noise
+    draw, the gradient, the moment matrix's operand) instead of faulting in
+    and zero-filling new ones, whichever thread frees or asks: with an
+    arena per thread, the trial's thread and its helper could each keep a
+    copy of the peak.  The process keeps its peak heap.  Process-wide, set
+    once at import; no arithmetic changes.  Elsewhere it does nothing."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # mallopt's M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1, M_ARENA_MAX -8;
+    # setting either threshold turns off glibc's own adjustment of both, so
+    # the rest is set only once the mmap threshold has been taken
+    if mallopt(-3, 1 << 30):
+        mallopt(-1, 2**31 - 1)
+        mallopt(-8, 1)
+
+
+_keep_freed_memory()
 
 
 def _quiet():

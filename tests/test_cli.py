@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,40 @@ def test_the_config_is_the_only_seed(capsys, command):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content", [
+    pytest.param(command, content, id=f"{command}-{name}")
+    for command in ("attack", "bound", "sweep", "report")
+    for name, content in (("missing", None), ("not-utf8", b"\xff\xfe"), ("bad-json", b'{"d": 4,'))
+    if (command, name) != ("report", "bad-json")  # any text reads as a CSV
+])
+def test_an_input_that_does_not_read_exits_2_with_one_line(tmp_path, capsys, command, content):
+    path = tmp_path / ("results.csv" if command == "report" else "exp.json")
+    if content is not None:
+        path.write_bytes(content)
+    argv = [command, "--csv" if command == "report" else "--config", str(path)]
+    assert main(argv + (["--out", str(tmp_path / "run")] if command == "sweep" else [])) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot read {path}: ") and out.err.count("\n") == 1
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # a record of about 250 KB, more than a pipe holds: the CLI is still
+    # writing it when the reader closes the pipe after one line
+    spec = {"d": 3000, "m": 8, "B": 2, "activation": {"kind": "exp"}, "compute_bounds": False,
+            "attacks": {"gradmatch": {"optimizer": {"max_iters": 1}}}}
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(spec))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "gradleak.cli", "attack", "--config", str(cfg_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b"" and proc.returncode == 1
 
 
 def test_attack_and_report_round_trip(tmp_path, capsys):

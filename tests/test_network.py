@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -454,3 +457,58 @@ def test_loss_value():
     b = sample_batch(4, 2, seed=3)
     manual = sum((b.y[i] - forward(p, b.X[:, i])) ** 2 for i in range(2))
     assert loss(p, b) == pytest.approx(manual, rel=1e-12)
+
+
+SRC = str(Path(network.__file__).resolve().parents[1])
+
+
+def _python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports gradleak from this tree."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC}).stdout
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is set on glibc only")
+@pytest.mark.parametrize("refill", ["f()", "t = threading.Thread(target=f); t.start(); t.join()"],
+                         ids=["same-thread", "new-thread"])
+def test_a_freed_array_is_refilled_without_faulting_new_pages(refill):
+    # 64 MiB is above glibc's largest default mmap threshold, so without the
+    # policy the refill maps, faults and zero-fills 16k fresh pages; a new
+    # thread with an arena of its own would map them too.  Transparent huge
+    # pages are turned off for the child (prctl PR_SET_THP_DISABLE), so a
+    # fault is one 4 KiB page whatever the machine's setting.
+    out = _python(
+        "import ctypes, resource, threading, numpy as np, gradleak\n"
+        "assert ctypes.CDLL(None).prctl(41, 1, 0, 0, 0) == 0\n"
+        "f = lambda: np.ones(1 << 23)\n"
+        "f()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"{refill}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    assert int(out) < 100
+
+
+@pytest.mark.parametrize("no_glibc", [
+    "os.confstr = lambda name: None",
+    "os.confstr = lambda name: int('unknown name')",  # ValueError, as on musl or macOS
+    "del os.confstr",                                 # as on Windows
+], ids=["none", "unknown-name", "no-confstr"])
+def test_the_memory_policy_does_nothing_without_glibc(no_glibc):
+    out = _python(
+        "import ctypes, os\n"
+        "import numpy as np\n"
+        f"{no_glibc}\n"
+        "loaded = []\n"
+        "ctypes.CDLL = lambda *args, **kwargs: loaded.append(args)\n"
+        "from gradleak.network import gradient, sample_batch, sample_params\n"
+        "from gradleak.activations import Activation\n"
+        "gradient(sample_params(3, 8, 1, Activation('exp')), sample_batch(3, 2, 2))\n"
+        "print(loaded)\n")
+    assert out == "[]\n"
