@@ -22,8 +22,7 @@ import json
 import math
 import numbers
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -492,6 +491,25 @@ def _grid_points(sweep_cfg: dict) -> list[ExperimentConfig]:
     return [ExperimentConfig.from_dict({**base, **p}) for p in points]
 
 
+def _check_distinct_trials(points: list[ExperimentConfig]):
+    """Refuse a grid that would count a trial twice: two points equal apart
+    from ``base_seed`` that share a trial seed (``derive_seed`` mixes
+    ``base_seed ^ trial``) are a ConfigError naming both base seeds and one
+    shared pair of trials.  Points that differ in anything else share trial
+    seeds on purpose: that is how defenses are compared on the same data."""
+    seen = {}  # (point without its base seed, trial seed) -> (point index, trial)
+    for i, p in enumerate(points):
+        rest = replace(p, base_seed=0).config_hash()
+        for t in range(p.trials):
+            j, u = seen.setdefault((rest, derive_seed(p.base_seed, t)), (i, t))
+            if j != i:
+                a, b = points[j].base_seed, p.base_seed
+                raise ConfigError(
+                    f"grid points with base_seed {a} and {b} run the same trial: trial {u} of "
+                    f"base_seed {a} is trial {t} of base_seed {b} (base seeds that differ by "
+                    f"the trial count rounded up to a power of two or more share none)")
+
+
 def _sweep_hash(sweep_cfg: dict) -> str:
     blob = json.dumps(sweep_cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -506,11 +524,15 @@ def _drop_torn_tail(path: Path):
 
 
 def read_results_csv(path: Path) -> list[dict]:
+    """The rows of a results.csv; a header other than ``CSV_FIELDS`` is a ConfigError."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != CSV_FIELDS:
+            raise ConfigError(f"header {reader.fieldnames} is not results.csv's {CSV_FIELDS}")
+        return list(reader)
 
 
-def _read_journal(path: Path, expected: set[tuple[str, int]]) -> list[TrialRecord]:
+def _read_journal(path: Path, expected: dict[tuple[str, int], int]) -> list[TrialRecord]:
     """The records of a sweep's journal, one JSON line per finished trial.
     A torn last line is cut; a complete line that does not parse, is not a
     trial of this sweep, repeats one or fails its stored ``record_hash`` is
@@ -546,23 +568,27 @@ def sweep(
     """Run the cross-product of the grid axes; one record per (point, trial).
 
     The sweep's state is its journal, results.jsonl: one line per finished
-    trial, appended as the trial ends.  A resume cuts a torn last line,
-    checks every other line and reruns only the trials the journal lacks.
-    results.csv and results.json are written from the journal's records
-    when the sweep ends, interrupted or not, and manifest.json describes
-    the grid.  A failing stage is recorded in its trial's record.  Output
-    is a pure function of (sweep config, base seed) apart from the
-    wall-time column and the manifest timestamp, which a resume keeps.
-    Refuses to touch an existing complete run unless ``force`` is set,
-    which starts from an empty journal.
+    trial, appended as the trial ends, so in the order trials end.  A
+    resume cuts a torn last line, checks every other line and reruns only
+    the trials the journal lacks.  results.csv and results.json are written
+    from the journal's records in grid order when the sweep ends,
+    interrupted or not, and manifest.json describes the grid.  A failing
+    stage is recorded in its trial's record.  Output is a pure function of
+    the sweep config apart from the wall-time column, the journal's line
+    order and the manifest timestamp, which a resume keeps.  Points equal
+    apart from ``base_seed`` must share no trial seed (ConfigError, before
+    anything is written).  Refuses to touch an existing complete run
+    unless ``force`` is set, which starts from an empty journal.
     """
+    points = _grid_points(sweep_cfg)
+    _check_distinct_trials(points)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out / "results.csv", out / "results.json"
     journal_path, manifest_path = out / "results.jsonl", out / "manifest.json"
-    points = _grid_points(sweep_cfg)
     shash = _sweep_hash(sweep_cfg)
-    expected = {(p.config_hash(), t) for p in points for t in range(p.trials)}
+    expected = {key: n for n, key in enumerate(  # (config_hash, trial) -> grid position
+        (p.config_hash(), t) for p in points for t in range(p.trials))}
 
     records: list[TrialRecord] = []
     created_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -595,28 +621,21 @@ def sweep(
     resumed = len(records)
     try:
         # every trial runs on the pool, one worker included, so a trial takes
-        # one execution path whatever the worker count; at most 4*workers
-        # trials submitted and not yet emitted, emitted in the original order
-        workers = max(workers, 1)
-        with open(journal_path, "a") as journal, ThreadPoolExecutor(workers) as pool:
-
-            def emit(rec: TrialRecord):
-                journal.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-                journal.flush()
-                records.append(rec)
-
-            pending = deque()
+        # one execution path whatever the worker count; every trial is queued
+        # at once, so no worker idles behind a slow one, and each record is
+        # journaled as its trial ends
+        with open(journal_path, "a") as journal, ThreadPoolExecutor(max(workers, 1)) as pool:
             try:
-                for p, t in todo:
-                    if len(pending) == 4 * workers:
-                        emit(pending.popleft().result())
-                    pending.append(pool.submit(run_trial, p, t))
-                while pending:
-                    emit(pending.popleft().result())
+                for future in as_completed([pool.submit(run_trial, p, t) for p, t in todo]):
+                    rec = future.result()
+                    journal.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                    journal.flush()
+                    records.append(rec)
             finally:
                 # an interrupted sweep runs no trial it has not started
                 pool.shutdown(cancel_futures=True)
     finally:
+        records.sort(key=lambda r: expected[(r.config_hash, r.trial)])
         rows = [{k: _fmt(row[k]) for k in CSV_FIELDS} for r in records for row in r.to_rows()]
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)

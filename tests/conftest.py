@@ -4,6 +4,12 @@ import pytest
 
 from gradleak import network
 
+# a sweep that would write two trials twice: derive_seed mixes base_seed ^
+# trial, so trial 1 of base seed 10 is trial 0 of base seed 11
+REPEATING_SEED_GRID = {"base": {"d": 4, "m": 64, "B": 2, "activation": {"kind": "exp"},
+                                "trials": 2, "compute_bounds": False},
+                       "grid": {"base_seed": [10, 11]}}
+
 
 class RecordingPool(ThreadPoolExecutor):
     """A thread pool that records the qualified name of every function

@@ -19,7 +19,7 @@ from gradleak.cli import main
 from gradleak.harness import ExperimentConfig, run_trial
 from gradleak.network import sample_params
 from gradleak.seeding import derive_seed
-from conftest import RecordingPool
+from conftest import REPEATING_SEED_GRID, RecordingPool
 from oracles import sequential_run_trial
 
 
@@ -104,7 +104,8 @@ def test_the_config_is_the_only_seed(capsys, command):
 @pytest.mark.parametrize("command, content", [
     pytest.param(command, content, id=f"{command}-{name}")
     for command in ("attack", "bound", "sweep", "report")
-    for name, content in (("missing", None), ("not-utf8", b"\xff\xfe"), ("bad-json", b'{"d": 4,'))
+    for name, content in (("missing", None), ("not-utf8", b"\xff\xfe"), ("bad-json", b'{"d": 4,'),
+                          ("not-results", b"a,b\n1,2\n"))
     if (command, name) != ("report", "bad-json")  # any text reads as a CSV
 ])
 def test_an_input_that_does_not_read_exits_2_with_one_line(tmp_path, capsys, command, content):
@@ -116,6 +117,15 @@ def test_an_input_that_does_not_read_exits_2_with_one_line(tmp_path, capsys, com
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: cannot read {path}: ") and out.err.count("\n") == 1
+
+
+def test_a_sweep_that_would_repeat_a_trial_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps(REPEATING_SEED_GRID))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid points with base_seed 10 and 11") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):

@@ -34,7 +34,7 @@ from gradleak.harness import (
 from gradleak.network import sample_batch, sample_params
 from gradleak.seeding import DEFENSE_STREAM, derive_seed
 from gradleak.tensor_attack import ReconstructionResult
-from conftest import RecordingPool
+from conftest import REPEATING_SEED_GRID, RecordingPool
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
@@ -777,8 +777,9 @@ def test_one_worker_sweep_runs_its_trials_on_the_pool(tmp_path, monkeypatch):
 
 
 def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
-    # trial 0 stalls until 8 trials have started and then a little longer,
-    # so an unbounded pool runs a 9th trial before any row is emitted
+    # trial 0 stalls until a 9th trial has started, so the other worker must
+    # go on past the slow trial.  Each trial is journaled as it ends, so none
+    # starts more than 8 ahead of the journal, and the CSV is in grid order.
     cfg = sweep_config(trials=20)
     csv_path, journal = tmp_path / "out" / "results.csv", tmp_path / "out" / "results.jsonl"
     real = hz.run_trial
@@ -794,7 +795,7 @@ def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
                 started[len(ahead)].set()
         if trial == 0:
             assert started[8].wait(timeout=10)
-            started[9].wait(timeout=0.25)
+            assert started[9].wait(timeout=10)
         return real(point, trial)
 
     monkeypatch.setattr(hz, "run_trial", tracked)
@@ -805,9 +806,10 @@ def test_sweep_bounds_trials_in_flight(tmp_path, monkeypatch):
 
 
 def test_interrupted_sweep_runs_no_trial_it_has_not_started(tmp_path, monkeypatch):
-    # one worker, trial 1 interrupted: trials 3 and 4, submitted and not yet
-    # started, are cancelled; trial 0 was emitted before the interruption.
-    # Trial 2 runs until its pool is shut down, so trial 3 cannot start first.
+    # one worker, trial 1 interrupted: trials 3, 4 and 5, submitted and not
+    # yet started, are cancelled; trial 0 was journaled before the
+    # interruption.  Trial 2 runs until its pool is shut down, so trial 3
+    # cannot start first.
     real, ran, pools = hz.run_trial, [], []
 
     class SignallingPool(ThreadPoolExecutor):
@@ -1043,6 +1045,30 @@ def test_sweep_rejects_mismatched_directory(tmp_path):
     sweep(sweep_config(), tmp_path / "out")
     with pytest.raises(ConfigError):
         sweep(sweep_config(ms=(256,)), tmp_path / "out")
+
+
+def test_a_base_seed_grid_that_repeats_a_trial_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="base_seed 10 and 11 run the same trial: "
+                                          "trial 1 of base_seed 10 is trial 0 of base_seed 11"):
+        sweep(REPEATING_SEED_GRID, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, trials, refused", [
+    pytest.param({"base_seed": [0, 1024]}, 1024, False, id="far-apart"),
+    # trial 1024 of base seed 0 is trial 0 of base seed 1024
+    pytest.param({"base_seed": [0, 1024]}, 1025, True, id="one-trial-too-many"),
+    pytest.param({"base_seed": [7, 7]}, 1, True, id="one-point-twice"),
+    # points that differ in other fields share trial seeds on purpose
+    pytest.param({"m": [8, 16], "sigma": [0.1, 0.2]}, 2, False, id="other-fields"),
+])
+def test_only_points_equal_apart_from_base_seed_must_not_share_a_trial(grid, trials, refused):
+    points = hz._grid_points({"base": {"d": 2, "m": 8, "B": 1, "trials": trials}, "grid": grid})
+    if refused:
+        with pytest.raises(ConfigError, match="run the same trial"):
+            hz._check_distinct_trials(points)
+    else:
+        hz._check_distinct_trials(points)
 
 
 def test_aggregate_rows_scores(tmp_path):
