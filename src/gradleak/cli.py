@@ -10,15 +10,18 @@ Subcommands:
     report   aggregate a results.csv into per-defense scores and failure counts
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
-{"base": ..., "grid": ...} for sweeps); a config or CSV that does not read
-exits 2 with one "error: ..." line.  Output cut short by a closed stdout
-(``| head``) exits 1 quietly.
+{"base": ..., "grid": ...}, and no other key, for sweeps); a config or CSV
+that does not read exits 2 with one "error: ..." line.  Output cut short
+by a closed stdout (``| head``) exits 1 quietly.
 A config is a trial's only input: its "base_seed" (a sweep's
 "base.base_seed") is the only seed, so one config gives one record, and
 an interrupted sweep resumes from the same file.
-A sweep runs its trials on --workers threads (default 1), records each
-trial's failing stages in its record, and resumes from its journal;
---force starts an empty one.
+A sweep runs its trials on --workers threads (at least 1, default 1) and
+records each trial's failing stages in its record.  Every run resumes
+what --out holds: it runs only the trials the journal lacks, none for a
+finished sweep, rewrites the CSV and JSON from the journal, and writes
+the manifest only when there is none.  Without --force a sweep deletes
+nothing; --force deletes the journal, CSV, JSON and manifest first.
 """
 from __future__ import annotations
 
@@ -27,28 +30,21 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 from . import bounds as bnd
 from .activations import Activation
-from .errors import ConfigError, GradleakError
-from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _stage,
-                      aggregate_rows, read_results_csv, run_trial, sweep)
+from .errors import GradleakError
+from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _read, _read_json,
+                      _stage, aggregate_rows, read_results_csv, run_trial, sweep)
 from .network import _spare_thread, sample_params
 from .seeding import derive_seed
 
 
-def _read(path: str, load):
-    """``load(path)``; a file that cannot be opened or does not parse (an
-    ``OSError`` or ``ValueError``) is a ConfigError."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-
-
-def _load_config(path: str) -> dict:
-    return _read(path, lambda p: json.loads(Path(p).read_text()))
+def _workers(text: str) -> int:
+    """``--workers``: an integer >= 1, else argparse's usage error."""
+    if not text.lstrip("-").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return int(text)
 
 
 def _print_json(obj):
@@ -57,7 +53,7 @@ def _print_json(obj):
 
 
 def cmd_attack(args) -> int:
-    config = ExperimentConfig.from_dict(_load_config(args.config))
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     rec = run_trial(config, args.trial, keep_samples=True)
     _print_json(rec.to_dict())
     return 1 if rec.errors or any(a["error"] for a in rec.attacks.values()) else 0
@@ -69,7 +65,7 @@ def cmd_bound(args) -> int:
     errstate of the thread that handed it.  A failing stage prints
     ``error: <Type>: <msg>`` and exits 1, as a trial with a failed stage
     does in ``attack``."""
-    config = ExperimentConfig.from_dict(_load_config(args.config))
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     if not config.compute_bounds:
         print("bounds disabled in this config", file=sys.stderr)
         return 1
@@ -109,13 +105,12 @@ def cmd_dp_calc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    res = sweep(_load_config(args.config), args.out, force=args.force, workers=args.workers)
-    _print_json({k: str(v) for k, v in res.items()})
+    _print_json(sweep(_read_json(args.config), args.out, force=args.force, workers=args.workers))
     return 0
 
 
 def cmd_report(args) -> int:
-    rows = _read(args.csv, lambda p: read_results_csv(Path(p)))
+    rows = _read(args.csv, read_results_csv)
     _print_json(aggregate_rows(rows, mode=args.mode, utility_tol=args.utility_tol))
     return 0
 
@@ -152,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", required=True)
     ps.add_argument("--force", action="store_true")
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument("--workers", type=_workers, default=1)
     ps.set_defaults(fn=cmd_sweep)
 
     pr = sub.add_parser("report", help="aggregate results.csv per defense")

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -480,15 +482,24 @@ def utility_loss(
 
 
 def _grid_points(sweep_cfg: dict) -> list[ExperimentConfig]:
-    base = dict(sweep_cfg.get("base", {}))
-    grid = sweep_cfg.get("grid", {})
-    if not isinstance(grid, dict) or (grid and not all(grid.values())):
-        raise ConfigError("grid must map config fields to nonempty value lists")
+    """The grid's points in grid order: the cross-product of the ``grid``
+    axes, sorted by name, the first axis outermost, each over ``base``.
+    A sweep config with keys other than ``base`` and ``grid``, a ``base`` or
+    ``grid`` that is not an object and an axis that is not a nonempty list
+    are ConfigErrors."""
+    spec = _build(dict, sweep_cfg, "a sweep config")
+    unknown = sorted(spec.keys() - {"base", "grid"})
+    if unknown:
+        raise ConfigError(f"unknown sweep config keys {unknown}: a sweep config holds "
+                          "\"base\" and \"grid\"")
+    base = _build(dict, spec.get("base", {}), "a sweep's base")
+    grid = _build(dict, spec.get("grid", {}), "a sweep's grid")
+    for axis, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid axis {axis!r} must be a nonempty list, got {values!r}")
     axes = sorted(grid)
-    points = [{}]
-    for ax in axes:
-        points = [dict(p, **{ax: v}) for p in points for v in grid[ax]]
-    return [ExperimentConfig.from_dict({**base, **p}) for p in points]
+    return [ExperimentConfig.from_dict({**base, **dict(zip(axes, point))})
+            for point in itertools.product(*(grid[axis] for axis in axes))]
 
 
 def _check_distinct_trials(points: list[ExperimentConfig]):
@@ -523,7 +534,21 @@ def _drop_torn_tail(path: Path):
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
-def read_results_csv(path: Path) -> list[dict]:
+def _read(path, load):
+    """``load(path)``; a file that cannot be opened or does not parse (an
+    ``OSError`` or ``ValueError``) is a ConfigError naming the file."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
+def _read_json(path) -> object:
+    """The JSON value in the file at ``path``, read by ``_read``."""
+    return _read(path, lambda p: json.loads(Path(p).read_text()))
+
+
+def read_results_csv(path: str | Path) -> list[dict]:
     """The rows of a results.csv; a header other than ``CSV_FIELDS`` is a ConfigError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -568,53 +593,55 @@ def sweep(
     """Run the cross-product of the grid axes; one record per (point, trial).
 
     The sweep's state is its journal, results.jsonl: one line per finished
-    trial, appended as the trial ends, so in the order trials end.  A
-    resume cuts a torn last line, checks every other line and reruns only
-    the trials the journal lacks.  results.csv and results.json are written
-    from the journal's records in grid order when the sweep ends,
-    interrupted or not, and manifest.json describes the grid.  A failing
-    stage is recorded in its trial's record.  Output is a pure function of
-    the sweep config apart from the wall-time column, the journal's line
-    order and the manifest timestamp, which a resume keeps.  Points equal
-    apart from ``base_seed`` must share no trial seed (ConfigError, before
-    anything is written).  Refuses to touch an existing complete run
-    unless ``force`` is set, which starts from an empty journal.
+    trial, appended as the trial ends, so in the order trials end.  Every
+    run resumes what ``out_dir`` holds: it cuts a torn last journal line,
+    checks every other line and runs only the trials the journal lacks,
+    none for a finished sweep.  results.csv and results.json are written
+    from the journal's records in grid order when the run ends, interrupted
+    or not.  manifest.json describes the grid.  It is written once, when
+    absent, so a resume keeps its bytes; one that holds another sweep or is
+    not a JSON object is a ConfigError.  A failing stage is recorded in its
+    trial's record.  Output is a pure function of the sweep config apart
+    from the wall-time column, the journal's line order and the manifest
+    timestamp.  Points equal apart from ``base_seed`` must share no trial
+    seed, and ``workers`` must be at least 1 (ConfigErrors, raised before
+    anything is written).  Only ``force`` deletes: it removes the journal,
+    the CSV, the JSON and the manifest first, so every trial runs again.
     """
     points = _grid_points(sweep_cfg)
     _check_distinct_trials(points)
+    _check("workers must be an integer >= 1", workers, lambda n: n >= 1, numbers.Integral)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file of that name, or a parent that is one
+        raise ConfigError(f"cannot make output dir {out}: {e}") from e
     csv_path, json_path = out / "results.csv", out / "results.json"
     journal_path, manifest_path = out / "results.jsonl", out / "manifest.json"
     shash = _sweep_hash(sweep_cfg)
     expected = {key: n for n, key in enumerate(  # (config_hash, trial) -> grid position
         (p.config_hash(), t) for p in points for t in range(p.trials))}
 
-    records: list[TrialRecord] = []
-    created_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if manifest_path.exists() and not force:
-        manifest = json.loads(manifest_path.read_text())
-        created_utc = manifest.get("created_utc", created_utc)  # a resume keeps it
-        if manifest.get("sweep_hash") != shash:
-            raise ConfigError(
-                f"output dir {out} holds a different sweep (use force to overwrite)"
-            )
-        records = _read_journal(journal_path, expected)
-        if len(records) == len(expected):
-            raise ConfigError(f"sweep already complete in {out} (use force to redo)")
-    else:
+    if force:
         for p in (csv_path, json_path, journal_path, manifest_path):
             p.unlink(missing_ok=True)
-
-    manifest = {
-        "sweep_hash": shash,
-        "config": sweep_cfg,
-        "points": [p.to_dict() for p in points],
-        "point_hashes": [p.config_hash() for p in points],
-        "created_utc": created_utc,
-        "package": "gradleak 0.1.0",
-    }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    if manifest_path.exists():
+        manifest = _build(dict, _read_json(manifest_path), str(manifest_path))
+        if manifest.get("sweep_hash") != shash:
+            raise ConfigError(f"output dir {out} holds a different sweep (use force to overwrite)")
+    records = _read_journal(journal_path, expected)
+    if not manifest_path.exists():  # written once, so a resume keeps its bytes
+        manifest = {
+            "sweep_hash": shash,
+            "config": sweep_cfg,
+            "points": [p.to_dict() for p in points],
+            "point_hashes": [p.config_hash() for p in points],
+            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "package": "gradleak 0.1.0",
+        }
+        tmp = manifest_path.with_name("manifest.json.tmp")  # renamed whole: never torn
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, manifest_path)
 
     done = {(r.config_hash, r.trial) for r in records}
     todo = [(p, t) for p in points for t in range(p.trials) if (p.config_hash(), t) not in done]
@@ -624,7 +651,7 @@ def sweep(
         # one execution path whatever the worker count; every trial is queued
         # at once, so no worker idles behind a slow one, and each record is
         # journaled as its trial ends
-        with open(journal_path, "a") as journal, ThreadPoolExecutor(max(workers, 1)) as pool:
+        with open(journal_path, "a") as journal, ThreadPoolExecutor(workers) as pool:
             try:
                 for future in as_completed([pool.submit(run_trial, p, t) for p, t in todo]):
                     rec = future.result()
@@ -668,14 +695,18 @@ def aggregate_rows(
     a defense's rows without an rmse, and a defense whose every attack
     failed keeps its entry with ``score`` None.
 
-    With ``utility_tol`` the scored defenses are additionally grouped into
-    bins of comparable utility loss (a bin grows while consecutive sorted
-    utilities stay within the tolerance) and the best defense per bin is
-    marked -- the comparable-utility comparison needs an explicit tolerance
-    because no canonical binning exists.
+    With ``utility_tol``, a finite number >= 0, the scored defenses are
+    additionally grouped into bins of comparable utility loss (sorted by
+    utility, a bin starts at the lowest utility not yet binned and takes
+    every defense within the tolerance of that lowest one) and the best
+    defense per bin is named by its ``defense(param)`` label -- the
+    comparable-utility comparison needs an explicit tolerance because no
+    canonical binning exists.
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode '{mode}'")
+    if utility_tol is not None:
+        _check("utility_tol must be a finite number >= 0", utility_tol, lambda t: 0 <= t < math.inf)
     pick = min if mode == "strongest-attack-min" else max
     groups: dict[tuple[str, str], dict] = {}
     for row in rows:
@@ -704,6 +735,9 @@ def aggregate_rows(
         )
     out = {"mode": mode, "defenses": table}
     if utility_tol is not None:
+        def label(t):
+            return f"{t['defense']}({t['defense_param']})"
+
         with_util = [
             t for t in table if t["utility_median"] is not None and t["score"] is not None
         ]
@@ -717,8 +751,8 @@ def aggregate_rows(
         out["utility_bins"] = [
             {
                 "utility_range": [b[0]["utility_median"], b[-1]["utility_median"]],
-                "defenses": [f"{t['defense']}({t['defense_param']})" for t in b],
-                "best_defense": max(b, key=lambda t: t["score"])["defense"],
+                "defenses": [label(t) for t in b],
+                "best_defense": label(max(b, key=lambda t: t["score"])),
             }
             for b in bins
         ]

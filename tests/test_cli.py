@@ -101,14 +101,33 @@ def test_the_config_is_the_only_seed(capsys, command):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, content", [
-    pytest.param(command, content, id=f"{command}-{name}")
+BASE = {"d": 4, "m": 8, "B": 1}
+
+
+@pytest.mark.parametrize("command, content, error", [
+    pytest.param(command, content, None, id=f"{command}-{name}")
     for command in ("attack", "bound", "sweep", "report")
     for name, content in (("missing", None), ("not-utf8", b"\xff\xfe"), ("bad-json", b'{"d": 4,'),
                           ("not-results", b"a,b\n1,2\n"))
     if (command, name) != ("report", "bad-json")  # any text reads as a CSV
+] + [
+    # JSON that is not a sweep spec
+    pytest.param("sweep", json.dumps(spec).encode(), error, id=f"sweep-{name}")
+    for name, spec, error in (
+        ("not-an-object", [1, 2], "a sweep config must be a JSON object, got [1, 2]"),
+        ("axis-not-a-list", {"base": BASE, "grid": {"sigma": 0.1}},
+         "grid axis 'sigma' must be a nonempty list, got 0.1"),
+        ("empty-axis", {"base": BASE, "grid": {"sigma": []}},
+         "grid axis 'sigma' must be a nonempty list, got []"),
+        ("base-not-an-object", {"base": [1]}, "a sweep's base must be a JSON object, got [1]"),
+        ("grid-not-an-object", {"base": BASE, "grid": [["m", 8]]},
+         "a sweep's grid must be a JSON object, got [['m', 8]]"),
+        ("unknown-key", {"base": BASE, "grdi": {"m": [16]}},
+         "unknown sweep config keys ['grdi']: a sweep config holds \"base\" and \"grid\""),
+    )
 ])
-def test_an_input_that_does_not_read_exits_2_with_one_line(tmp_path, capsys, command, content):
+def test_an_input_that_does_not_read_exits_2_with_one_line(
+        tmp_path, capsys, command, content, error):
     path = tmp_path / ("results.csv" if command == "report" else "exp.json")
     if content is not None:
         path.write_bytes(content)
@@ -116,7 +135,9 @@ def test_an_input_that_does_not_read_exits_2_with_one_line(tmp_path, capsys, com
     assert main(argv + (["--out", str(tmp_path / "run")] if command == "sweep" else [])) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: cannot read {path}: ") and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: {error or f'cannot read {path}: '}")
+    assert out.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_sweep_that_would_repeat_a_trial_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -127,6 +148,48 @@ def test_a_sweep_that_would_repeat_a_trial_exits_2_and_writes_nothing(tmp_path, 
     assert err.startswith("error: grid points with base_seed 10 and 11") and err.count("\n") == 1
     assert not out.exists()
 
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two", "1.5"])
+def test_sweep_workers_not_an_integer_at_least_1_is_a_usage_error(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "sweep.json", "--out", "run", "--workers", workers])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --workers: must be an integer >= 1, got {workers}" in out.err
+
+
+def test_a_sweep_into_a_file_exits_2_with_one_line(tmp_path, capsys):
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({"base": BASE}))
+    out.write_text("")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make output dir {out}: ") and err.count("\n") == 1
+
+
+def test_sweep_prints_its_counts_as_numbers_and_a_rerun_runs_nothing(tmp_path, capsys):
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({"base": {**BASE, "compute_bounds": False}}))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(printed) == {"csv": str(out / "results.csv"),
+                                   "json": str(out / "results.json"),
+                                   "manifest": str(out / "manifest.json"),
+                                   "rows": 1, "new_records": 1}
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(printed)["new_records"] == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_report_refuses_a_utility_tolerance_that_is_not_finite_and_at_least_0(
+        tmp_path, capsys, tol):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(hz.CSV_FIELDS) + "\n")
+    assert main(["report", "--csv", str(path), "--utility-tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: utility_tol must be a finite number >= 0, got {float(tol)!r}\n"
 
 def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
     # a record of about 250 KB, more than a pipe holds: the CLI is still

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import sys
 import threading
 import warnings
@@ -541,9 +542,23 @@ def test_aggregate_rows_keeps_a_defense_whose_every_attack_failed():
                        "per_attack_median": {}, "utility_median": 0.5, "failed": 1}]
     # only scored defenses are compared at equal utility
     assert agg["utility_bins"] == [
-        {"utility_range": [0.5, 0.5], "defenses": ["none()"], "best_defense": "none"}
+        {"utility_range": [0.5, 0.5], "defenses": ["none()"], "best_defense": "none()"}
     ]
 
+
+
+def test_a_utility_bin_names_its_best_defense_by_its_label():
+    # two strengths of one defense in one bin: the name alone is ambiguous
+    rows = (score_rows({"tensor": 0.3}, param="0.1", utility="0.5")
+            + score_rows({"tensor": 0.6}, param="0.5", utility="0.6"))
+    (b,) = aggregate_rows(rows, utility_tol=0.2)["utility_bins"]
+    assert b["defenses"] == ["noise(0.1)", "noise(0.5)"] and b["best_defense"] == "noise(0.5)"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.1, "0.5", True])
+def test_a_utility_tolerance_must_be_a_finite_number_at_least_0(tol):
+    with pytest.raises(ConfigError, match="utility_tol must be a finite number >= 0"):
+        aggregate_rows(score_rows({"tensor": 0.3}, utility="0.5"), utility_tol=tol)
 
 # --- utility -------------------------------------------------------------------
 
@@ -863,9 +878,8 @@ def test_sweep_resume_without_duplicates(tmp_path, monkeypatch):
     rows = read_results_csv(res["csv"])
     assert len(rows) == 3
     assert len({(r["config_hash"], r["trial"]) for r in rows}) == 3
-    # completed runs refuse to re-run without force
-    with pytest.raises(ConfigError):
-        sweep(cfg, tmp_path / "out")
+    # a finished sweep runs no trial again without force
+    assert sweep(cfg, tmp_path / "out")["new_records"] == 0
     res2 = sweep(cfg, tmp_path / "out", force=True)
     assert res2["rows"] == 3
 
@@ -1040,6 +1054,120 @@ def test_sweep_force_starts_from_an_empty_journal(tmp_path):
     assert len(journal.read_text().splitlines()) == 2
     assert len(json.loads(res["json"].read_text())["records"]) == 2
 
+
+
+def test_sweep_force_deletes_all_four_files_first(tmp_path, monkeypatch):
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    # another sweep's manifest, refused without force
+    (out / "manifest.json").write_text(json.dumps({"sweep_hash": "another"}))
+    real, seen = hz._read_journal, []
+
+    def spy(path, expected):
+        seen.append(sorted(os.listdir(out)))
+        return real(path, expected)
+
+    monkeypatch.setattr(hz, "_read_journal", spy)
+    res = sweep(cfg, out, force=True)
+    assert seen == [[]] and res["new_records"] == 2
+    assert json.loads((out / "manifest.json").read_text())["sweep_hash"] == hz._sweep_hash(cfg)
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (None, None),
+    (lambda text: text[:50], "cannot read .*manifest.json: "),
+    (lambda text: "[1]", "manifest.json must be a JSON object, got \\[1\\]"),
+], ids=["missing", "torn", "not-an-object"])
+def test_a_sweep_without_a_readable_manifest_reruns_only_what_its_journal_lacks(
+        tmp_path, damage, problem):
+    # a damaged manifest is one config error and changes nothing; deleted,
+    # it is written afresh and the journal's trials stay done
+    cfg = sweep_config(trials=3)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    clean = (out / "results.csv").read_text()
+    journal, manifest = out / "results.jsonl", out / "manifest.json"
+    kept = "".join(journal.read_text().splitlines(keepends=True)[:2])
+    journal.write_text(kept)
+    if damage is not None:
+        manifest.write_text(damage(manifest.read_text()))
+        with pytest.raises(ConfigError, match=problem):
+            sweep(cfg, out)
+        assert journal.read_text() == kept
+    manifest.unlink()
+    res = sweep(cfg, out)
+    assert res["rows"] == 3 and res["new_records"] == 1
+    assert journal.read_text().startswith(kept)
+    assert strip_wall((out / "results.csv").read_text()) == strip_wall(clean)
+    assert json.loads(manifest.read_text())["sweep_hash"] == hz._sweep_hash(cfg)
+
+
+def test_a_finished_sweep_runs_nothing_and_rewrites_its_outputs(tmp_path, monkeypatch):
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    names = ("results.csv", "results.json", "manifest.json", "results.jsonl")
+    first = {name: (out / name).read_bytes() for name in names}
+    (out / "results.csv").write_bytes(first["results.csv"][:100])  # cut short
+    (out / "results.json").unlink()
+
+    def no_trial(point, trial):
+        raise AssertionError("a finished sweep ran a trial")
+
+    monkeypatch.setattr(hz, "run_trial", no_trial)
+    res = sweep(cfg, out)
+    assert res["rows"] == 2 and res["new_records"] == 0
+    assert {name: (out / name).read_bytes() for name in names} == first
+
+
+def test_a_resume_keeps_the_manifest_bytes(tmp_path):
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    journal, manifest = out / "results.jsonl", out / "manifest.json"
+    journal.write_text(journal.read_text().splitlines(keepends=True)[0])
+    # the same manifest spelled another way: a resume must not rewrite it
+    compact = json.dumps(json.loads(manifest.read_text())).encode()
+    manifest.write_bytes(compact)
+    assert sweep(cfg, out)["new_records"] == 1
+    assert manifest.read_bytes() == compact
+
+
+def test_a_sweep_killed_while_writing_its_manifest_leaves_none(tmp_path, monkeypatch):
+    # the manifest is written to a temporary file and renamed into place
+    cfg = sweep_config()
+    out = tmp_path / "out"
+
+    def killed(src, dst):
+        raise KeyboardInterrupt("simulated kill")
+
+    with monkeypatch.context() as m:
+        m.setattr(hz.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(cfg, out)
+    assert not (out / "manifest.json").exists()
+    assert sweep(cfg, out)["new_records"] == 1
+    assert json.loads((out / "manifest.json").read_text())["sweep_hash"] == hz._sweep_hash(cfg)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+def test_a_sweep_needs_at_least_one_worker(tmp_path, workers):
+    with pytest.raises(ConfigError, match=f"workers must be an integer >= 1, got {workers}"):
+        sweep(sweep_config(), tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_into_a_file_is_a_config_error(tmp_path):
+    (tmp_path / "out").write_text("")
+    with pytest.raises(ConfigError, match="cannot make output dir"):
+        sweep(sweep_config(), tmp_path / "out")
+
+
+def test_grid_points_run_the_first_axis_outermost():
+    points = hz._grid_points({"base": {"d": 2, "B": 1},
+                              "grid": {"sigma": [0.1, 0.2], "m": [8, 16]}})
+    assert [(p.m, p.sigma) for p in points] == [(8, 0.1), (8, 0.2), (16, 0.1), (16, 0.2)]
 
 def test_sweep_rejects_mismatched_directory(tmp_path):
     sweep(sweep_config(), tmp_path / "out")
