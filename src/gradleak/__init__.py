@@ -8,6 +8,9 @@ optimization-based gradient-matching attack, six defense transforms, the
 Cramer-Rao limits each defense implies, a Gaussian-mechanism privacy
 calculator, and a reproducible sweep harness tying them together.
 """
+# before the imports: the harness writes it into every sweep manifest
+__version__ = "0.1.0"
+
 from types import ModuleType as _ModuleType
 
 from .activations import Activation, HermiteMoments, hermite_moments
@@ -71,4 +74,3 @@ __all__ = sorted(
     name for name, obj in globals().items()
     if not name.startswith("_") and not isinstance(obj, _ModuleType)
 )
-__version__ = "0.1.0"

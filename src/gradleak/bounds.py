@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, _check
-from .network import DataBatch, GradientObservation, NetworkParams, gradient, input_gram
+from .network import DataBatch, GradientObservation, NetworkParams, _draw_batch, gradient, input_gram
 from .seeding import rng_from
 
 __all__ = [
@@ -97,26 +97,20 @@ def cramer_rao_gram(G: np.ndarray, n_obs: int, sigma: float, B: int) -> BoundRep
     n_in = G.shape[0]
     flags: list[str] = []
     if n_obs == 0 or not np.any(G):
-        return BoundReport(
-            rl2_exact=math.inf,
-            rl2_loose=math.inf,
-            sigma=sigma,
-            batch_size=B,
-            rank=0,
-            n_input_coords=n_in,
-            n_obs_coords=n_obs,
-            flags=["no-information"],
-        )
-    evals = np.linalg.eigvalsh(G)
-    floor = evals[-1] * _RANK_FLOOR
-    kept = evals[evals > floor]
-    rank = int(kept.size)
-    if rank < n_in:
-        flags.append(f"rank-deficient: rank {rank} of {n_in} input coordinates")
-    rl2_exact = float(np.sum(1.0 / kept)) * sigma**2 / B
-    # rank == n_in in the regular full-rank case; restricting the trace
-    # inequality to the numerical range keeps loose <= exact always
-    rl2_loose = (rank**2) * sigma**2 / float(np.sum(kept)) / B
+        rl2_exact = rl2_loose = math.inf
+        rank = 0
+        flags.append("no-information")
+    else:
+        evals = np.linalg.eigvalsh(G)
+        floor = evals[-1] * _RANK_FLOOR
+        kept = evals[evals > floor]
+        rank = int(kept.size)
+        if rank < n_in:
+            flags.append(f"rank-deficient: rank {rank} of {n_in} input coordinates")
+        rl2_exact = float(np.sum(1.0 / kept)) * sigma**2 / B
+        # rank == n_in in the regular full-rank case; restricting the trace
+        # inequality to the numerical range keeps loose <= exact always
+        rl2_loose = (rank**2) * sigma**2 / float(np.sum(kept)) / B
     return BoundReport(
         rl2_exact=rl2_exact,
         rl2_loose=rl2_loose,
@@ -187,7 +181,7 @@ def dp_delta(epsilon: float, sigma_sq: float, sensitivity: float) -> float:
     delta = exp(-(sensitivity/(2 sigma^2)) (sigma^2 eps / sensitivity - 1/2)^2),
     clamped to [0, 1]; degenerate inputs (optimum at or below zero) clamp to
     the vacuous delta = 1.  The formula's derivation needs the optimizing
-    order >= 1; use ``dp_lambda_star`` to check (the harness flags it).
+    order >= 1; use ``dp_lambda_star`` to check (``gradleak dp-calc`` flags it).
     """
     _finite_positive(epsilon=epsilon, sigma_sq=sigma_sq, sensitivity=sensitivity)
     t = dp_lambda_star(epsilon, sigma_sq, sensitivity)
@@ -215,7 +209,7 @@ def required_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
 def estimate_sensitivity(params: NetworkParams, trials: int, seed: int) -> float:
     """Max over sampled adjacent pairs of || G(x,y) - G(x',y') ||^2.
 
-    Pairs are unit-sphere samples with Rademacher labels; with the summed
+    Pairs are drawn as ``sample_batch`` draws a batch of two; with the summed
     per-sample loss, swapping one sample changes the batch gradient by
     exactly the difference of the two single-sample gradients.  The true
     sensitivity is a supremum over all adjacent pairs, so this sampled max
@@ -226,13 +220,10 @@ def estimate_sensitivity(params: NetworkParams, trials: int, seed: int) -> float
         raise ConfigError("trials must be >= 1")
     rng = rng_from(seed)
     best = 0.0
-    d = params.d
     for _ in range(trials):
-        xs = rng.standard_normal((d, 2))
-        xs /= np.linalg.norm(xs, axis=0)
-        ys = rng.choice(np.array([-1.0, 1.0]), size=2)
-        g0 = gradient(params, DataBatch(X=xs[:, :1], y=ys[:1])).flat
-        g1 = gradient(params, DataBatch(X=xs[:, 1:], y=ys[1:])).flat
+        pair = _draw_batch(rng, params.d, 2)
+        g0 = gradient(params, DataBatch(X=pair.X[:, :1], y=pair.y[:1])).flat
+        g1 = gradient(params, DataBatch(X=pair.X[:, 1:], y=pair.y[1:])).flat
         gap = float(np.sum((g0 - g1) ** 2))
         if gap > best:
             best = gap

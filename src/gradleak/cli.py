@@ -7,7 +7,8 @@ Subcommands:
     dp-calc  Gaussian-mechanism (epsilon, delta, sigma^2, sensitivity) math
     sweep    run a grid of trials into a journal, results.jsonl, and write
              results.csv / results.json from it
-    report   aggregate a results.csv into per-defense scores and failure counts
+    report   aggregate a results.csv into scores and failure counts per
+             setting (d, m, B) and defense
 
 Configs are JSON files (schema: ExperimentConfig.from_dict, plus
 {"base": ..., "grid": ...}, and no other key, for sweeps); a config or CSV
@@ -21,7 +22,8 @@ records each trial's failing stages in its record.  Every run resumes
 what --out holds: it runs only the trials the journal lacks, none for a
 finished sweep, rewrites the CSV and JSON from the journal, and writes
 the manifest only when there is none.  Without --force a sweep deletes
-nothing; --force deletes the journal, CSV, JSON and manifest first.
+nothing; --force deletes the journal, CSV, JSON and manifest first.  A
+sweep whose --out another run holds exits 2 and touches no file.
 """
 from __future__ import annotations
 

@@ -25,11 +25,13 @@ import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import defenses as dfs
 from .activations import Activation
 from .bounds import bound_for_observation
@@ -56,6 +58,11 @@ from .seeding import (
     derive_seed,
 )
 from .tensor_attack import TensorAttackConfig, score_reconstruction, tensor_attack
+
+try:
+    import fcntl
+except ImportError:  # Windows has no fcntl: sweeps there take no lock
+    fcntl = None
 
 __all__ = [
     "ExperimentConfig",
@@ -98,12 +105,13 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(x), ".17g")  # "nan", "inf" and "-inf" for the non-finite
+
+
+def _digest(spec) -> str:
+    """12 hex digits of the sha256 of ``spec`` as canonical JSON."""
+    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _spec(cfg) -> dict:
@@ -225,8 +233,7 @@ class ExperimentConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _digest(self.to_dict())
 
     @property
     def transforms(self) -> tuple:
@@ -521,11 +528,6 @@ def _check_distinct_trials(points: list[ExperimentConfig]):
                     f"the trial count rounded up to a power of two or more share none)")
 
 
-def _sweep_hash(sweep_cfg: dict) -> str:
-    blob = json.dumps(sweep_cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 def _drop_torn_tail(path: Path):
     """Cut the file back to its last newline: a kill mid-write leaves a
     partial last line, which would otherwise fail to parse, and the next
@@ -584,6 +586,22 @@ def _read_journal(path: Path, expected: dict[tuple[str, int], int]) -> list[Tria
     return records
 
 
+@contextmanager
+def _owned(out: Path):
+    """Hold an exclusive ``flock`` on ``out/.lock`` while the block runs, so
+    one run at a time owns the directory; another run's hold is a
+    ConfigError naming it.  The lock file is never deleted, and the kernel
+    drops the lock when the file closes or the process dies.  Without
+    ``fcntl`` (Windows) the block runs unlocked."""
+    with open(out / ".lock", "a") as fh:
+        try:
+            if fcntl is not None:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as e:
+            raise ConfigError(f"output dir {out} is in use by another sweep") from e
+        yield
+
+
 def sweep(
     sweep_cfg: dict,
     out_dir: str | Path,
@@ -607,6 +625,8 @@ def sweep(
     seed, and ``workers`` must be at least 1 (ConfigErrors, raised before
     anything is written).  Only ``force`` deletes: it removes the journal,
     the CSV, the JSON and the manifest first, so every trial runs again.
+    One run at a time owns ``out_dir`` (``_owned``): while another holds
+    it, the sweep is a ConfigError that touches no file.
     """
     points = _grid_points(sweep_cfg)
     _check_distinct_trials(points)
@@ -618,59 +638,61 @@ def sweep(
         raise ConfigError(f"cannot make output dir {out}: {e}") from e
     csv_path, json_path = out / "results.csv", out / "results.json"
     journal_path, manifest_path = out / "results.jsonl", out / "manifest.json"
-    shash = _sweep_hash(sweep_cfg)
+    shash = _digest(sweep_cfg)
     expected = {key: n for n, key in enumerate(  # (config_hash, trial) -> grid position
         (p.config_hash(), t) for p in points for t in range(p.trials))}
 
-    if force:
-        for p in (csv_path, json_path, journal_path, manifest_path):
-            p.unlink(missing_ok=True)
-    if manifest_path.exists():
-        manifest = _build(dict, _read_json(manifest_path), str(manifest_path))
-        if manifest.get("sweep_hash") != shash:
-            raise ConfigError(f"output dir {out} holds a different sweep (use force to overwrite)")
-    records = _read_journal(journal_path, expected)
-    if not manifest_path.exists():  # written once, so a resume keeps its bytes
-        manifest = {
-            "sweep_hash": shash,
-            "config": sweep_cfg,
-            "points": [p.to_dict() for p in points],
-            "point_hashes": [p.config_hash() for p in points],
-            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "package": "gradleak 0.1.0",
-        }
-        tmp = manifest_path.with_name("manifest.json.tmp")  # renamed whole: never torn
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, manifest_path)
+    with _owned(out):
+        if force:
+            for p in (csv_path, json_path, journal_path, manifest_path):
+                p.unlink(missing_ok=True)
+        if manifest_path.exists():
+            manifest = _build(dict, _read_json(manifest_path), str(manifest_path))
+            if manifest.get("sweep_hash") != shash:
+                raise ConfigError(
+                    f"output dir {out} holds a different sweep (use force to overwrite)")
+        records = _read_journal(journal_path, expected)
+        if not manifest_path.exists():  # written once, so a resume keeps its bytes
+            manifest = {
+                "sweep_hash": shash,
+                "config": sweep_cfg,
+                "points": [p.to_dict() for p in points],
+                "point_hashes": [p.config_hash() for p in points],
+                "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "package": f"gradleak {__version__}",
+            }
+            tmp = manifest_path.with_name("manifest.json.tmp")  # renamed whole: never torn
+            tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            os.replace(tmp, manifest_path)
 
-    done = {(r.config_hash, r.trial) for r in records}
-    todo = [(p, t) for p in points for t in range(p.trials) if (p.config_hash(), t) not in done]
-    resumed = len(records)
-    try:
-        # every trial runs on the pool, one worker included, so a trial takes
-        # one execution path whatever the worker count; every trial is queued
-        # at once, so no worker idles behind a slow one, and each record is
-        # journaled as its trial ends
-        with open(journal_path, "a") as journal, ThreadPoolExecutor(workers) as pool:
-            try:
-                for future in as_completed([pool.submit(run_trial, p, t) for p, t in todo]):
-                    rec = future.result()
-                    journal.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-                    journal.flush()
-                    records.append(rec)
-            finally:
-                # an interrupted sweep runs no trial it has not started
-                pool.shutdown(cancel_futures=True)
-    finally:
-        records.sort(key=lambda r: expected[(r.config_hash, r.trial)])
-        rows = [{k: _fmt(row[k]) for k in CSV_FIELDS} for r in records for row in r.to_rows()]
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
-        json_path.write_text(json.dumps(
-            {"sweep_hash": shash, "rows": rows, "records": [r.to_dict() for r in records]},
-            sort_keys=True, indent=2) + "\n")
+        done = {(r.config_hash, r.trial) for r in records}
+        todo = [(p, t) for p in points for t in range(p.trials) if (p.config_hash(), t) not in done]
+        resumed = len(records)
+        try:
+            # every trial runs on the pool, one worker included, so a trial takes
+            # one execution path whatever the worker count; every trial is queued
+            # at once, so no worker idles behind a slow one, and each record is
+            # journaled as its trial ends
+            with open(journal_path, "a") as journal, ThreadPoolExecutor(workers) as pool:
+                try:
+                    for future in as_completed([pool.submit(run_trial, p, t) for p, t in todo]):
+                        rec = future.result()
+                        journal.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                        journal.flush()
+                        records.append(rec)
+                finally:
+                    # an interrupted sweep runs no trial it has not started
+                    pool.shutdown(cancel_futures=True)
+        finally:
+            records.sort(key=lambda r: expected[(r.config_hash, r.trial)])
+            rows = [{k: _fmt(row[k]) for k in CSV_FIELDS} for r in records for row in r.to_rows()]
+            with open(csv_path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+                writer.writeheader()
+                writer.writerows(rows)
+            json_path.write_text(json.dumps(
+                {"sweep_hash": shash, "rows": rows, "records": [r.to_dict() for r in records]},
+                sort_keys=True, indent=2) + "\n")
     return {
         "csv": csv_path,
         "json": json_path,
@@ -685,7 +707,13 @@ def aggregate_rows(
     mode: str = "strongest-attack-min",
     utility_tol: float | None = None,
 ) -> dict:
-    """Per-defense scores and utility medians from CSV rows.
+    """Per-defense scores and utility medians from CSV rows, per setting.
+
+    A group is one setting, the row's ``(d, m, B)``, and one defense with
+    its parameter; each entry carries its ``d``, ``m`` and ``B`` as
+    integers, and entries sort by setting, then by defense and parameter.
+    A CSV row holds no other setting column, so points that differ only in
+    the activation, ``sigma`` or an attack's config share a group.
 
     A defense's score comes from the median error of each attack over its
     trials, failed attacks (NaN) left out.  ``strongest-attack-min``: the
@@ -695,22 +723,23 @@ def aggregate_rows(
     a defense's rows without an rmse, and a defense whose every attack
     failed keeps its entry with ``score`` None.
 
-    With ``utility_tol``, a finite number >= 0, the scored defenses are
-    additionally grouped into bins of comparable utility loss (sorted by
-    utility, a bin starts at the lowest utility not yet binned and takes
-    every defense within the tolerance of that lowest one) and the best
-    defense per bin is named by its ``defense(param)`` label -- the
-    comparable-utility comparison needs an explicit tolerance because no
-    canonical binning exists.
+    With ``utility_tol``, a finite number >= 0, the scored defenses of each
+    setting are additionally grouped into bins of comparable utility loss
+    (sorted by utility, a bin starts at the lowest utility not yet binned
+    and takes every defense within the tolerance of that lowest one) and
+    the best defense per bin is named by its ``defense(param)`` label; each
+    bin names its setting as the entries do.  The comparable-utility
+    comparison needs an explicit tolerance because no canonical binning
+    exists.
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode '{mode}'")
     if utility_tol is not None:
         _check("utility_tol must be a finite number >= 0", utility_tol, lambda t: 0 <= t < math.inf)
     pick = min if mode == "strongest-attack-min" else max
-    groups: dict[tuple[str, str], dict] = {}
+    groups: dict[tuple, dict] = {}  # (d, m, B, defense, defense_param) -> rows' values
     for row in rows:
-        key = (row["defense"], row["defense_param"])
+        key = (*(int(row[k]) for k in ("d", "m", "B")), row["defense"], row["defense_param"])
         g = groups.setdefault(key, {"per_attack": {}, "utility": [], "failed": 0})
         rm = row["rmse"]
         if rm in ("", "nan", None):
@@ -721,10 +750,13 @@ def aggregate_rows(
         if ut not in ("", None):
             g["utility"].append(float(ut))
     table = []
-    for (name, param), g in sorted(groups.items()):
+    for (d, m, B, name, param), g in sorted(groups.items()):
         medians = {k: float(np.median(v)) for k, v in g["per_attack"].items()}
         table.append(
             {
+                "d": d,
+                "m": m,
+                "B": B,
                 "defense": name,
                 "defense_param": param,
                 "score": pick(medians.values()) if medians else None,
@@ -738,18 +770,23 @@ def aggregate_rows(
         def label(t):
             return f"{t['defense']}({t['defense_param']})"
 
+        def setting(t):
+            return {k: t[k] for k in ("d", "m", "B")}
+
         with_util = [
             t for t in table if t["utility_median"] is not None and t["score"] is not None
         ]
-        with_util.sort(key=lambda t: t["utility_median"])
+        with_util.sort(key=lambda t: (t["d"], t["m"], t["B"], t["utility_median"]))
         bins = []
         for t in with_util:
-            if bins and t["utility_median"] - bins[-1][0]["utility_median"] <= utility_tol:
+            if (bins and setting(t) == setting(bins[-1][0])
+                    and t["utility_median"] - bins[-1][0]["utility_median"] <= utility_tol):
                 bins[-1].append(t)
             else:
                 bins.append([t])
         out["utility_bins"] = [
             {
+                **setting(b[0]),
                 "utility_range": [b[0]["utility_median"], b[-1]["utility_median"]],
                 "defenses": [label(t) for t in b],
                 "best_defense": label(max(b, key=lambda t: t["score"])),

@@ -265,7 +265,11 @@ def sample_batch(d: int, B: int, seed: int) -> DataBatch:
     """Uniform unit-sphere samples with Rademacher labels."""
     if d < 1 or B < 1:
         raise DimensionError(f"d and B must be positive, got d={d}, B={B}")
-    rng = rng_from(seed)
+    return _draw_batch(rng_from(seed), d, B)
+
+
+def _draw_batch(rng: np.random.Generator, d: int, B: int) -> DataBatch:
+    """The data model: B unit-sphere samples, then their Rademacher labels, from ``rng``."""
     X = rng.standard_normal((d, B))
     X /= np.linalg.norm(X, axis=0)
     y = rng.choice(np.array([-1.0, 1.0]), size=B)

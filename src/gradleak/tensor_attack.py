@@ -98,19 +98,8 @@ class TensorAttackConfig:
                 _check("tensor probe must hold finite numbers", x, lambda v: abs(v) < np.inf)
 
 
-def _sym_outer_identity(v: np.ndarray) -> np.ndarray:
-    """(v (x~) I)[p,q,r] = v_p d_qr + v_q d_pr + v_r d_pq."""
-    B = v.shape[0]
-    eye = np.eye(B)
-    return (
-        np.einsum("p,qr->pqr", v, eye)
-        + np.einsum("q,pr->pqr", v, eye)
-        + np.einsum("r,pq->pqr", v, eye)
-    )
-
-
 def _sym_matrix_vector(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetrization of M (x) v over the three index placements."""
+    """Symmetrization of M (x) v over the three index placements; v (x~) I at M = I."""
     return (
         np.einsum("pq,r->pqr", M, v)
         + np.einsum("pr,q->pqr", M, v)
@@ -288,7 +277,7 @@ def build_projected_tensor(
     vw = _matmul_rows(W, V)  # (m, B) rows v_j
     if moments.tensor_order == 3:
         T = _cube_contraction(grad_a, vw) / m
-        T -= _sym_outer_identity((grad_a @ vw) / m)
+        T -= _sym_matrix_vector(np.eye(B), (grad_a @ vw) / m)
         return T
     if probe is None:
         probe = V[:, 0].copy()
@@ -301,9 +290,9 @@ def build_projected_tensor(
     s = W @ probe
     gs = grad_a * s
     T = _cube_contraction(gs, vw) / m
-    T -= _sym_outer_identity((gs @ vw) / m)
+    T -= _sym_matrix_vector(np.eye(B), (gs @ vw) / m)
     T -= _sym_matrix_vector((vw.T * grad_a) @ vw / m, at)
-    T += float(np.mean(grad_a)) * _sym_outer_identity(at)
+    T += float(np.mean(grad_a)) * _sym_matrix_vector(np.eye(B), at)
     return T
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately slow and obvious: finite differences for
 derivatives, explicit enumeration and scipy's solver for assignments,
 literal Hermite-tensor algebra for the projected builders, the dense input
-Jacobian for the closed-form Gram, out-of-place descent loops and an
+Jacobian for the closed-form Gram, the sensitivity's pair draw written
+out, out-of-place descent loops and an
 allocating gradient-matching objective for the in-place ones,
 ``np.linalg.norm`` in the tensor decomposition.  Four call library code
 on purpose, for the part they do not check: the allocating objective takes
@@ -172,6 +173,25 @@ def dense_bound_for_observation(
     rep.adjustments.update(notes)
     rep.flags.extend(flags)
     return rep
+
+
+def pairwise_sensitivity(params: NetworkParams, trials: int, seed: int) -> float:
+    """``bounds.estimate_sensitivity`` with its pair draw written out: per
+    trial two unit-sphere columns, then two Rademacher labels, from one
+    stream, and the max squared gap of their single-sample gradients."""
+    rng = rng_from(seed)
+    best = 0.0
+    d = params.d
+    for _ in range(trials):
+        xs = rng.standard_normal((d, 2))
+        xs /= np.linalg.norm(xs, axis=0)
+        ys = rng.choice(np.array([-1.0, 1.0]), size=2)
+        g0 = gradient(params, DataBatch(X=xs[:, :1], y=ys[:1])).flat
+        g1 = gradient(params, DataBatch(X=xs[:, 1:], y=ys[1:])).flat
+        gap = float(np.sum((g0 - g1) ** 2))
+        if gap > best:
+            best = gap
+    return best
 
 
 def gradient_input_vjp(

@@ -14,7 +14,8 @@ from gradleak.bounds import (
 from gradleak.defenses import ClipDefense, DefenseRecord, DropoutDefense, PruneRatioDefense
 from gradleak.errors import ConfigError
 from gradleak.network import GradientObservation, gradient, input_gram, sample_batch, sample_params
-from oracles import cramer_rao, input_jacobian, local_aggregation_jacobian_fd, loglog_slope
+from oracles import (cramer_rao, input_jacobian, local_aggregation_jacobian_fd, loglog_slope,
+                     pairwise_sensitivity)
 
 SP = Activation("softplus")
 
@@ -246,6 +247,14 @@ def test_sensitivity_monotone_in_trials():
     small = estimate_sensitivity(p, trials=10, seed=13)
     large = estimate_sensitivity(p, trials=50, seed=13)
     assert large >= small  # same stream prefix, growing max
+
+
+@pytest.mark.parametrize("d, m, trials, seed", [(1, 4, 3, 0), (4, 8, 20, 3), (6, 64, 50, 11),
+                                                (16, 256, 30, 2024)])
+def test_sensitivity_matches_the_pairwise_oracle_bitwise(d, m, trials, seed):
+    # the pairs come from the data model's own draw (network._draw_batch)
+    p = sample_params(d, m, seed=seed + 1, activation=SP)
+    assert estimate_sensitivity(p, trials, seed) == pairwise_sensitivity(p, trials, seed)
 
 
 def test_sensitivity_scales_linearly_in_width():

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,9 @@ def test_import_does_not_load_scipy():
     loaded = json.loads(out)
     assert "gradleak.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_the_package_version_is_pyproject_s():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == gradleak.__version__

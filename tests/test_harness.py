@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -502,11 +503,11 @@ def test_trial_bound_never_builds_the_dense_jacobian():
 
 # --- defense scoring ----------------------------------------------------------
 
-def score_rows(rmses: dict, defense="noise", param="0.1", utility="") -> list[dict]:
+def score_rows(rmses: dict, defense="noise", param="0.1", utility="", m="64") -> list[dict]:
     """CSV rows of one trial: one row per attack, as results.csv holds them."""
     return [
-        {"defense": defense, "defense_param": param, "attack": k, "rmse": repr(v),
-         "utility_loss": utility}
+        {"d": "4", "m": m, "B": "2", "defense": defense, "defense_param": param, "attack": k,
+         "rmse": repr(v), "utility_loss": utility}
         for k, v in rmses.items()
     ]
 
@@ -538,12 +539,27 @@ def test_aggregate_rows_keeps_a_defense_whose_every_attack_failed():
             + score_rows({"tensor": float("nan")}, utility="0.5"))
     agg = aggregate_rows(rows, utility_tol=1.0)
     failed = [t for t in agg["defenses"] if t["defense"] == "noise"]
-    assert failed == [{"defense": "noise", "defense_param": "0.1", "score": None,
-                       "per_attack_median": {}, "utility_median": 0.5, "failed": 1}]
+    assert failed == [{"d": 4, "m": 64, "B": 2, "defense": "noise", "defense_param": "0.1",
+                       "score": None, "per_attack_median": {}, "utility_median": 0.5,
+                       "failed": 1}]
     # only scored defenses are compared at equal utility
     assert agg["utility_bins"] == [
-        {"utility_range": [0.5, 0.5], "defenses": ["none()"], "best_defense": "none()"}
+        {"d": 4, "m": 64, "B": 2, "utility_range": [0.5, 0.5], "defenses": ["none()"],
+         "best_defense": "none()"}
     ]
+
+
+def test_aggregate_rows_compares_defenses_within_one_setting():
+    # equal utility at two widths: two bins, one per setting, and the
+    # setting sorts before the label
+    rows = (score_rows({"tensor": 0.3}, param="0.5", utility="0.5", m="128")
+            + score_rows({"tensor": 0.6}, param="0.1", utility="0.5", m="128")
+            + score_rows({"tensor": 0.9}, param="0.1", utility="0.5"))
+    agg = aggregate_rows(rows, utility_tol=1.0)
+    assert [(t["m"], t["defense_param"], t["score"]) for t in agg["defenses"]] == [
+        (64, "0.1", 0.9), (128, "0.1", 0.6), (128, "0.5", 0.3)]
+    assert [(b["m"], b["defenses"], b["best_defense"]) for b in agg["utility_bins"]] == [
+        (64, ["noise(0.1)"], "noise(0.1)"), (128, ["noise(0.1)", "noise(0.5)"], "noise(0.1)")]
 
 
 
@@ -751,6 +767,15 @@ def test_sweep_single_point(tmp_path):
     # floats round-trip at 17 significant digits
     rec = run_trial(_first_point(sweep_config()), 0)
     assert float(rows[0]["rmse"]) == rec.attacks["tensor"]["rmse"]
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"), (-0.0, "-0"),
+    (1e308, "1e+308"), (np.float64("nan"), "nan"), (0.1, "0.10000000000000001"), (7, "7"),
+    (np.int64(-3), "-3"), (None, ""), ("noise", "noise"),
+])
+def test_csv_floats_print_at_17_significant_digits(value, text):
+    assert hz._fmt(value) == text
 
 
 def _first_point(cfg):
@@ -1070,8 +1095,26 @@ def test_sweep_force_deletes_all_four_files_first(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hz, "_read_journal", spy)
     res = sweep(cfg, out, force=True)
-    assert seen == [[]] and res["new_records"] == 2
-    assert json.loads((out / "manifest.json").read_text())["sweep_hash"] == hz._sweep_hash(cfg)
+    assert seen == [[".lock"]] and res["new_records"] == 2
+    assert json.loads((out / "manifest.json").read_text())["sweep_hash"] == hz._digest(cfg)
+
+
+def test_a_sweep_refuses_a_directory_another_run_holds(tmp_path):
+    # flock conflicts across open file descriptions, so this test's own hold
+    # stands for another run's; force deletes nothing while it is held
+    fcntl = pytest.importorskip("fcntl")
+    cfg = sweep_config(trials=2)
+    out = tmp_path / "out"
+    sweep(cfg, out)
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    with open(out / ".lock", "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(ConfigError, match=f"^output dir {re.escape(str(out))} is in use by another sweep$"):
+            sweep(cfg, out, force=True)
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    res = sweep(cfg, out, force=True)
+    assert res["new_records"] == 2
+    assert strip_wall(res["csv"].read_text()) == strip_wall(before["results.csv"].decode())
 
 
 @pytest.mark.parametrize("damage, problem", [
@@ -1100,7 +1143,7 @@ def test_a_sweep_without_a_readable_manifest_reruns_only_what_its_journal_lacks(
     assert res["rows"] == 3 and res["new_records"] == 1
     assert journal.read_text().startswith(kept)
     assert strip_wall((out / "results.csv").read_text()) == strip_wall(clean)
-    assert json.loads(manifest.read_text())["sweep_hash"] == hz._sweep_hash(cfg)
+    assert json.loads(manifest.read_text())["sweep_hash"] == hz._digest(cfg)
 
 
 def test_a_finished_sweep_runs_nothing_and_rewrites_its_outputs(tmp_path, monkeypatch):
@@ -1148,7 +1191,7 @@ def test_a_sweep_killed_while_writing_its_manifest_leaves_none(tmp_path, monkeyp
             sweep(cfg, out)
     assert not (out / "manifest.json").exists()
     assert sweep(cfg, out)["new_records"] == 1
-    assert json.loads((out / "manifest.json").read_text())["sweep_hash"] == hz._sweep_hash(cfg)
+    assert json.loads((out / "manifest.json").read_text())["sweep_hash"] == hz._digest(cfg)
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
@@ -1216,6 +1259,17 @@ def test_aggregate_rows_scores(tmp_path):
     names = {t["defense"] for t in agg["defenses"]}
     assert names == {"none", "noise"}
     assert len(agg["utility_bins"]) >= 1
+
+
+def test_report_scores_each_width_of_an_m_grid_on_its_own(tmp_path):
+    # one entry per setting: pooled, the two widths' six rmse gave one
+    # score, 0.40315133480930065, that describes neither
+    cfg = {"base": {"d": 4, "B": 2, "activation": {"kind": "exp"}, "trials": 3,
+                    "compute_bounds": False}, "grid": {"m": [64, 4096]}}
+    res = sweep(cfg, tmp_path / "out")
+    agg = aggregate_rows(read_results_csv(res["csv"]))
+    assert [(t["d"], t["m"], t["B"], t["defense"], t["score"]) for t in agg["defenses"]] == [
+        (4, 64, 2, "none", 0.99570184670403428), (4, 4096, 2, "none", 0.14154725954321487)]
 
 
 def test_config_round_trip_and_hash_stability():
