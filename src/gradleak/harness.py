@@ -40,7 +40,9 @@ from .errors import (ConfigError, DegenerateObservationError, GradleakError, _bu
 from .gradmatch import GradMatchConfig, OptimizerConfig, grad_match_attack
 from .network import (
     DataBatch,
+    GradientObservation,
     NetworkParams,
+    _batch_internals,
     _beside,
     _quiet,
     _spare_thread,
@@ -312,6 +314,23 @@ def _stage(fn, *args):
         return None, e
 
 
+def _reads_only_grad_a(config: ExperimentConfig) -> bool:
+    """Whether no stage of the trial reads the W-block: the tensor attack
+    alone (it reads ``grad_a`` and ``params.W``), bounds off, and a chain of
+    noise, node-level dropout and ``prune_threshold`` steps: each acts on a
+    coordinate alone, and a draw's a-block comes first in it.  Utility
+    training reads no observation."""
+    return config.gradmatch is None and not config.compute_bounds and all(
+        isinstance(c, (dfs.NoiseDefense, dfs.PruneThresholdDefense))
+        or isinstance(c, dfs.DropoutDefense) and c.node_level for c in config.defenses)
+
+
+# a W-block is proven finite when every value its gradient, its products on
+# the way and its noise can take stays below this: after a normal draw's
+# largest multiple (under 38.6) and any rounding it is still far from 1.8e308
+_PROVEN = 1e290
+
+
 def _inputs(config: ExperimentConfig, trial_idx: int):
     """The inputs stage: ``(trial_seed, params, batch, obs, truth)``.  ``obs``
     is the gradient on ``batch`` or the leading aggregator's release,
@@ -320,15 +339,35 @@ def _inputs(config: ExperimentConfig, trial_idx: int):
     stream makes the bytes those of drawing them afterwards); ``truth`` is
     every sample behind it.  Overflow is judged once, at the end: run by
     ``_stage``, the draws included, a non-finite observation is a
-    DegenerateObservationError under any warnings filter."""
+    DegenerateObservationError under any warnings filter.
+
+    A trial that reads only ``grad_a`` (``_reads_only_grad_a``) builds the
+    observation at layout (m, 0): its a-block alone, ``S0 @ r``, with the
+    chain drawn at that layout.  numpy fills a draw in order, so each draw
+    is the a-block prefix of the full one, and the a-block is the full
+    observation's bit for bit.  The finiteness rule is the full one: the
+    a-block is checked, and the W-block it leaves out is proven finite from
+    bounds on its factors and on the noise (``_PROVEN``); where that proof
+    fails, the full observation is built and checked instead."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
     transforms, agg = config.transforms, (config.defenses or (None,))[0]
+    d = 0 if _reads_only_grad_a(config) else config.d  # the observation's layout is (m, d)
 
     def observe():
         params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
                                config.activation)
         batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
-        if isinstance(agg, dfs.LocalAggregationDefense):
+        w_bounds = ()
+        if d == 0:
+            (S0, S1), _, r = _batch_internals(params, batch)
+            obs = GradientObservation(S0 @ r, config.m, 0)
+            # bounds on gradient's |S1 r|, |C| = |a S1 r| and |grad_W| = |C X^T|,
+            # then on the chain's noise per unit of a normal draw
+            sr = float(np.abs(S1).max()) * float(np.abs(r).sum())
+            c = sr * float(np.abs(params.a).max())
+            w_bounds = (sr, c, c * float(np.abs(batch.X).max()), sum(
+                t.sigma0 * t.clip_scale for t in transforms if isinstance(t, dfs.NoiseDefense)))
+        elif isinstance(agg, dfs.LocalAggregationDefense):
             batches = [batch] + [
                 sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM, k))
                 for k in range(1, agg.steps if agg.fresh_batches else 1)
@@ -345,15 +384,19 @@ def _inputs(config: ExperimentConfig, trial_idx: int):
             ])
         else:
             obs = gradient(params, batch)
-        return params, batch, obs, truth
+        return params, batch, obs, truth, w_bounds
 
-    draws, (params, batch, obs, truth) = _beside(lambda: transforms and dfs.draw_chain(
-        transforms, derive_seed(trial_seed, DEFENSE_STREAM), config.m, config.d), observe)
-    obs = dfs.compose_drawn(transforms, obs, draws)
-    flat = obs.flat  # min and max: no temporary of the observation's size
-    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
-        raise DegenerateObservationError("the inputs stage made a non-finite observation")
-    return trial_seed, params, batch, obs, truth
+    while True:
+        draws, (params, batch, obs, truth, w_bounds) = _beside(
+            lambda: transforms and dfs.draw_chain(
+                transforms, derive_seed(trial_seed, DEFENSE_STREAM), config.m, d), observe)
+        obs = dfs.compose_drawn(transforms, obs, draws)
+        flat = obs.flat  # min and max: no temporary of the observation's size
+        if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
+            raise DegenerateObservationError("the inputs stage made a non-finite observation")
+        if all(b <= _PROVEN for b in w_bounds):  # False for NaN
+            return trial_seed, params, batch, obs, truth
+        d = config.d  # the W-block left out is not proven finite: build and check it
 
 
 def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
@@ -451,7 +494,9 @@ def run_trial(
     whole call's operations and the stages share only read-only inputs, so
     the record is byte for byte the one a run with no helper gives.
     Utility training applies only the chain's transforms, so a leading
-    aggregator is priced at the undefended utility."""
+    aggregator is priced at the undefended utility.  A trial whose stages
+    read only ``grad_a`` observes at layout (m, 0), its a-block alone
+    (``_inputs``); its record is the one the full observation gives."""
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
         return _trial(config, trial_idx, keep_samples)
 

@@ -221,7 +221,9 @@ class GradientObservation:
     ``flat`` holds grad_a, then grad_W row-major (m + m*d coordinates).  The
     constructor takes ownership of ``flat`` and marks it read-only;
     ``grad_a`` and ``grad_W`` are read-only views of it.  ``provenance``
-    records every defense applied, in order.
+    records every defense applied, in order.  At layout (m, 0) the buffer
+    is the a-block alone and ``grad_W`` is empty: a trial whose stages read
+    only ``grad_a`` observes that (``harness._inputs``).
     """
 
     flat: np.ndarray

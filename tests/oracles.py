@@ -6,7 +6,7 @@ literal Hermite-tensor algebra for the projected builders, the dense input
 Jacobian for the closed-form Gram, the sensitivity's pair draw written
 out, out-of-place descent loops and an
 allocating gradient-matching objective for the in-place ones,
-``np.linalg.norm`` in the tensor decomposition.  Four call library code
+``np.linalg.norm`` in the tensor decomposition.  Five call library code
 on purpose, for the part they do not check: the allocating objective takes
 its distance groups and cosine coefficients from ``gradmatch``;
 ``input_jacobian`` reads the network's forward internals as
@@ -16,12 +16,16 @@ the transforms' own ``draw`` and ``apply_draw``, so it checks the order of
 the draw-then-apply chain; the sequential trial (``sequential_run_trial``)
 runs the library's own stage list (``harness._trial``) on one thread with
 no helper lent, so it checks how ``run_trial`` spreads the same stages over
-two threads and splits kernels.
+two threads and splits kernels; the full-layout trial
+(``full_layout_run_trial``) runs ``harness.run_trial`` with its inputs
+stage forced to build the whole observation, so it checks the a-block
+inputs of a trial that reads only ``grad_a``.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -452,6 +456,15 @@ def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> 
     whole in place."""
     with _spare_thread(None):
         return hz._trial(config, trial_idx, keep_samples)
+
+
+def full_layout_run_trial(config, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
+    """``harness.run_trial`` with its inputs stage at the full layout (m, d)
+    whatever the trial's stages read: ``_reads_only_grad_a`` answers False
+    for the call, so the inputs stage builds, defends and checks both blocks,
+    as a trial that reads the W-block does."""
+    with mock.patch.object(hz, "_reads_only_grad_a", lambda config: False):
+        return hz.run_trial(config, trial_idx, keep_samples)
 
 
 def brute_force_min_perm(S: np.ndarray, S_hat: np.ndarray, sign_resolve: bool = True):

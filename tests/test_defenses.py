@@ -477,6 +477,8 @@ DRAWN_CHAINS = {
     "prune_threshold-noise-clip": [PruneThresholdDefense(1e-4), NoiseDefense(0.01),
                                    ClipDefense(1e-2)],
     "dropout-prune-noise": [DropoutDefense(0.3), PruneRatioDefense(0.4), NoiseDefense(0.1)],
+    "dropout-prune_threshold-noise-noise": [DropoutDefense(0.5), PruneThresholdDefense(1e-4),
+                                            NoiseDefense(0.1), NoiseDefense(0.2, clip_scale=0.5)],
 }
 
 
@@ -489,13 +491,25 @@ def test_draw_then_apply_equals_compose_byte_for_byte(chain):
     if not any(isinstance(c, ClipDefense) for c in defenses):  # clip makes inf all NaN
         flat[[5, 60]] = [np.inf, np.nan]
     g = GradientObservation(flat, g.m, g.d)
+    # every step acts on a coordinate alone: the chain can run on the a-block
+    a_only = all(isinstance(c, (NoiseDefense, PruneThresholdDefense))
+                 or getattr(c, "node_level", False) for c in defenses)
     for seed in (0, 11):
         draws = draw_chain(defenses, derive_seed(seed, 3), g.m, g.d)
         assert [d is None for d in draws] == [
             isinstance(c, (ClipDefense, PruneRatioDefense, PruneThresholdDefense))
             or (isinstance(c, NoiseDefense) and c.sigma0 == 0) for c in defenses]
-        drawn = compose_drawn(defenses, g, draws)
         ref = interleaved_compose(defenses, g, derive_seed(seed, 3))
+        if a_only:
+            # numpy fills a draw in order: at layout (m, 0) each draw is the a-block
+            # prefix of the full one, and the chain gives the full output's a-block
+            a_draws = draw_chain(defenses, derive_seed(seed, 3), g.m, 0)
+            assert [None if x is None else x.tobytes() for x in a_draws] == [
+                None if x is None else x[:g.m].tobytes() for x in draws]
+            a_block = compose_drawn(defenses, GradientObservation(g.grad_a.copy(), g.m, 0),
+                                    a_draws)
+            assert a_block.flat.tobytes() == ref.grad_a.tobytes()
+        drawn = compose_drawn(defenses, g, draws)
         assert drawn.flat.tobytes() == ref.flat.tobytes()
         assert compose(defenses, g, derive_seed(seed, 3)).flat.tobytes() == ref.flat.tobytes()
         assert len(drawn.provenance) == len(ref.provenance) == len(defenses)

@@ -2,11 +2,15 @@ import dataclasses
 import json
 import math
 import os
+import random
 import re
+import subprocess
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from conftest import REPEATING_SEED_GRID, RecordingPool
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
+    full_layout_run_trial,
     input_jacobian,
     interleaved_compose,
     sequential_run_trial,
@@ -148,6 +153,7 @@ OVERLAP_CHAINS = {
     "clip-noise": ({}, [{"variant": "clip", "threshold": 1e-3}, NOISE]),
     "dropout-node": ({}, [{"variant": "dropout", "rate": 0.5}, NOISE]),
     "dropout-coord": ({}, [{"variant": "dropout", "rate": 0.5, "node_level": False}]),
+    "prune_threshold": ({}, [{"variant": "prune_threshold", "cutoff": 1e-4}, NOISE]),
     "prune_ratio": ({}, [{"variant": "prune_ratio", "ratio": 0.9}, NOISE]),
     "local_aggregation": ({}, [{"variant": "local_aggregation", "steps": 2,
                                 "fresh_batches": True}, NOISE]),
@@ -272,8 +278,10 @@ WORKLOAD_SIZES = {
 
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SIZES))
 def test_only_attack_d64_splits_its_kernels(monkeypatch, workload):
+    # attack-d64 reads only grad_a, so it builds no W-block: W @ X, then the
+    # moment matrix (fill, GEMM) and the projected tensor (W @ V, contraction)
     _, halves = trial_helper_calls(monkeypatch, small_config(**WORKLOAD_SIZES[workload]), 0)
-    assert len(halves) == (7 if workload == "attack-d64" else 0)
+    assert len(halves) == (5 if workload == "attack-d64" else 0)
 
 
 def _singular(*args):
@@ -434,6 +442,72 @@ def test_trials_leave_no_thread_behind(tmp_path):
     assert threading.active_count() == before
     sweep(sweep_config(trials=2), tmp_path / "out", workers=2)
     assert threading.active_count() == before
+
+
+# --- trials that read only grad_a: the a-block inputs ---------------------------
+
+# chains of steps that act on a coordinate alone, each drawing its a-block first
+A_BLOCK_CHAINS = {
+    "none": [],
+    "noise": [NOISE],
+    "dropout-node-noise": [{"variant": "dropout", "rate": 0.5}, NOISE],
+    "prune_threshold-noise": [{"variant": "prune_threshold", "cutoff": 1e-4}, NOISE],
+    "noise-noise": [NOISE, {"variant": "noise", "sigma0": 0.02, "clip_scale": 0.5}],
+}
+# trials whose left-out W-block the inputs stage cannot prove finite
+UNPROVEN = {
+    # trial 0's one a-block coordinate stays finite while its W-block overflows
+    "noise-1e308-wide": ({"d": 3000, "m": 1, "base_seed": 0},
+                         [{"variant": "noise", "sigma0": 1e308}]),
+    # a finite observation beyond the proof's reach: built whole, and attacked
+    "noise-1e295": ({}, [{"variant": "noise", "sigma0": 1e295}]),
+    # sigma0 * clip_scale overflows to inf
+    "noise-scale-inf": ({}, [{"variant": "noise", "sigma0": 1e200, "clip_scale": 1e200}]),
+    "exp-scale-1e307": ({"activation": {"kind": "exp", "scale": 1e307}}, []),
+}
+
+
+def a_block_cases():
+    for chain in sorted(A_BLOCK_CHAINS):
+        for kind in ("exp", "softplus", "cubic"):
+            yield pytest.param({"activation": {"kind": kind}}, A_BLOCK_CHAINS[chain],
+                               id=f"{chain}-{kind}")
+    for name in sorted(UNPROVEN):
+        yield pytest.param(*UNPROVEN[name], id=name)
+
+
+@pytest.mark.parametrize("over,defenses", a_block_cases())
+def test_a_trial_that_reads_only_grad_a_records_what_the_full_observation_gives(over, defenses):
+    cfg = small_config(compute_bounds=False, defenses=defenses, utility={"steps": 3}, **over)
+    assert hz._reads_only_grad_a(cfg)
+    for t in (0, 1):
+        rec, ref = run_trial(cfg, t, keep_samples=True), full_layout_run_trial(cfg, t, True)
+        # record_hash, NaN rmse, errors and the kept samples included
+        assert json.dumps({**rec.to_dict(), "wall_ms": 0}, sort_keys=True) == json.dumps(
+            {**ref.to_dict(), "wall_ms": 0}, sort_keys=True)
+
+
+def test_the_wide_overflow_case_has_a_finite_a_block(monkeypatch):
+    # with the proof switched off the a-block of trial 0 passes the check alone
+    monkeypatch.setattr(hz, "_PROVEN", math.inf)
+    over, defenses = UNPROVEN["noise-1e308-wide"]
+    obs = hz._inputs(small_config(compute_bounds=False, defenses=defenses, **over), 0)[3]
+    assert (obs.m, obs.d) == (1, 0) and math.isfinite(obs.grad_a[0])
+
+
+@pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
+@pytest.mark.parametrize("chain", sorted(OVERLAP_CHAINS))
+def test_only_a_trial_that_reads_no_w_block_leaves_it_out(monkeypatch, chain, bounds):
+    # clip, prune_ratio, coordinate-level dropout, aggregators, gradmatch and
+    # bounds each read the whole observation
+    over, defenses = OVERLAP_CHAINS[chain]
+    cfg = small_config(defenses=defenses, compute_bounds=bounds, **over)
+    a_only = not bounds and chain in ("noise-sigma0-zero", "dropout-node", "prune_threshold")
+    assert hz._reads_only_grad_a(cfg) == a_only
+    obs = hz._inputs(cfg, 0)[3]
+    assert (obs.m, obs.d) == (cfg.m, 0 if a_only else cfg.d)
+    monkeypatch.setattr(hz, "_reads_only_grad_a", lambda config: False)
+    assert obs.grad_a.tobytes() == hz._inputs(cfg, 0)[3].grad_a.tobytes()
 
 
 # --- bound fold: closed-form Gram against the dense-Jacobian oracle -------------
@@ -907,6 +981,59 @@ def test_sweep_resume_without_duplicates(tmp_path, monkeypatch):
     assert sweep(cfg, tmp_path / "out")["new_records"] == 0
     res2 = sweep(cfg, tmp_path / "out", force=True)
     assert res2["rows"] == 3
+
+
+# 12 trials of about 50 ms each (utility training), half of them noised
+KILLED_SWEEP = {"base": {"d": 5, "m": 2048, "B": 2, "activation": {"kind": "exp"},
+                         "attacks": FAST_ATTACKS, "compute_bounds": False, "trials": 6,
+                         "utility": {"steps": 500}},
+                "grid": {"defenses": [[], [NOISE]]}}
+
+
+def outputs_without_wall_ms(out):
+    """results.csv without its last column, wall_ms, and results.json's
+    records without theirs."""
+    csv_lines = [line.rsplit(",", 1)[0] for line in (out / "results.csv").read_text().splitlines()]
+    records = json.loads((out / "results.json").read_text())["records"]
+    return csv_lines, [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_sweep_killed_at_any_instant_resumes_to_the_uninterrupted_outputs(tmp_path, seed):
+    # a real SIGKILL skips every finally: no CSV or JSON is written, and the
+    # journal is left as the kill found it
+    sweep(KILLED_SWEEP, tmp_path / "whole")
+    spec, out, err = tmp_path / "sweep.json", tmp_path / "killed", tmp_path / "stderr"
+    spec.write_text(json.dumps(KILLED_SWEEP))
+    cmd = [sys.executable, "-m", "gradleak.cli", "sweep", "--config", str(spec), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(hz.__file__).resolve().parents[1])}
+
+    def journaled():
+        path = out / "results.jsonl"
+        return path.read_bytes().count(b"\n") if path.exists() else 0
+
+    # the journal lines each run waits for before it is killed: none (it is
+    # still starting, before the manifest), two seeded counts, all 12
+    between = sorted(random.Random(seed).sample(range(1, 12), 2))
+    for wanted in (None, *between, 12):
+        with open(err, "wb") as stderr, subprocess.Popen(
+                cmd, env=env, stdout=subprocess.DEVNULL, stderr=stderr) as child:
+            try:
+                deadline = time.monotonic() + 30
+                while (wanted is not None and journaled() < wanted and child.poll() is None
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+            finally:
+                child.kill()  # SIGKILL, to this child alone
+        assert child.returncode in (0, -9), err.read_text()
+        if wanted is None:
+            assert not (out / "manifest.json").exists()
+        else:
+            assert wanted <= journaled() <= 12 and (wanted == 12 or journaled() < 12)
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["new_records"] == 0
+    assert outputs_without_wall_ms(out) == outputs_without_wall_ms(tmp_path / "whole")
 
 
 def test_sweep_resume_keeps_manifest_timestamp(tmp_path):
