@@ -37,7 +37,7 @@ from .errors import (
     _check_flag,
     _floats,
 )
-from .network import DataBatch, GradientObservation, NetworkParams, _halves, _quiet, gradient
+from .network import DataBatch, GradientObservation, NetworkParams, _quiet, gradient
 from .seeding import derive_seed, rng_from
 
 __all__ = [
@@ -133,14 +133,11 @@ class NoiseDefense(_Transform):
 
     def apply_draw(self, obs: GradientObservation, draw) -> GradientObservation:
         """Add the drawn noise in place in ``draw``, which becomes the output's
-        buffer; no draw shares the input's buffer.  The add runs by halves
-        (``network._halves``), each coordinate's sum the same."""
+        buffer; no draw shares the input's buffer."""
         provenance = (*obs.provenance, DefenseRecord(variant=self.variant, params=asdict(self)))
         if draw is None:
             return GradientObservation(obs.flat, obs.m, obs.d, provenance)
-        flat = obs.flat
-        _halves(lambda lo, hi: np.add(draw[lo:hi], flat[lo:hi], out=draw[lo:hi]),
-                draw.size, draw.size)
+        np.add(draw, obs.flat, out=draw)
         return GradientObservation(draw, obs.m, obs.d, provenance)
 
 

@@ -18,9 +18,10 @@ never forms J: ``input_gram`` builds J J^T from per-sample factors.
 
 ``_beside`` is the one way a thread hands work to the helper it lends
 (``_spare_thread``), and that work runs under the handing thread's
-``np.errstate``.  A trial hands it the defense draws, the attacks and one
-half of each large kernel call (``_halves``); each output element gets the
-whole call's operations, so the bytes do not depend on the split.
+``np.errstate``.  A trial hands it the defense draws, the attacks (with
+bounds on) and one half of each large kernel call (``_halves``: ``W @ X``
+and four in ``tensor_attack``); each output element gets the whole call's
+operations, so the bytes do not depend on the split.
 
 On glibc, importing the module keeps freed memory in the process
 (``_keep_freed_memory``), so a trial reuses the pages the last one freed.
@@ -62,12 +63,13 @@ _lender = threading.local()
 def _keep_freed_memory() -> None:
     """On glibc, have malloc serve every large array from its heap, never
     give freed heap back to the kernel, and serve every thread from one
-    arena.  A trial then reuses the pages the last one freed (W, the noise
-    draw, the gradient, the moment matrix's operand) instead of faulting in
-    and zero-filling new ones, whichever thread frees or asks: with an
-    arena per thread, the trial's thread and its helper could each keep a
-    copy of the peak.  The process keeps its peak heap.  Process-wide, set
-    once at import; no arithmetic changes.  Elsewhere it does nothing."""
+    arena.  A trial then reuses the pages the last one freed (at attack-d64
+    W and the moment matrix's (d, m) operand, 34 MB each, and the (m, B)
+    products) instead of faulting in and zero-filling new ones, whichever
+    thread frees or asks: with an arena per thread, the trial's thread and
+    its helper could each keep a copy of the peak.  The process keeps its
+    peak heap.  Process-wide, set once at import; no arithmetic changes.
+    Elsewhere it does nothing."""
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
     except (AttributeError, ValueError, OSError):
@@ -111,10 +113,9 @@ def _spare_thread(executor):
 def _beside(there, here):
     """``(there(), here())``.  With a spare thread lent (``_spare_thread``),
     the spare runs ``there`` under this thread's ``np.errstate`` (numpy's is
-    per thread) while this thread runs ``here``; a ``there`` the spare has
-    not started by then (say it is still busy with earlier work) is taken
-    back and run here.  Otherwise both run here, ``here`` first.  An error
-    surfaces only once neither is running, ``here``'s first."""
+    per thread) while this thread runs ``here``: a lent spare runs every
+    ``there`` it is handed.  Otherwise both run here, ``here`` first.  An
+    error surfaces only once neither is running, ``here``'s first."""
     spare = getattr(_lender, "spare", None)
     if spare is None:
         done = here()
@@ -126,7 +127,7 @@ def _beside(there, here):
         if not pending.cancel():
             wait([pending])
         raise
-    return (there() if pending.cancel() else pending.result()), done
+    return pending.result(), done
 
 
 def _halves(fn, n: int, size: int) -> None:
@@ -143,14 +144,13 @@ def _halves(fn, n: int, size: int) -> None:
     _beside(lambda: fn(h, n), lambda: fn(0, h))
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` into ``out`` (allocated as the whole call would), by row
-    halves of ``a`` through ``_halves``.  A row of a GEMM's output takes the
-    same operations whichever rows share the call; a matrix-vector product
-    does not, so a b of one column stays whole, and so does an a of fewer
-    than 4 rows (a half of one row would be a vector-matrix product)."""
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[1]))
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, allocated as the whole call would, by row halves of ``a``
+    through ``_halves``.  A row of a GEMM's output takes the same operations
+    whichever rows share the call; a matrix-vector product does not, so a b
+    of one column stays whole, and so does an a of fewer than 4 rows (a half
+    of one row would be a vector-matrix product)."""
+    out = np.empty((a.shape[0], b.shape[1]))
     if b.shape[1] < 2 or a.shape[0] < 4:
         return np.matmul(a, b, out=out)
     _halves(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), a.shape[0],
@@ -299,9 +299,9 @@ def _batch_internals(params: NetworkParams, batch: DataBatch, order: int = 1):
 def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
     """Exact gradient of the summed square loss at ``params`` on ``batch``.
 
-    ``W @ X`` and the W-block ``C @ X^T`` run by row halves (``_matmul_rows``);
-    the reduction over m (``S0^T a``) and the matrix-vector ``S0 @ r`` stay
-    whole."""
+    ``W @ X`` runs by row halves (``_batch_internals``); the reduction over
+    m (``S0^T a``), the matrix-vector ``S0 @ r`` and the W-block ``C @ X^T``
+    run whole."""
     (S0, S1), _, r = _batch_internals(params, batch)
     m, d = params.m, params.d
     flat = np.empty(params.n_coords)  # both blocks written in place, no concatenation
@@ -309,7 +309,7 @@ def gradient(params: NetworkParams, batch: DataBatch) -> GradientObservation:
     C = S1 * r[None, :]               # (m, B): a_j s'(z_ji) r_i, one temporary
     C *= params.a[:, None]
     del S0, S1
-    _matmul_rows(C, batch.X.T, out=flat[m:].reshape(m, d))
+    np.matmul(C, batch.X.T, out=flat[m:].reshape(m, d))
     return GradientObservation(flat, m, d)
 
 

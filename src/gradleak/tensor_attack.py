@@ -47,8 +47,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .activations import HermiteMoments, hermite_moments
-from .errors import (AttackStageError, ConfigError, DimensionError, ProbeError, _check, _float,
-                     _floats)
+from .errors import (AttackStageError, ConfigError, DegenerateObservationError, DimensionError,
+                     ProbeError, _check, _float, _floats)
 from .metrics import min_perm_distance
 from .network import GradientObservation, NetworkParams, _halves, _matmul_rows
 from .seeding import rng_from
@@ -216,13 +216,17 @@ def estimate_subspace(
 
     Returns (V, gap, warnings) where gap is the spectral separation between
     the B-th and (B+1)-th singular values of P; a gap below 1e-12 attaches
-    an ill-conditioned-subspace warning instead of failing.
+    an ill-conditioned-subspace warning instead of failing.  A non-finite P
+    is a DegenerateObservationError before any LAPACK call: LAPACK's SVD
+    prints to stdout on one.
     """
     d = P.shape[0]
     if B > d:
         raise DimensionError(f"B={B} exceeds dimension d={d}")
     if iters < 1:
         raise ConfigError("iters must be >= 1")
+    if not np.isfinite(P).all():
+        raise DegenerateObservationError("the moment matrix is not finite")
     rng = rng_from(seed)
     V = np.linalg.qr(rng.standard_normal((d, B)))[0]
     for _ in range(iters):

@@ -10,6 +10,11 @@ REPEATING_SEED_GRID = {"base": {"d": 4, "m": 64, "B": 2, "activation": {"kind": 
                                 "trials": 2, "compute_bounds": False},
                        "grid": {"base_seed": [10, 11]}}
 
+# a finite observation whose moment matrix overflows to +-inf: LAPACK's SVD
+# of it would print to stdout
+LAPACK_PRINTING = {"d": 4, "m": 1, "B": 2, "base_seed": 5, "activation": {"kind": "exp"},
+                   "compute_bounds": False, "defenses": [{"variant": "noise", "sigma0": 1e308}]}
+
 
 class RecordingPool(ThreadPoolExecutor):
     """A thread pool that records the qualified name of every function

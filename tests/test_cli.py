@@ -19,7 +19,7 @@ from gradleak.cli import main
 from gradleak.harness import ExperimentConfig, run_trial
 from gradleak.network import sample_params
 from gradleak.seeding import derive_seed
-from conftest import REPEATING_SEED_GRID, RecordingPool
+from conftest import LAPACK_PRINTING, REPEATING_SEED_GRID, RecordingPool
 from oracles import sequential_run_trial
 
 
@@ -363,9 +363,9 @@ def test_bound_lends_its_helper_kernel_halves(tmp_path, capsys, monkeypatch):
     assert code == 0
     expected = sequential_run_trial(ExperimentConfig.from_dict(spec), 1).bound
     assert json.loads(out) == json.loads(json.dumps(expected))
-    # the draws, gradient's W @ X and C @ X^T, the noise add and the bound's W @ X
+    # the draws, gradient's W @ X and the bound's W @ X
     (pool,) = pools
-    assert pool.names == ["_inputs.<locals>.<lambda>"] + ["_halves.<locals>.<lambda>"] * 4
+    assert pool.names == ["_inputs.<locals>.<lambda>"] + ["_halves.<locals>.<lambda>"] * 2
 
 
 def test_bound_on_a_config_without_bounds_exits_1(tmp_path, capsys):
@@ -390,6 +390,18 @@ def test_a_failing_trial_is_printed_and_exits_1(tmp_path, capsys):
     assert main(["bound", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == (
         "error: DegenerateObservationError: the inputs stage made a non-finite observation\n")
+
+
+def test_a_non_finite_moment_matrix_leaves_stdout_one_json_record(tmp_path, capfd):
+    # the tensor attack refuses the matrix before LAPACK, whose error handler
+    # would write to the process's stdout ahead of the record
+    cfg_path = tmp_path / "lapack.json"
+    cfg_path.write_text(json.dumps(LAPACK_PRINTING))
+    assert main(["attack", "--config", str(cfg_path)]) == 1
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out)["attacks"]["tensor"]["error"] == (
+        "attack stage 'subspace' failed: the moment matrix is not finite")
 
 
 def test_a_crashing_inputs_stage_fails_the_bound_with_one_line(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from gradleak import network
 from gradleak.activations import Activation
 from gradleak.defenses import (
     ClipDefense,
@@ -85,20 +84,16 @@ def test_noise_equals_flat_sum_bitwise():
 
 @pytest.mark.parametrize("sigma0,clip_scale", [(5e-324, 1.0), (1e-300, 1e-10)],
                          ids=["smallest_subnormal", "subnormal_product"])
-def test_noise_matches_rng_normal_bitwise(sigma0, clip_scale, split_halves):
+def test_noise_matches_rng_normal_bitwise(sigma0, clip_scale):
     # A subnormal scale rounds s*z to -0.0 for small negative z.  On a -0.0
-    # coordinate only 0.0 + s*z, as rng.normal forms it, gives +0.0.  The same
-    # whole and with the add by halves.
+    # coordinate only 0.0 + s*z, as rng.normal forms it, gives +0.0.
     m, d = 64, 5
     flat = rng_from(8).standard_normal(m * (1 + d))
     flat[::3], flat[1::7], flat[2::11] = -0.0, 0.0, -5e-324
     expect = rng_from(4).normal(0.0, sigma0 * clip_scale, size=flat.size) + flat
-    for spare in (None, split_halves):
-        with network._spare_thread(spare):
-            out = NoiseDefense(sigma0, clip_scale=clip_scale).apply(
-                GradientObservation(flat.copy(), m, d), 4)
-        assert out.flat.tobytes() == expect.tobytes()
-    assert len(split_halves.names) == 1
+    out = NoiseDefense(sigma0, clip_scale=clip_scale).apply(
+        GradientObservation(flat.copy(), m, d), 4)
+    assert out.flat.tobytes() == expect.tobytes()
 
 
 # --- clipping ------------------------------------------------------------

@@ -230,10 +230,10 @@ def test_split_trial_matches_the_sequential_oracle(monkeypatch, bounds, kind):
     for t in (0, 1):
         rec, halves = trial_helper_calls(monkeypatch, cfg, t)
         ref = sequential_run_trial(cfg, t)
-        # gradient (W @ X, C @ X^T) and the noise add, then the moment matrix (fill,
-        # GEMM) and the projected tensor (W @ V, contraction) or, with bounds on,
-        # the bound's W @ X while the helper runs the attacks whole
-        assert len(halves) == (4 if bounds else 7)
+        # gradient's W @ X, then the moment matrix (fill, GEMM) and the projected
+        # tensor (W @ V, contraction) or, with bounds on, the bound's W @ X while
+        # the helper runs the attacks whole
+        assert len(halves) == (2 if bounds else 5)
         assert rec.record_hash() == ref.record_hash()
         assert rec.bound == ref.bound
         for name, res in ref.attacks.items():
@@ -244,8 +244,8 @@ def test_split_trial_matches_the_sequential_oracle(monkeypatch, bounds, kind):
 @pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
 def test_utility_training_lends_the_helper(monkeypatch, bounds):
     # utility training splits its kernels like every other stage on the trial's
-    # thread, bit for bit: each of its 4 steps hands the helper gradient's two
-    # halves and the noise add's, and its final loss one of W @ X
+    # thread, bit for bit: each of its 4 steps hands the helper one half of
+    # gradient's W @ X, and its final loss one of W @ X
     monkeypatch.setattr(network, "_SPLIT_MIN", 0)
     spec = dict(d=7, m=301, B=3, activation={"kind": "softplus"}, attacks=BOTH_ATTACKS,
                 defenses=OVERLAP_CHAINS["clip-noise"][1], compute_bounds=bounds)
@@ -253,7 +253,7 @@ def test_utility_training_lends_the_helper(monkeypatch, bounds):
     for t in (0, 1):
         rec, halves = trial_helper_calls(monkeypatch, cfg, t)
         ref = sequential_run_trial(cfg, t)
-        assert len(halves) == len(trial_helper_calls(monkeypatch, untrained, t)[1]) + 4 * 3 + 1
+        assert len(halves) == len(trial_helper_calls(monkeypatch, untrained, t)[1]) + 4 * 1 + 1
         assert rec.record_hash() == ref.record_hash()
         assert rec.utility_loss == ref.utility_loss and rec.utility_loss is not None
 

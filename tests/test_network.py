@@ -134,11 +134,11 @@ def test_gradient_equals_the_out_of_place_products_bit_for_bit(kind):
 @pytest.mark.parametrize("B", [1, 2, 3, 8])
 @pytest.mark.parametrize("kind", ["softplus", "exp", "cubic"])
 def test_gradient_split_in_halves_equals_the_whole_call(split_halves, kind, B):
-    # W @ X and C @ X^T by row halves; odd m and odd d put the cut off any block
+    # W @ X by row halves, C @ X^T whole; odd m and odd d put the cut off any block
     p = sample_params(7, 1001, seed=B, activation=Activation(kind, 0.7))
     b = sample_batch(7, B, seed=B + 50)
     split = gradient(p, b)
-    assert len(split_halves.names) == (1 if B == 1 else 2)  # W @ X at B = 1 is a GEMV, whole
+    assert len(split_halves.names) == (0 if B == 1 else 1)  # W @ X at B = 1 is a GEMV, whole
     with network._spare_thread(None):
         whole = gradient(p, b)
     assert split.flat.tobytes() == whole.flat.tobytes()
@@ -230,14 +230,22 @@ def test_beside_without_a_spare_runs_here_first():
     assert ran == ["here", "there"]
 
 
-def test_beside_takes_back_work_the_spare_has_not_started():
+def test_beside_leaves_there_to_the_spare_even_when_it_starts_late():
+    # the spare is busy until here itself releases it, so there has not
+    # started when here ends; the spare still runs it, not this thread
     me, ran, release = threading.current_thread(), [], threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
-        pool.submit(release.wait, 10)  # the spare is busy until here has ended
-        got = network._beside(lambda: ran.append(("there", threading.current_thread())) or 1,
-                              lambda: ran.append(("here", threading.current_thread())) or 2)
+
+    def here():
+        ran.append(("here", threading.current_thread()))
         release.set()
-    assert got == (1, 2) and ran == [("here", me), ("there", me)]
+        return 2
+
+    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
+        pool.submit(release.wait, 10)
+        got = network._beside(lambda: ran.append(("there", threading.current_thread())) or 1,
+                              here)
+    assert got == (1, 2) and [name for name, _ in ran] == ["here", "there"]
+    assert ran[0][1] is me and ran[1][1] is not me
 
 
 @pytest.mark.parametrize("spare", [False, True], ids=["no-spare", "spare"])

@@ -6,7 +6,8 @@ import pytest
 from gradleak import network
 from gradleak.activations import Activation, hermite_moments
 from gradleak.defenses import ClipDefense, PruneRatioDefense
-from gradleak.errors import AttackStageError, ConfigError, DimensionError, ProbeError
+from gradleak.errors import (AttackStageError, ConfigError, DegenerateObservationError,
+                             DimensionError, ProbeError)
 from gradleak.network import GradientObservation, gradient, sample_batch, sample_params
 from gradleak.tensor_attack import (
     _CHUNK_TERMS,
@@ -124,6 +125,20 @@ def test_subspace_indefinite_rank_one():
 def test_subspace_gap_warning():
     V, gap, warns = estimate_subspace(np.eye(4), B=2, seed=0)
     assert warns  # degenerate spectrum flagged, not fatal
+
+
+def _eye_with(x):
+    P = np.eye(4)
+    P[1, 2] = x
+    return P
+
+
+@pytest.mark.parametrize("P", [_eye_with(np.inf), _eye_with(-np.inf), _eye_with(np.nan),
+                               np.full((4, 4), np.nan)], ids=["inf", "-inf", "nan", "all-nan"])
+def test_subspace_refuses_a_non_finite_moment_matrix(P):
+    # before LAPACK: its SVD prints to stdout on +-inf and raises on all-NaN
+    with pytest.raises(DegenerateObservationError, match="moment matrix is not finite"):
+        estimate_subspace(P, B=2)
 
 
 def test_subspace_b_larger_than_d():
