@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
@@ -631,6 +632,27 @@ def _read_journal(path: Path, expected: dict[tuple[str, int], int]) -> list[Tria
     return records
 
 
+def _environment() -> dict:
+    """What the manifest records of the process that ran a sweep: the
+    package, Python and numpy versions, numpy's SIMD extensions found on
+    this CPU, its BLAS, and the BLAS thread variables the process saw.  A
+    split product's bytes depend on these (README, kernel splits).  numpy
+    < 1.26 has no ``show_config(mode="dicts")``: its SIMD and BLAS are None."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas")
+    return {
+        "gradleak": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "simd_found": config.get("SIMD Extensions", {}).get("found"),
+        "blas": blas and {key: blas.get(key) for key in ("name", "version")},
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 @contextmanager
 def _owned(out: Path):
     """Hold an exclusive ``flock`` on ``out/.lock`` while the block runs, so
@@ -705,6 +727,7 @@ def sweep(
                 "point_hashes": [p.config_hash() for p in points],
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "package": f"gradleak {__version__}",
+                "environment": _environment(),
             }
             tmp = manifest_path.with_name("manifest.json.tmp")  # renamed whole: never torn
             tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

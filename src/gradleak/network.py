@@ -20,8 +20,9 @@ never forms J: ``input_gram`` builds J J^T from per-sample factors.
 (``_spare_thread``), and that work runs under the handing thread's
 ``np.errstate``.  A trial hands it the defense draws, the attacks (with
 bounds on) and one half of each large kernel call (``_halves``: ``W @ X``
-and four in ``tensor_attack``); each output element gets the whole call's
-operations, so the bytes do not depend on the split.
+and three in ``tensor_attack``).  Each output element gets the whole
+call's operations, so the bytes do not depend on the split, under the
+conditions ``_matmul_rows`` names for a GEMM.
 
 On glibc, importing the module keeps freed memory in the process
 (``_keep_freed_memory``), so a trial reuses the pages the last one freed.
@@ -64,7 +65,7 @@ def _keep_freed_memory() -> None:
     """On glibc, have malloc serve every large array from its heap, never
     give freed heap back to the kernel, and serve every thread from one
     arena.  A trial then reuses the pages the last one freed (at attack-d64
-    W and the moment matrix's (d, m) operand, 34 MB each, and the (m, B)
+    W, 34 MB, the moment matrix's operand blocks, 8 MB each, and the (m, B)
     products) instead of faulting in and zero-filling new ones, whichever
     thread frees or asks: with an arena per thread, the trial's thread and
     its helper could each keep a copy of the peak.  The process keeps its
@@ -136,7 +137,9 @@ def _halves(fn, n: int, size: int) -> None:
 
     With a spare thread lent, n >= 2 and ``size`` (the call's largest
     W-sized array) at least ``_SPLIT_MIN``, [n//2, n) runs ``_beside``
-    [0, n//2); otherwise ``fn(0, n)`` runs whole."""
+    [0, n//2); otherwise ``fn(0, n)`` runs whole.  ``fn`` keeps the bytes
+    only if each output's operations do not depend on [lo, hi); for a GEMM
+    that holds only as ``_matmul_rows`` says."""
     if getattr(_lender, "spare", None) is None or n < 2 or size < _SPLIT_MIN:
         fn(0, n)
         return
@@ -146,9 +149,13 @@ def _halves(fn, n: int, size: int) -> None:
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, allocated as the whole call would, by row halves of ``a``
-    through ``_halves``.  A row of a GEMM's output takes the same operations
-    whichever rows share the call; a matrix-vector product does not, so a b
-    of one column stays whole, and so does an a of fewer than 4 rows (a half
+    through ``_halves``.  A row of the output kept the whole call's bytes
+    at every shape tested with one BLAS thread where each part does at
+    least 2^21 multiply-adds, as every split at ``_SPLIT_MIN`` does.  That
+    is not unconditional: parts below about 10^6 multiply-adds, or two
+    BLAS threads, gave other bytes at shapes the README's kernel-split
+    notes name.  A matrix-vector product sums in another order, so a b of
+    one column stays whole, and so does an a of fewer than 4 rows (a half
     of one row would be a vector-matrix product)."""
     out = np.empty((a.shape[0], b.shape[1]))
     if b.shape[1] < 2 or a.shape[0] < 4:

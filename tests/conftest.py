@@ -35,7 +35,10 @@ def split_halves(monkeypatch):
     """Every kernel call on this thread that can split does: the size floor
     is lowered to 0 and this thread lends a real one-thread pool, which the
     fixture returns.  ``network._spare_thread(None)`` inside a test runs the
-    whole calls again."""
+    whole calls again.  Below the floor a split GEMM's bytes are not
+    guaranteed (``network._matmul_rows`` names shapes where they differ),
+    so a test using this fixture holds for its own shapes only; the floor
+    shapes are tested with the floor in place."""
     monkeypatch.setattr(network, "_SPLIT_MIN", 0)
     with RecordingPool(max_workers=1) as pool, network._spare_thread(pool):
         yield pool

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import random
 import re
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradleak
 import gradleak.defenses as dfs
 import gradleak.harness as hz
 from gradleak import network
@@ -230,10 +232,10 @@ def test_split_trial_matches_the_sequential_oracle(monkeypatch, bounds, kind):
     for t in (0, 1):
         rec, halves = trial_helper_calls(monkeypatch, cfg, t)
         ref = sequential_run_trial(cfg, t)
-        # gradient's W @ X, then the moment matrix (fill, GEMM) and the projected
-        # tensor (W @ V, contraction) or, with bounds on, the bound's W @ X while
-        # the helper runs the attacks whole
-        assert len(halves) == (2 if bounds else 5)
+        # gradient's W @ X, then the moment matrix (one split: each half fills and
+        # multiplies its operand rows) and the projected tensor (W @ V, contraction)
+        # or, with bounds on, the bound's W @ X while the helper runs the attacks whole
+        assert len(halves) == (2 if bounds else 4)
         assert rec.record_hash() == ref.record_hash()
         assert rec.bound == ref.bound
         for name, res in ref.attacks.items():
@@ -279,9 +281,9 @@ WORKLOAD_SIZES = {
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SIZES))
 def test_only_attack_d64_splits_its_kernels(monkeypatch, workload):
     # attack-d64 reads only grad_a, so it builds no W-block: W @ X, then the
-    # moment matrix (fill, GEMM) and the projected tensor (W @ V, contraction)
+    # moment matrix (one split) and the projected tensor (W @ V, contraction)
     _, halves = trial_helper_calls(monkeypatch, small_config(**WORKLOAD_SIZES[workload]), 0)
-    assert len(halves) == (5 if workload == "attack-d64" else 0)
+    assert len(halves) == (4 if workload == "attack-d64" else 0)
 
 
 def _singular(*args):
@@ -1302,6 +1304,38 @@ def test_a_resume_keeps_the_manifest_bytes(tmp_path):
     manifest.write_bytes(compact)
     assert sweep(cfg, out)["new_records"] == 1
     assert manifest.read_bytes() == compact
+
+
+def test_the_manifest_records_the_environment_and_nothing_else_moves(tmp_path, monkeypatch):
+    # what a split product's bytes depend on goes to the manifest only: two sweeps
+    # that saw other BLAS thread variables write the same hash, CSV and records
+    cfg = sweep_config(trials=2)
+    environments, outputs = [], []
+    for n, threads in enumerate(("1", None)):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        out = tmp_path / str(n)
+        sweep(cfg, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sweep_hash"] == hz._digest(cfg)
+        environments.append(manifest["environment"])
+        outputs.append(outputs_without_wall_ms(out))
+    first, second = environments
+    assert set(first) == {"gradleak", "python", "numpy", "simd_found", "blas",
+                          "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    assert (first["gradleak"], first["python"], first["numpy"]) == (
+        gradleak.__version__, platform.python_version(), np.__version__)
+    assert first["simd_found"] is None or all(isinstance(x, str) for x in first["simd_found"])
+    assert first["blas"] is None or set(first["blas"]) == {"name", "version"}
+    assert (first["OPENBLAS_NUM_THREADS"], second["OPENBLAS_NUM_THREADS"]) == ("1", None)
+    assert first["OMP_NUM_THREADS"] == second["OMP_NUM_THREADS"] == "3"
+    assert outputs[0] == outputs[1]
+    points = [ExperimentConfig.from_dict(p) for p in manifest["points"]]
+    assert [r["record_hash"] for r in outputs[0][1]] == [
+        run_trial(p, t).record_hash() for p in points for t in range(p.trials)]
 
 
 def test_a_sweep_killed_while_writing_its_manifest_leaves_none(tmp_path, monkeypatch):

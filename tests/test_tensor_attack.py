@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gradleak.tensor_attack import (
     score_reconstruction,
     tensor_attack,
 )
+from conftest import RecordingPool
 from oracles import (einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope,
                      norm_decompose_tensor)
 
@@ -276,7 +279,8 @@ def test_cube_contraction_keeps_signed_zeros_bitwise(B, split_halves):
 @pytest.mark.parametrize("d", [3, 7, 8])
 @pytest.mark.parametrize("moments", [EXP_MO, CUBIC_MO], ids=["order2", "order3-probe"])
 def test_moment_matrix_split_in_halves_equals_the_whole_call(split_halves, moments, d):
-    # the (d, m) operand by column halves, the GEMM by output-row halves (whole at d = 3)
+    # P by output-row halves, each filling and multiplying its operand rows in two
+    # blocks (one block for a half of fewer than 4 rows); whole at d = 3
     rng = np.random.default_rng(300 + d)
     m = 2001
     W = rng.standard_normal((m, d))
@@ -288,7 +292,46 @@ def test_moment_matrix_split_in_halves_equals_the_whole_call(split_halves, momen
         with network._spare_thread(None):
             whole = build_moment_matrix(g, W, moments, probe=pr)
         assert split.tobytes() == whole.tobytes()
-    assert len(split_halves.names) == (2 if d == 3 else 4)  # d = 3 keeps the GEMM whole
+    assert len(split_halves.names) == (0 if d == 3 else 2)  # d = 3 runs whole
+
+
+# attack-d64's W, and W of 2^21 elements (the split floor) at d = 4, 8, 16 and 64:
+# at d = 4 each half has 2 rows and stays one block
+ATTACK_D64_AND_FLOOR_SHAPES = [(65536, 64), (1 << 19, 4), (1 << 18, 8), (1 << 17, 16),
+                               (1 << 15, 64)]
+
+
+@pytest.mark.parametrize("m,d", ATTACK_D64_AND_FLOOR_SHAPES)
+def test_blocked_moment_matrix_equals_the_whole_call_at_the_split_floor(m, d):
+    # a helper lent at the real floor: P by output-row halves, each half's operand in
+    # row blocks, byte for byte the helper-less call's in both orders
+    rng = np.random.default_rng(m + d)
+    W = rng.standard_normal((m, d))
+    g = rng.standard_normal(m)
+    probe = rng.standard_normal(d)
+    with RecordingPool(max_workers=1) as pool:
+        for moments, pr in ((EXP_MO, None), (CUBIC_MO, probe)):
+            whole = build_moment_matrix(g, W, moments, probe=pr)
+            with network._spare_thread(pool):
+                split = build_moment_matrix(g, W, moments, probe=pr)
+            assert split.tobytes() == whole.tobytes(), moments.matrix_order
+    assert pool.names == ["_halves.<locals>.<lambda>"] * 2
+
+
+def test_blocked_moment_matrix_holds_half_of_its_operand_at_attack_d64():
+    # the whole (d, m) operand is W.nbytes; with a helper lent each thread holds one
+    # block of a quarter of it at a time
+    rng = np.random.default_rng(64)
+    W = rng.standard_normal((65536, 64))
+    g = rng.standard_normal(65536)
+    with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
+        tracemalloc.start()
+        try:
+            build_moment_matrix(g, W, EXP_MO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < W.nbytes / 2 + (1 << 20)
 
 
 def test_projected_tensor_probe_orthogonal_error():
