@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import bounds as bnd
 from .activations import Activation
 from .errors import GradleakError
-from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _read, _read_json,
+from .harness import (SCORING_MODES, ExperimentConfig, _error, _inputs, _read_json,
                       _stage, aggregate_rows, read_results_csv, run_trial, sweep)
 from .network import _spare_thread, sample_params
 from .seeding import derive_seed
@@ -112,7 +112,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = _read(args.csv, read_results_csv)
+    rows = read_results_csv(args.csv)
     _print_json(aggregate_rows(rows, mode=args.mode, utility_tol=args.utility_tol))
     return 0
 

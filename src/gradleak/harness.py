@@ -438,12 +438,13 @@ def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False)
 
     With bounds on, the attacks run beside the bound (``network._beside``),
     so on a lent helper while this thread computes the bound (its large
-    working set stays in this thread's allocator arena).  Work handed to the
-    helper runs under the errstate of the thread that handed it.  Each stage
-    runs through ``_stage`` and records its own failure: a failed inputs
-    stage is every attack's error and leaves no bound or utility, an
-    attack's stays in its entry, and a failed bound or utility is None with
-    its ``"<Type>: <msg>"`` in ``errors``.  So the record is the same, and
+    working set stays in this thread's allocator arena), lending the busy
+    helper none of its kernel halves.  Work handed to the helper runs under
+    the errstate of the thread that handed it.  Each stage runs through
+    ``_stage`` and records its own failure: a failed inputs stage is every
+    attack's error and leaves no bound or utility, an attack's stays in its
+    entry, and a failed bound or utility is None with its
+    ``"<Type>: <msg>"`` in ``errors``.  So the record is the same, and
     nothing is printed, under any warnings filter."""
     t0 = time.perf_counter()
     bound = util = None
@@ -463,11 +464,10 @@ def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False)
     else:
         trial_seed, params, batch, obs, truth = inputs
         args = (config, trial_seed, params, obs, truth, keep_samples)
-        if config.compute_bounds:
-            attacks, bound = _beside(
-                lambda: _attacks(*args),
+        if config.compute_bounds:  # the bound lends the helper, busy with the attacks, nothing
+            attacks, bound = _beside(lambda: _attacks(*args), _spare_thread(None)(
                 lambda: stage("bound", lambda: bound_for_observation(
-                    params, truth, config.sigma, obs).to_dict()))
+                    params, truth, config.sigma, obs).to_dict())))
         else:
             attacks = _attacks(*args)
         if config.utility is not None:
@@ -491,9 +491,10 @@ def run_trial(
 
     The trial lends a one-thread helper of its own to every stage
     (``network._spare_thread``); work handed to it runs under the errstate
-    of the thread that handed it.  Each kernel's output element gets the
-    whole call's operations and the stages share only read-only inputs, so
-    the record is byte for byte the one a run with no helper gives.
+    of the thread that handed it.  A kernel call's partition depends on its
+    shape alone (``network._halves``) and the stages share only read-only
+    inputs, so the record is byte for byte the one a run with no helper
+    gives, under any BLAS thread count.
     Utility training applies only the chain's transforms, so a leading
     aggregator is priced at the undefended utility.  A trial whose stages
     read only ``grad_a`` observes at layout (m, 0), its a-block alone
@@ -597,12 +598,27 @@ def _read_json(path) -> object:
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
-    """The rows of a results.csv; a header other than ``CSV_FIELDS`` is a ConfigError."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_FIELDS:
-            raise ConfigError(f"header {reader.fieldnames} is not results.csv's {CSV_FIELDS}")
-        return list(reader)
+    """The rows of a results.csv, read by ``_read``.  A header other than
+    ``CSV_FIELDS``, a missing field, a ``trial``, ``d``, ``m`` or ``B`` not an
+    integer or a float column neither empty nor a float is a ConfigError."""
+    def rows(path):
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != CSV_FIELDS:
+                raise ValueError(f"header {reader.fieldnames} is not results.csv's {CSV_FIELDS}")
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"{len(CSV_FIELDS)} fields expected")
+                    for k in ("trial", "d", "m", "B"):
+                        int(row[k])
+                    for k in ("rmse", "rl_exact", "rl_loose", "utility_loss", "wall_ms"):
+                        float(row[k] or 0)
+                except ValueError as e:
+                    raise ValueError(f"line {reader.line_num} is not a results row ({e})") from e
+                yield row
+
+    return _read(path, lambda p: list(rows(p)))
 
 
 def _read_journal(path: Path, expected: dict[tuple[str, int], int]) -> list[TrialRecord]:
@@ -726,7 +742,6 @@ def sweep(
                 "points": [p.to_dict() for p in points],
                 "point_hashes": [p.config_hash() for p in points],
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "package": f"gradleak {__version__}",
                 "environment": _environment(),
             }
             tmp = manifest_path.with_name("manifest.json.tmp")  # renamed whole: never torn

@@ -19,10 +19,9 @@ never forms J: ``input_gram`` builds J J^T from per-sample factors.
 ``_beside`` is the one way a thread hands work to the helper it lends
 (``_spare_thread``), and that work runs under the handing thread's
 ``np.errstate``.  A trial hands it the defense draws, the attacks (with
-bounds on) and one half of each large kernel call (``_halves``: ``W @ X``
-and three in ``tensor_attack``).  Each output element gets the whole
-call's operations, so the bytes do not depend on the split, under the
-conditions ``_matmul_rows`` names for a GEMM.
+bounds on) and the upper half of each large kernel call (``_halves``:
+``W @ X`` and three in ``tensor_attack``).  A call's partition depends on
+its shape alone, so the helper decides where a half runs, never the bytes.
 
 On glibc, importing the module keeps freed memory in the process
 (``_keep_freed_memory``), so a trial reuses the pages the last one freed.
@@ -133,32 +132,24 @@ def _beside(there, here):
 
 def _halves(fn, n: int, size: int) -> None:
     """Compute all n outputs of a call through ``fn(lo, hi)``, which writes
-    outputs [lo, hi) in place and is bit for bit the whole call's on them.
-
-    With a spare thread lent, n >= 2 and ``size`` (the call's largest
-    W-sized array) at least ``_SPLIT_MIN``, [n//2, n) runs ``_beside``
-    [0, n//2); otherwise ``fn(0, n)`` runs whole.  ``fn`` keeps the bytes
-    only if each output's operations do not depend on [lo, hi); for a GEMM
-    that holds only as ``_matmul_rows`` says."""
-    if getattr(_lender, "spare", None) is None or n < 2 or size < _SPLIT_MIN:
+    outputs [lo, hi) in place.  The partition depends on the shape alone:
+    with n >= 4 (a one-row half of a GEMM would be a matrix-vector product)
+    and ``size`` (the call's largest W-sized array) at least
+    ``_SPLIT_MIN``, [n//2, n) runs ``_beside`` [0, n//2), on a lent helper or
+    here after it; otherwise ``fn(0, n)`` runs whole, since below the floor a
+    split GEMM's rows can differ from the whole call's (README, kernel splits)."""
+    if n >= 4 and size >= _SPLIT_MIN:
+        _beside(lambda: fn(n // 2, n), lambda: fn(0, n // 2))
+    else:
         fn(0, n)
-        return
-    h = n // 2
-    _beside(lambda: fn(h, n), lambda: fn(0, h))
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, allocated as the whole call would, by row halves of ``a``
-    through ``_halves``.  A row of the output kept the whole call's bytes
-    at every shape tested with one BLAS thread where each part does at
-    least 2^21 multiply-adds, as every split at ``_SPLIT_MIN`` does.  That
-    is not unconditional: parts below about 10^6 multiply-adds, or two
-    BLAS threads, gave other bytes at shapes the README's kernel-split
-    notes name.  A matrix-vector product sums in another order, so a b of
-    one column stays whole, and so does an a of fewer than 4 rows (a half
-    of one row would be a vector-matrix product)."""
+    through ``_halves``; a b of one column stays whole, since a split
+    matrix-vector product gave other bytes (README, kernel splits)."""
     out = np.empty((a.shape[0], b.shape[1]))
-    if b.shape[1] < 2 or a.shape[0] < 4:
+    if b.shape[1] < 2:
         return np.matmul(a, b, out=out)
     _halves(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), a.shape[0],
             max(a.size, out.size))

@@ -27,13 +27,10 @@ only in the sign of a zero, which the +0-started running total absorbs.  A
 GEMM, a pairwise or a symmetry-folded sum agrees to about 1e-14 relative,
 but the decomposition's restart selection is sensitive enough for that to
 pick another restart and move the reported rmse, so the summation order is
-part of the contract (tests/oracles.py holds the literal einsum).  Splitting
-the entries keeps it: the contraction may run as two output halves over p,
-each entry with its own running total in ascending j.  The W-sized
-products (``W @ V``, the moment matrix's GEMM) run by row halves, the
-moment matrix's in row blocks, which keep the whole call's bytes only
-under the conditions ``network._matmul_rows`` names (one BLAS thread,
-parts of at least 2^21 multiply-adds, no one-row part).
+part of the contract (tests/oracles.py holds the literal einsum), and two
+output halves over p keep it.  ``W @ V`` and the moment matrix's GEMM run
+by row halves, the latter in row blocks, each split chosen from the shape
+alone (``network._halves``), so a lent helper never changes the bytes.
 
 Recovered samples carry an inherent sign and ordering ambiguity; both are
 resolved only at scoring time.  The whole pipeline is invariant to
@@ -172,13 +169,12 @@ def build_moment_matrix(
         (1/m) sum_j g_j [ (w_j.a) w_j w_j^T - w_j a^T - a w_j^T - (w_j.a) I ]
 
     Symmetric by construction either way.  P is computed by output-row
-    halves (``_halves``); a split half fills the rows of the (d, m) operand
+    halves (``_halves``); a half fills the rows of the (d, m) operand
     W^T diag(g) it needs in two blocks, and multiplies and frees each block
-    before filling the next, so half of the operand is held at once.  A
-    whole call fills and multiplies the whole operand.  A row of P keeps
-    the whole call's bytes under the conditions ``network._matmul_rows``
-    names; the reductions over m (``grad_a @ W``, the means) and the
-    matrix-vector ``W @ probe`` stay whole.
+    before filling the next, so a quarter of the operand is held at once on
+    each thread that runs a half.  A call below the floor fills and
+    multiplies the whole operand.  The reductions over m (``grad_a @ W``,
+    the means) and the matrix-vector ``W @ probe`` stay whole.
     """
     m, d = W.shape
     if grad_a.shape != (m,):
@@ -191,17 +187,13 @@ def build_moment_matrix(
         def rows(lo, hi):
             # a half of fewer than 4 rows stays one block: a block of one row
             # would be a matrix-vector product, which sums in another order
-            whole = hi - lo == d or hi - lo < 4
-            cuts = (lo, hi) if whole else (lo, (lo + hi) // 2, hi)
+            cuts = (lo, hi) if hi - lo == d or hi - lo < 4 else (lo, (lo + hi) // 2, hi)
             for a, b in zip(cuts, cuts[1:]):
                 A = np.multiply(W.T[a:b], g, out=np.empty((b - a, m), order="F"))
                 np.matmul(A, W, out=P[a:b])
                 del A  # freed before the next block is filled
 
-        if d < 4:  # its halves would have a one-row block
-            rows(0, d)
-        else:
-            _halves(rows, d, W.size)
+        _halves(rows, d, W.size)
         P /= m
         return P
 
@@ -287,10 +279,10 @@ def build_projected_tensor(
         identity is validated against a sampling-based Stein oracle in the
         test suite.
 
-    ``W @ V`` runs by row halves (``_matmul_rows``, whose conditions keep
-    the bytes) and the order-3 contraction by output halves over p
-    (``_halves``), bit for bit the whole call; the
-    reductions over m and the matrix-vector ``W @ probe`` stay whole.
+    ``W @ V`` runs by row halves (``_matmul_rows``) and the order-3
+    contraction by output halves over p (``_halves``), each split chosen
+    from the shape alone; the reductions over m and the matrix-vector
+    ``W @ probe`` stay whole.
     """
     m, d = W.shape
     B = V.shape[1]

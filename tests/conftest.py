@@ -1,4 +1,6 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -30,15 +32,22 @@ class RecordingPool(ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
+def whole_calls():
+    """A context in which every kernel call runs whole: the split floor is
+    out of reach."""
+    return mock.patch.object(network, "_SPLIT_MIN", math.inf)
+
+
 @pytest.fixture
 def split_halves(monkeypatch):
-    """Every kernel call on this thread that can split does: the size floor
-    is lowered to 0 and this thread lends a real one-thread pool, which the
-    fixture returns.  ``network._spare_thread(None)`` inside a test runs the
-    whole calls again.  Below the floor a split GEMM's bytes are not
-    guaranteed (``network._matmul_rows`` names shapes where they differ),
-    so a test using this fixture holds for its own shapes only; the floor
-    shapes are tested with the floor in place."""
+    """Every kernel call that can split does: the size floor is lowered to 0
+    and this thread lends a real one-thread pool, which the fixture returns.
+    ``network._spare_thread(None)`` inside a test runs the same halves one
+    after the other on this thread, and ``whole_calls()`` the whole calls.
+    Below the floor a split GEMM's bytes are not guaranteed (README names
+    shapes where they differ), so a test comparing splits with whole calls
+    holds for its own shapes only; the floor shapes are tested with the
+    floor in place."""
     monkeypatch.setattr(network, "_SPLIT_MIN", 0)
     with RecordingPool(max_workers=1) as pool, network._spare_thread(pool):
         yield pool

@@ -452,8 +452,9 @@ def local_aggregation_reference(params: NetworkParams, batches: list[DataBatch],
 
 def sequential_run_trial(config, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
     """``harness.run_trial`` on one thread: the harness's stage list with no
-    helper lent, so each stage's ``_beside`` work and every kernel call runs
-    whole in place."""
+    helper lent, so each stage's ``_beside`` work runs in place, ``here``
+    first, and a kernel call that splits runs its halves in turn, the lower
+    first (``network._halves``)."""
     with _spare_thread(None):
         return hz._trial(config, trial_idx, keep_samples)
 

@@ -19,7 +19,7 @@ from gradleak.cli import main
 from gradleak.harness import ExperimentConfig, run_trial
 from gradleak.network import sample_params
 from gradleak.seeding import derive_seed
-from conftest import LAPACK_PRINTING, REPEATING_SEED_GRID, RecordingPool
+from conftest import LAPACK_PRINTING, REPEATING_SEED_GRID, RecordingPool, whole_calls
 from oracles import sequential_run_trial
 
 
@@ -138,6 +138,20 @@ def test_an_input_that_does_not_read_exits_2_with_one_line(
     assert out.err.startswith(f"error: {error or f'cannot read {path}: '}")
     assert out.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("ab,1,x,8,2,none,,tensor,0.5,,,,1.0", "invalid literal for int() with base 10: 'x'"),
+    ("ab,1,4,8,2,none,,tensor,zz,,,,1.0", "could not convert string to float: 'zz'"),
+    ("ab,1,4", "13 fields expected"),
+], ids=["d-not-an-integer", "rmse-not-a-float", "short-row"])
+def test_a_results_row_that_does_not_read_exits_2_with_one_line(tmp_path, capsys, row, problem):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(hz.CSV_FIELDS) + "\nab,0,4,8,2,none,,tensor,0.5,,,,1.0\n" + row + "\n")
+    assert main(["report", "--csv", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot read {path}: line 3 is not a results row ({problem})\n"
 
 
 def test_a_sweep_that_would_repeat_a_trial_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -361,7 +375,8 @@ def test_bound_lends_its_helper_kernel_halves(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "ThreadPoolExecutor", make)
     code, out = run_cli(capsys, "bound", "--config", str(cfg_path), "--trial", "1")
     assert code == 0
-    expected = sequential_run_trial(ExperimentConfig.from_dict(spec), 1).bound
+    with whole_calls():
+        expected = sequential_run_trial(ExperimentConfig.from_dict(spec), 1).bound
     assert json.loads(out) == json.loads(json.dumps(expected))
     # the draws, gradient's W @ X and the bound's W @ X
     (pool,) = pools

@@ -42,7 +42,7 @@ from gradleak.harness import (
 from gradleak.network import sample_batch, sample_params
 from gradleak.seeding import DEFENSE_STREAM, derive_seed
 from gradleak.tensor_attack import ReconstructionResult
-from conftest import REPEATING_SEED_GRID, RecordingPool
+from conftest import REPEATING_SEED_GRID, RecordingPool, whole_calls
 from oracles import (
     argsort_prune_ratio,
     dense_bound_for_observation,
@@ -205,9 +205,10 @@ def test_concurrent_trials_match_the_oracle_under_fast_thread_switching():
 
 # --- kernel halves on the trial's helper -----------------------------------------
 
-def trial_helper_calls(monkeypatch, cfg, t):
+def trial_helper_calls(monkeypatch, cfg, t, prefix="_halves."):
     """``run_trial(cfg, t)`` and the names of the calls its helper received
-    besides the draws and the attacks: one per kernel call split in halves."""
+    that start with ``prefix``; by default one per kernel call split in
+    halves, besides the draws and the attacks."""
     pools = []
 
     def make(*args, **kwargs):
@@ -218,29 +219,44 @@ def trial_helper_calls(monkeypatch, cfg, t):
     rec = run_trial(cfg, t)
     monkeypatch.setattr(hz, "ThreadPoolExecutor", ThreadPoolExecutor)
     (pool,) = pools
-    return rec, [n for n in pool.names if n.startswith("_halves.")]
+    return rec, [n for n in pool.names if n.startswith(prefix)]
 
 
 @pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
 @pytest.mark.parametrize("kind", ["exp", "softplus"])
 def test_split_trial_matches_the_sequential_oracle(monkeypatch, bounds, kind):
     # every kernel call that can split does; with bounds on the attacks run on the
-    # helper, which lends nothing, so they never wait on themselves
+    # helper, which lends nothing, so they never wait on themselves; the record is
+    # the one whole calls on one thread give
     monkeypatch.setattr(network, "_SPLIT_MIN", 0)
     cfg = small_config(d=7, m=301, B=3, activation={"kind": kind}, attacks=BOTH_ATTACKS,
                        defenses=OVERLAP_CHAINS["both-attacks"][1], compute_bounds=bounds)
     for t in (0, 1):
         rec, halves = trial_helper_calls(monkeypatch, cfg, t)
-        ref = sequential_run_trial(cfg, t)
+        with whole_calls():
+            ref = sequential_run_trial(cfg, t)
         # gradient's W @ X, then the moment matrix (one split: each half fills and
-        # multiplies its operand rows) and the projected tensor (W @ V, contraction)
-        # or, with bounds on, the bound's W @ X while the helper runs the attacks whole
-        assert len(halves) == (2 if bounds else 4)
+        # multiplies its operand rows) and the projected tensor's W @ V (its
+        # contraction at B = 3 runs whole); with bounds on, the helper runs the
+        # attacks and the bound lends it nothing, so only gradient's W @ X
+        assert len(halves) == (1 if bounds else 3)
         assert rec.record_hash() == ref.record_hash()
         assert rec.bound == ref.bound
         for name, res in ref.attacks.items():
             assert rec.attacks[name]["rmse"] == res["rmse"]
             assert rec.attacks[name]["assignment"] == res["assignment"]
+
+
+def test_the_bound_lends_the_busy_helper_nothing_at_the_split_floor(monkeypatch):
+    # W at the real floor, bounds on: the helper gets the draws, gradient's upper
+    # W @ X half and the attacks, and no half of the bound's kernels, which would
+    # wait for the whole attack stage
+    cfg = small_config(d=64, m=32768, B=2, sigma=0.01, defenses=[NOISE])
+    rec, names = trial_helper_calls(monkeypatch, cfg, 0, prefix="")
+    assert names == ["_inputs.<locals>.<lambda>", "_halves.<locals>.<lambda>",
+                     "_trial.<locals>.<lambda>"]
+    assert rec.bound is not None
+    assert rec.record_hash() == sequential_run_trial(cfg, 0).record_hash()
 
 
 @pytest.mark.parametrize("bounds", [False, True], ids=["bounds-off", "bounds-on"])
@@ -254,10 +270,32 @@ def test_utility_training_lends_the_helper(monkeypatch, bounds):
     cfg, untrained = small_config(utility={"steps": 4}, **spec), small_config(**spec)
     for t in (0, 1):
         rec, halves = trial_helper_calls(monkeypatch, cfg, t)
-        ref = sequential_run_trial(cfg, t)
+        with whole_calls():
+            ref = sequential_run_trial(cfg, t)
         assert len(halves) == len(trial_helper_calls(monkeypatch, untrained, t)[1]) + 4 * 1 + 1
         assert rec.record_hash() == ref.record_hash()
         assert rec.utility_loss == ref.utility_loss and rec.utility_loss is not None
+
+
+def test_a_threaded_blas_trial_gives_the_sequential_oracles_records():
+    # with 2 BLAS threads a row half of the moment matrix can differ from the whole
+    # call at these shapes, so a partition that followed the lent helper gave 5 other
+    # records; the thread count is set before the child imports numpy
+    code = (
+        "from gradleak.harness import ExperimentConfig, run_trial\n"
+        "from oracles import sequential_run_trial\n"
+        "for m, d, trials in ((20972, 100, (0, 1, 2)), (40000, 60, (1, 3))):\n"
+        "    cfg = ExperimentConfig.from_dict({'d': d, 'm': m, 'B': 4, 'base_seed': 1,\n"
+        "        'activation': {'kind': 'exp'}, 'compute_bounds': False})\n"
+        "    for t in trials:\n"
+        "        print(run_trial(cfg, t).record_hash(), sequential_run_trial(cfg, t).record_hash())\n"
+    )
+    paths = [str(Path(gradleak.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=120).stdout
+    pairs = [line.split() for line in out.splitlines()]
+    assert len(pairs) == 5 and all(a == b for a, b in pairs), out
 
 
 # perfbench's four workloads at their sizes; attacks and training cut short, which

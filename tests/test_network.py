@@ -22,6 +22,7 @@ from gradleak.network import (
     sample_batch,
     sample_params,
 )
+from conftest import whole_calls
 from oracles import fd_input_jacobian, fd_loss_gradient, gradient_input_vjp, input_jacobian
 
 SP = Activation("softplus")
@@ -139,19 +140,22 @@ def test_gradient_split_in_halves_equals_the_whole_call(split_halves, kind, B):
     b = sample_batch(7, B, seed=B + 50)
     split = gradient(p, b)
     assert len(split_halves.names) == (0 if B == 1 else 1)  # W @ X at B = 1 is a GEMV, whole
-    with network._spare_thread(None):
+    with whole_calls():
         whole = gradient(p, b)
     assert split.flat.tobytes() == whole.flat.tobytes()
 
 
 def test_row_halves_equal_the_whole_products_at_attack_d64_shapes(split_halves):
     # the reference workload's sizes: W (65536, 64) and B = 8; the split products are
-    # the whole calls' bytes (the moment matrix's blocks: test_tensor_attack.py)
+    # the whole calls' bytes, with the upper half on the spare or here after the lower
+    # (the moment matrix's blocks: test_tensor_attack.py)
     rng = np.random.default_rng(64)
     W = rng.standard_normal((65536, 64))
     X = rng.standard_normal((64, 8))
     for a, b in ((W, X), (W @ X, X.T)):
-        assert network._matmul_rows(a, b).tobytes() == (a @ b).tobytes()
+        for spare in (split_halves, None):
+            with network._spare_thread(spare):
+                assert network._matmul_rows(a, b).tobytes() == (a @ b).tobytes()
     assert len(split_halves.names) == 2
 
 
@@ -168,8 +172,8 @@ def test_the_spare_half_runs_under_the_callers_errstate(split_halves):
         over[lo] = np.geterr()["over"]
 
     with np.errstate(over="ignore"):
-        network._halves(fn, 2, 1)
-    assert over == {0: "ignore", 1: "ignore"} and len(split_halves.names) == 1
+        network._halves(fn, 4, 1)
+    assert over == {0: "ignore", 2: "ignore"} and len(split_halves.names) == 1
 
 
 def test_only_network_spells_out_a_floating_point_error_policy():
@@ -179,24 +183,25 @@ def test_only_network_spells_out_a_floating_point_error_policy():
         "network.py"]
 
 
-def test_halves_run_whole_without_a_spare_and_on_the_spare_thread():
-    calls = []
-    fn = lambda lo, hi: calls.append((lo, hi))  # noqa: E731
+def test_halves_split_by_shape_alone_on_the_spare_thread_or_here_lower_first():
+    # the partition depends on n and the size alone; a lent spare runs the upper
+    # half, and without one both run here, the lower first
+    me, calls = threading.current_thread(), []
+    fn = lambda lo, hi: calls.append((lo, hi, threading.current_thread()))  # noqa: E731
     network._halves(fn, 9, 1 << 40)
-    assert calls == [(0, 9)]
+    assert calls == [(0, 4, me), (4, 9, me)]
+    for n, size in ((9, network._SPLIT_MIN - 1), (3, 1 << 40)):  # below the floor, n < 4
+        calls.clear()
+        network._halves(fn, n, size)
+        assert calls == [(0, n, me)]
     with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
         calls.clear()
         pool.submit(network._halves, fn, 9, 1 << 40).result()  # the spare lends nothing
-        assert calls == [(0, 9)]
+        assert [c[:2] for c in calls] == [(0, 4), (4, 9)] and calls[0][2] is calls[1][2]
         calls.clear()
-        network._halves(fn, 9, network._SPLIT_MIN - 1)
-        assert calls == [(0, 9)]
-        calls.clear()
-        network._halves(fn, 9, network._SPLIT_MIN)
-        assert sorted(calls) == [(0, 4), (4, 9)]
-    calls.clear()
-    network._halves(fn, 9, 1 << 40)
-    assert calls == [(0, 9)]
+        network._halves(fn, 4, network._SPLIT_MIN)
+        assert sorted(c[:2] for c in calls) == [(0, 2), (2, 4)]
+        assert {lo: t is me for lo, _, t in calls} == {0: True, 2: False}
 
 
 @pytest.mark.parametrize("raising", ["this thread", "spare"])

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from gradleak.tensor_attack import (
     score_reconstruction,
     tensor_attack,
 )
-from conftest import RecordingPool
+from conftest import RecordingPool, whole_calls
 from oracles import (einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope,
                      norm_decompose_tensor)
 
@@ -234,11 +235,18 @@ def test_projected_tensor_order4_stein_oracle():
     assert np.abs(T - expected).max() < 5e-2
 
 
+# under split_halves: the whole calls, each split's halves one after the other on
+# this thread, and its upper half on the fixture's spare
+SPLIT_MODES = {"whole": whole_calls, "here": lambda: network._spare_thread(None),
+               "spare": contextlib.nullcontext}
+
+
 @pytest.mark.parametrize("B", range(1, 9))
 @pytest.mark.parametrize("moments", [EXP_MO, SP_MO], ids=["order3", "order4"])
 def test_projected_tensor_matches_einsum_bitwise(B, moments, split_halves):
     # below, at and off a multiple of the chunk length; whole, and with W @ V by row
-    # halves and the contraction by output halves over p (at B = 1 both stay whole)
+    # halves and the contraction by output halves over p, the upper half here or on
+    # the spare (at B = 1 both stay whole, and the contraction at B < 4)
     chunk = _CHUNK_TERMS // B**3
     rng = np.random.default_rng(100 + B)
     d = B + 2
@@ -249,11 +257,11 @@ def test_projected_tensor_matches_einsum_bitwise(B, moments, split_halves):
         g = rng.standard_normal(m)
         for pr in (None, probe):
             expected = einsum_projected_tensor(g, W, V, moments, probe=pr)
-            for spare in (None, split_halves):
-                with network._spare_thread(spare):
+            for how, mode in SPLIT_MODES.items():
+                with mode():
                     T = build_projected_tensor(g, W, V, moments, probe=pr)
-                assert np.array_equal(T, expected), (m, spare)
-    assert len(split_halves.names) == (0 if B == 1 else 12)
+                assert np.array_equal(T, expected), (m, how)
+    assert len(split_halves.names) == (0 if B == 1 else 6 if B < 4 else 12)
 
 
 @pytest.mark.parametrize("B", range(1, 9))
@@ -268,19 +276,20 @@ def test_cube_contraction_keeps_signed_zeros_bitwise(B, split_halves):
     v[rng.random((m, B)) < 0.2], v[rng.random((m, B)) < 0.1] = -0.0, 0.0
     v[:, 0] = -0.0  # a whole entry of -0 terms only
     for gg in (g, -np.abs(g)):
-        for spare in (None, split_halves):
-            with network._spare_thread(spare):
+        for how, mode in SPLIT_MODES.items():
+            with mode():
                 T = _cube_contraction(gg, v)
             assert T.flags.c_contiguous
             assert T.tobytes() == np.einsum("j,jp,jq,jr->pqr", gg, v, v, v).tobytes()
-    assert len(split_halves.names) == (0 if B == 1 else 2)
+    assert len(split_halves.names) == (0 if B < 4 else 2)
 
 
 @pytest.mark.parametrize("d", [3, 7, 8])
 @pytest.mark.parametrize("moments", [EXP_MO, CUBIC_MO], ids=["order2", "order3-probe"])
 def test_moment_matrix_split_in_halves_equals_the_whole_call(split_halves, moments, d):
     # P by output-row halves, each filling and multiplying its operand rows in two
-    # blocks (one block for a half of fewer than 4 rows); whole at d = 3
+    # blocks (one block for a half of fewer than 4 rows), the upper half on the
+    # spare or here; whole at d = 3
     rng = np.random.default_rng(300 + d)
     m = 2001
     W = rng.standard_normal((m, d))
@@ -288,10 +297,11 @@ def test_moment_matrix_split_in_halves_equals_the_whole_call(split_halves, momen
     g[::5] = -0.0
     probe = rng.standard_normal(d)
     for pr in (None, probe):
-        split = build_moment_matrix(g, W, moments, probe=pr)
-        with network._spare_thread(None):
+        with whole_calls():
             whole = build_moment_matrix(g, W, moments, probe=pr)
-        assert split.tobytes() == whole.tobytes()
+        for how, mode in SPLIT_MODES.items():
+            with mode():
+                assert build_moment_matrix(g, W, moments, probe=pr).tobytes() == whole.tobytes()
     assert len(split_halves.names) == (0 if d == 3 else 2)  # d = 3 runs whole
 
 
@@ -303,35 +313,42 @@ ATTACK_D64_AND_FLOOR_SHAPES = [(65536, 64), (1 << 19, 4), (1 << 18, 8), (1 << 17
 
 @pytest.mark.parametrize("m,d", ATTACK_D64_AND_FLOOR_SHAPES)
 def test_blocked_moment_matrix_equals_the_whole_call_at_the_split_floor(m, d):
-    # a helper lent at the real floor: P by output-row halves, each half's operand in
-    # row blocks, byte for byte the helper-less call's in both orders
+    # at the real floor, P by output-row halves, each half's operand in row blocks,
+    # with a helper lent or none, is byte for byte the whole call's in both orders
     rng = np.random.default_rng(m + d)
     W = rng.standard_normal((m, d))
     g = rng.standard_normal(m)
     probe = rng.standard_normal(d)
     with RecordingPool(max_workers=1) as pool:
         for moments, pr in ((EXP_MO, None), (CUBIC_MO, probe)):
-            whole = build_moment_matrix(g, W, moments, probe=pr)
-            with network._spare_thread(pool):
-                split = build_moment_matrix(g, W, moments, probe=pr)
-            assert split.tobytes() == whole.tobytes(), moments.matrix_order
+            with whole_calls():
+                whole = build_moment_matrix(g, W, moments, probe=pr)
+            for spare in (pool, None):
+                with network._spare_thread(spare):
+                    split = build_moment_matrix(g, W, moments, probe=pr)
+                assert split.tobytes() == whole.tobytes(), (moments.matrix_order, spare)
     assert pool.names == ["_halves.<locals>.<lambda>"] * 2
 
 
+def traced_peak(fn):
+    """The most memory ``fn()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_blocked_moment_matrix_holds_half_of_its_operand_at_attack_d64():
-    # the whole (d, m) operand is W.nbytes; with a helper lent each thread holds one
-    # block of a quarter of it at a time
+    # the whole (d, m) operand is W.nbytes; each thread that runs a half holds one
+    # block of a quarter of it at a time: two with a helper lent, one without
     rng = np.random.default_rng(64)
     W = rng.standard_normal((65536, 64))
     g = rng.standard_normal(65536)
     with ThreadPoolExecutor(max_workers=1) as pool, network._spare_thread(pool):
-        tracemalloc.start()
-        try:
-            build_moment_matrix(g, W, EXP_MO)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < W.nbytes / 2 + (1 << 20)
+        assert traced_peak(lambda: build_moment_matrix(g, W, EXP_MO)) < W.nbytes / 2 + (1 << 20)
+    assert traced_peak(lambda: build_moment_matrix(g, W, EXP_MO)) < W.nbytes / 4 + (1 << 20)
 
 
 def test_projected_tensor_probe_orthogonal_error():
