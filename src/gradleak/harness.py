@@ -436,6 +436,12 @@ def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
 def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
     """The trial's stages in order: inputs, the attacks, the bound, utility.
 
+    Past the inputs stage only gradient matching reads the W-block: the
+    tensor attack reads ``grad_a``, the bound the observation's provenance
+    and utility training no observation.  So with no gradient matching the
+    trial keeps an (m, 0) observation, the a-block and the provenance, and
+    frees the full buffer before the attacks and the bound run.
+
     With bounds on, the attacks run beside the bound (``network._beside``),
     so on a lent helper while this thread computes the bound (its large
     working set stays in this thread's allocator arena), lending the busy
@@ -463,6 +469,9 @@ def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False)
                    if getattr(config, n) is not None}
     else:
         trial_seed, params, batch, obs, truth = inputs
+        del inputs  # so that a trimmed observation's full buffer is freed
+        if config.gradmatch is None and obs.d:
+            obs = GradientObservation(obs.grad_a.copy(), obs.m, 0, obs.provenance)
         args = (config, trial_seed, params, obs, truth, keep_samples)
         if config.compute_bounds:  # the bound lends the helper, busy with the attacks, nothing
             attacks, bound = _beside(lambda: _attacks(*args), _spare_thread(None)(
@@ -498,7 +507,9 @@ def run_trial(
     Utility training applies only the chain's transforms, so a leading
     aggregator is priced at the undefended utility.  A trial whose stages
     read only ``grad_a`` observes at layout (m, 0), its a-block alone
-    (``_inputs``); its record is the one the full observation gives."""
+    (``_inputs``), and one with no gradient matching keeps only that block
+    past its inputs stage (``_trial``); either record is the one the full
+    observation gives."""
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
         return _trial(config, trial_idx, keep_samples)
 

@@ -221,7 +221,8 @@ class GradientObservation:
     ``grad_a`` and ``grad_W`` are read-only views of it.  ``provenance``
     records every defense applied, in order.  At layout (m, 0) the buffer
     is the a-block alone and ``grad_W`` is empty: a trial whose stages read
-    only ``grad_a`` observes that (``harness._inputs``).
+    only ``grad_a`` observes that (``harness._inputs``), and a trial with no
+    gradient matching keeps that past its inputs stage (``harness._trial``).
     """
 
     flat: np.ndarray
@@ -358,6 +359,12 @@ def input_gram(
     O(B^2 m d^2) time; the a-block Gram ``A diag(w_a) A^T`` is the same on
     both.  The unmasked Frobenius mass comes from the same factors in
     O(B m d).
+
+    On the row path the working set is one (B, d, m) buffer, A and then P
+    (``_fill_factor`` fills each in column pieces, with no (d, m)
+    temporary), plus (m, B) and (B, m) arrays and one piece of about
+    ``_PIECE_BYTES``: at d = 32, m = 16384, B = 4 a 16 MiB factor and
+    about 2 MiB more.
     """
     (S0, S1, S2), _, r = _batch_internals(params, batch, 2)
     m, d, B = params.m, params.d, batch.B
@@ -368,23 +375,21 @@ def input_gram(
     if keep.shape != (params.n_coords,):
         raise DimensionError(f"mask has shape {keep.shape}, expected ({params.n_coords},)")
     w_a = keep[:m].astype(float)
+    keep_W = keep[m:].reshape(m, d)
+    row_constant = (keep_W == keep_W[:, :1]).all()
     H = _input_gradients(params, S1)          # (d, B)
-    WT = np.ascontiguousarray(params.W.T)     # (d, m)
-    aS1, aS2 = a[:, None] * S1, a[:, None] * S2
     A = np.empty((B, d, m))
-    for i in range(B):
-        np.multiply(WT, r[i] * S1[:, i], out=A[i])
-        A[i] += np.outer(2.0 * H[:, i], S0[:, i])
+    _fill_factor(A, params.W, H, lambda i, js: r[i] * S1[js, i], lambda i, js: S0[js, i])
     mass_a = np.vdot(A, A)                    # the a-block's unmasked mass, taken before A is masked
     A *= w_a
     Af = A.reshape(B * d, m)
     G = Af @ Af.T
     P = A                                     # A is done: P takes its buffer
-    del A, Af                                 # working set: P plus one (B, d, m) temporary
-    for i in range(B):
-        np.multiply(WT, r[i] * aS2[:, i], out=P[i])
-        P[i] += np.outer(2.0 * H[:, i], aS1[:, i])
-    Q = np.ascontiguousarray((aS1 * r).T)     # (B, m): q_ij
+    del A, Af
+    _fill_factor(P, params.W, H, lambda i, js: r[i] * (a[js] * S2[js, i]),
+                 lambda i, js: a[js] * S1[js, i])
+    Q = np.multiply(a, S1.T, order="C")       # (B, m): q_ij = (a_j s'(z_ji)) r_i
+    Q *= r[:, None]
 
     # unmasked mass, summed over (j, t) of (P_i[s, j] x_i[t] + q_ij delta_st)^2
     PX = np.einsum("isj,si->ij", P, X)        # (B, m): (P_i^T x_i)[j]
@@ -394,13 +399,41 @@ def input_gram(
         + 2.0 * np.vdot(Q, PX)
         + d * np.vdot(Q, Q)
     )
-    keep_W = keep[m:].reshape(m, d)
-    if (keep_W == keep_W[:, :1]).all():
+    del PX                                    # before the W-block terms' (B, m) products
+    if row_constant:
         _add_w_block_rows(G, P, Q, X, keep_W[:, 0])
     else:
         _add_w_block_coords(G, P, Q, X, keep_W)
     # the diagonal blocks' products are symmetric only up to rounding
     return 0.5 * (G + G.T), mass
+
+
+# a factor fills in column pieces of about this many bytes (4096 columns at
+# d = 32): each sample reads the same row block of W while it is in cache
+_PIECE_BYTES = 1 << 20
+
+
+def _fill_factor(F, W, H, coef, right):
+    """Fill F (B, d, m) with F_i = W^T diag(coef_i) + 2 h_i right_i^T.
+
+    ``coef(i, js)`` and ``right(i, js)`` give sample i's values on the
+    column slice js.  F fills in column pieces of about ``_PIECE_BYTES``,
+    each read from the transposed view of one row block of W, and the outer
+    product goes through one piece-sized buffer: every entry is the product,
+    or the sum, that ``W.T * coef_i + np.outer(2 h_i, right_i)`` computes,
+    with no (d, m) temporary.
+    """
+    B, d, m = F.shape
+    cols = max(1, _PIECE_BYTES // (8 * d))
+    tmp = np.empty((d, min(cols, m)))
+    H2 = 2.0 * H
+    for lo in range(0, m, cols):
+        js = slice(lo, min(lo + cols, m))
+        WT, t = W[js].T, tmp[:, :js.stop - lo]
+        for i in range(B):
+            np.multiply(WT, coef(i, js), out=F[i, :, js])
+            np.multiply(H2[:, i, None], right(i, js), out=t)
+            F[i, :, js] += t
 
 
 def _add_w_block_rows(G, P, Q, X, rows):
@@ -419,7 +452,8 @@ def _add_w_block_rows(G, P, Q, X, rows):
     G += cross + cross.T
     # ((q_i * q_k) . w) delta_su
     idx = np.arange(d)
-    G4[:, idx, :, idx] += (Q[:, None, :] * Q[None, :, :]) @ w
+    for i in range(B):                        # (q_i * q_k) for every k: (B, m)
+        G4[i, idx, :, idx] += (Q[i] * Q) @ w
     # (x_i . x_k) Pw_i Pw_k^T
     PP = (Pw @ Pw.T).reshape(B, d, B, d)
     PP *= (X.T @ X)[:, None, :, None]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -30,6 +31,16 @@ class RecordingPool(ThreadPoolExecutor):
     def submit(self, fn, /, *args, **kwargs):
         self.names.append(fn.__qualname__)
         return super().submit(fn, *args, **kwargs)
+
+
+def traced_peak(fn):
+    """The most memory ``fn()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def whole_calls():

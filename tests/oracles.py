@@ -5,10 +5,13 @@ derivatives, explicit enumeration and scipy's solver for assignments,
 literal Hermite-tensor algebra for the projected builders, the dense input
 Jacobian for the closed-form Gram, the sensitivity's pair draw written
 out, out-of-place descent loops and an
-allocating gradient-matching objective for the in-place ones,
-``np.linalg.norm`` in the tensor decomposition.  Five call library code
-on purpose, for the part they do not check: the allocating objective takes
-its distance groups and cosine coefficients from ``gradmatch``;
+allocating gradient-matching objective for the in-place ones, the
+whole-array input Gram for the blocked one, ``np.linalg.norm`` in the
+tensor decomposition.  Six call library code on purpose, for the part
+they do not check: the allocating objective takes its distance groups
+and cosine coefficients from ``gradmatch``; the whole-array input Gram
+(``allocating_input_gram``) takes the forward internals and the
+per-coordinate W-block path from ``network``;
 ``input_jacobian`` reads the network's forward internals as
 ``input_gram`` does (the finite-difference Jacobian checks those);
 ``interleaved_compose`` draws each step just before applying it, through
@@ -41,6 +44,8 @@ from gradleak.network import (
     DataBatch,
     GradientObservation,
     NetworkParams,
+    _add_w_block_coords,
+    _batch_internals,
     _input_gradients,
     _spare_thread,
     gradient,
@@ -116,6 +121,52 @@ def input_jacobian(params: NetworkParams, batch: DataBatch) -> np.ndarray:
         blk += (ri * params.a * s1i)[None, :, None] * eye[:, None, :]
         J[i * d:(i + 1) * d, m:] = blk.reshape(d, m * d)
     return J
+
+
+def allocating_input_gram(params: NetworkParams, batch: DataBatch, keep=None):
+    """``network.input_gram`` as it was written before its factors filled in
+    column pieces: each factor from one (d, m) copy of W^T and a (d, m)
+    ``np.outer`` per sample, and the row path's diagonal term from one
+    (B, B, m) product.  The library's G and mass must equal it bit for bit
+    (at a network's scale the diagonal term is too small to show in G:
+    ``allocating_w_block_rows`` checks it on operands of order one)."""
+    (S0, S1, S2), _, r = _batch_internals(params, batch, 2)
+    m, d, B = params.m, params.d, batch.B
+    X, a = batch.X, params.a
+    keep = np.ones(params.n_coords, dtype=bool) if keep is None else keep
+    WT = np.ascontiguousarray(params.W.T)
+    H = _input_gradients(params, S1)
+    aS1, aS2 = a[:, None] * S1, a[:, None] * S2
+    A, P = np.empty((B, d, m)), np.empty((B, d, m))
+    for i in range(B):
+        A[i] = WT * (r[i] * S1[:, i]) + np.outer(2.0 * H[:, i], S0[:, i])
+        P[i] = WT * (r[i] * aS2[:, i]) + np.outer(2.0 * H[:, i], aS1[:, i])
+    Q = np.ascontiguousarray((aS1 * r).T)
+    PX = np.einsum("isj,si->ij", P, X)
+    mass = float(np.vdot(A, A)
+                 + sum(float(X[:, i] @ X[:, i]) * np.vdot(P[i], P[i]) for i in range(B))
+                 + 2.0 * np.vdot(Q, PX) + d * np.vdot(Q, Q))
+    Af = (A * keep[:m].astype(float)).reshape(B * d, m)
+    G = Af @ Af.T
+    keep_W = keep[m:].reshape(m, d)
+    if (keep_W == keep_W[:, :1]).all():
+        allocating_w_block_rows(G, P, Q, X, keep_W[:, 0])
+    else:
+        _add_w_block_coords(G, P, Q, X, keep_W)
+    return 0.5 * (G + G.T), mass
+
+
+def allocating_w_block_rows(G, P, Q, X, rows):
+    """``network._add_w_block_rows`` with its diagonal term from one
+    (B, B, m) product, P left as it is."""
+    B, d, m = P.shape
+    w = rows.astype(float)
+    Pw = (P * w).reshape(B * d, m)
+    cross = ((Pw @ Q.T).reshape(B, d, B, 1) * X.T[:, None, None, :]).reshape(B * d, B * d)
+    G += cross + cross.T
+    idx = np.arange(d)
+    G.reshape(B, d, B, d)[:, idx, :, idx] += (Q[:, None, :] * Q[None, :, :]) @ w
+    G += ((Pw @ Pw.T).reshape(B, d, B, d) * (X.T @ X)[:, None, :, None]).reshape(B * d, B * d)
 
 
 def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:

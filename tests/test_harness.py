@@ -550,6 +550,52 @@ def test_only_a_trial_that_reads_no_w_block_leaves_it_out(monkeypatch, chain, bo
     assert obs.grad_a.tobytes() == hz._inputs(cfg, 0)[3].grad_a.tobytes()
 
 
+TRIMMED_CHAINS = {
+    "clip": [{"variant": "clip", "threshold": 1e-3}],
+    "prune_ratio": [{"variant": "prune_ratio", "ratio": 0.9}],
+    "dropout-clip-noise": [{"variant": "dropout", "rate": 0.5},
+                           {"variant": "clip", "threshold": 1e-3}, NOISE],
+}
+
+
+def observation_layouts(monkeypatch):
+    """The (m, d) layout of each observation the attacks and the bound receive."""
+    seen = []
+    for name in ("tensor_attack", "grad_match_attack", "bound_for_observation"):
+        def spy(*args, _fn=getattr(hz, name), _name=name, **kwargs):
+            obs = next(a for a in args if isinstance(a, network.GradientObservation))
+            seen.append((_name, obs.m, obs.d))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(hz, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("chain", sorted(TRIMMED_CHAINS))
+def test_with_no_gradmatch_the_attacks_and_bound_receive_the_a_block(monkeypatch, chain):
+    cfg = small_config(defenses=TRIMMED_CHAINS[chain], utility={"steps": 3})
+    for t in (0, 1):
+        # the untrimmed reference: the full observation, attacked and bounded
+        seed, params, _, full, truth = hz._inputs(cfg, t)
+        assert (full.m, full.d) == (cfg.m, cfg.d)
+        ref_bound = bound_for_observation(params, truth, cfg.sigma, full).to_dict()
+        ref_attacks = hz._attacks(cfg, seed, params, full, truth, False)
+        seen = observation_layouts(monkeypatch)
+        rec = run_trial(cfg, t)
+        monkeypatch.undo()
+        assert sorted(seen) == [("bound_for_observation", cfg.m, 0), ("tensor_attack", cfg.m, 0)]
+        assert rec.bound == ref_bound and rec.attacks == ref_attacks
+        for oracle in (sequential_run_trial, full_layout_run_trial):
+            assert oracle(cfg, t).record_hash() == rec.record_hash()
+
+
+def test_with_gradmatch_the_observation_keeps_its_w_block(monkeypatch):
+    cfg = small_config(defenses=TRIMMED_CHAINS["clip"], attacks=BOTH_ATTACKS)
+    seen = observation_layouts(monkeypatch)
+    assert run_trial(cfg, 0).attacks["gradmatch"]["error"] is None
+    assert sorted(seen) == [(name, cfg.m, cfg.d) for name in
+                            ("bound_for_observation", "grad_match_attack", "tensor_attack")]
+
+
 # --- bound fold: closed-form Gram against the dense-Jacobian oracle -------------
 
 BOUND_CHAINS = {

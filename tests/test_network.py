@@ -22,8 +22,9 @@ from gradleak.network import (
     sample_batch,
     sample_params,
 )
-from conftest import whole_calls
-from oracles import fd_input_jacobian, fd_loss_gradient, gradient_input_vjp, input_jacobian
+from conftest import traced_peak, whole_calls
+from oracles import (allocating_input_gram, allocating_w_block_rows, fd_input_jacobian,
+                     fd_loss_gradient, gradient_input_vjp, input_jacobian)
 
 SP = Activation("softplus")
 
@@ -414,6 +415,18 @@ def test_row_and_coordinate_w_block_terms_agree(d, m, B, rate, seed):
     assert np.linalg.norm(G_rows - G_coords) <= 1e-12 * np.linalg.norm(G_coords)
 
 
+@pytest.mark.parametrize("d, m, B, seed", [(1, 1, 1, 0), (3, 7, 2, 1), (8, 3000, 3, 2),
+                                           (32, 16385, 4, 3)])
+def test_row_w_block_terms_equal_the_whole_array_form_bit_for_bit(d, m, B, seed):
+    # operands of order one, so that the per-sample diagonal term shows in G
+    P, Q, X = _w_block_operands(d, m, B, seed)
+    rows = _mixed_rows(m, np.random.default_rng(seed))
+    G, ref = np.zeros((B * d, B * d)), np.zeros((B * d, B * d))
+    allocating_w_block_rows(ref, P, Q, X, rows)
+    network._add_w_block_rows(G, P, Q, X, rows)
+    assert G.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize(
     "defend, path",
     [
@@ -441,6 +454,43 @@ def test_input_gram_takes_the_row_path_for_row_constant_masks(monkeypatch, defen
         monkeypatch.setattr(network, f"_add_w_block_{name}", spy)
     input_gram(p, b, keep)
     assert taken == [path]
+
+
+@pytest.mark.parametrize("d, m", [(1, 300001), (3, 100000), (32, 16385), (100, 3000)])
+def test_the_factor_fill_equals_the_whole_array_expressions(d, m):
+    cols = max(1, network._PIECE_BYTES // (8 * d))
+    assert m > cols and m % cols  # several pieces, the last a short one
+    rng = np.random.default_rng(d)
+    B = 2
+    W, H = rng.standard_normal((m, d)), rng.standard_normal((d, B))
+    coef, right = rng.standard_normal((m, B)), rng.standard_normal((m, B))
+    F = np.empty((B, d, m))
+    network._fill_factor(F, W, H, lambda i, js: coef[js, i], lambda i, js: right[js, i])
+    WT = np.ascontiguousarray(W.T)
+    for i in range(B):
+        assert np.array_equal(F[i], WT * coef[:, i] + np.outer(2.0 * H[:, i], right[:, i]))
+
+
+@pytest.mark.parametrize("kind", ["exp", "softplus", "cubic"])
+@pytest.mark.parametrize("d, m, B", [(1, 1, 1), (3, 7, 2), (100, 3000, 3), (32, 16385, 4)])
+@pytest.mark.parametrize("mask", ["none", "node-dropout", "random-half"])
+def test_input_gram_equals_the_whole_array_form_bit_for_bit(kind, d, m, B, mask):
+    # no mask and node dropout take the row path, a coordinate mask the other
+    p = sample_params(d, m, seed=d + m, activation=Activation(kind))
+    b = sample_batch(d, B, seed=B)
+    keep = None if mask == "none" else _gram_mask(mask, m, p.n_coords, np.random.default_rng(m))
+    G, mass = input_gram(p, b, keep)
+    ref_G, ref_mass = allocating_input_gram(p, b, keep)
+    assert G.tobytes() == ref_G.tobytes() and mass == ref_mass
+
+
+def test_input_gram_holds_one_factor_and_3_mib_at_bound_d32():
+    # the (B, d, m) factor is 16 MiB; its fill holds no (d, m) temporary
+    d, m, B = 32, 16384, 4
+    p = sample_params(d, m, seed=32, activation=Activation("exp"))
+    b = sample_batch(d, B, seed=4)
+    keep = _gram_mask("node-dropout", m, p.n_coords, np.random.default_rng(0))
+    assert traced_peak(lambda: input_gram(p, b, keep)) < B * d * m * 8 + (3 << 20)
 
 
 def test_input_gram_rejects_a_mask_of_the_wrong_length():

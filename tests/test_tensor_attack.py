@@ -1,6 +1,5 @@
 import contextlib
 import itertools
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,7 +22,7 @@ from gradleak.tensor_attack import (
     score_reconstruction,
     tensor_attack,
 )
-from conftest import RecordingPool, whole_calls
+from conftest import RecordingPool, traced_peak, whole_calls
 from oracles import (einsum_projected_tensor, hermite_tensor3, hermite_tensor4, loglog_slope,
                      norm_decompose_tensor)
 
@@ -328,16 +327,6 @@ def test_blocked_moment_matrix_equals_the_whole_call_at_the_split_floor(m, d):
                     split = build_moment_matrix(g, W, moments, probe=pr)
                 assert split.tobytes() == whole.tobytes(), (moments.matrix_order, spare)
     assert pool.names == ["_halves.<locals>.<lambda>"] * 2
-
-
-def traced_peak(fn):
-    """The most memory ``fn()`` held at once, as tracemalloc counts it."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_blocked_moment_matrix_holds_half_of_its_operand_at_attack_d64():
