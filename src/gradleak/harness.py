@@ -26,7 +26,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -338,7 +338,10 @@ def _inputs(config: ExperimentConfig, trial_idx: int):
     defended by the chain's transforms, whose draws are made beside the
     sampling and the observation (``network._beside``; their own seed
     stream makes the bytes those of drawing them afterwards); ``truth`` is
-    every sample behind it.  Overflow is judged once, at the end: run by
+    every sample behind it.  At layout (m, 0) sampling lends the helper the
+    far half of W's draw (``network._standard_normals``); at the full
+    layout it lends nothing and draws W whole, since that half would queue
+    behind the chain's W-sized draws.  Overflow is judged once, at the end: run by
     ``_stage``, the draws included, a non-finite observation is a
     DegenerateObservationError under any warnings filter.
 
@@ -355,8 +358,10 @@ def _inputs(config: ExperimentConfig, trial_idx: int):
     d = 0 if _reads_only_grad_a(config) else config.d  # the observation's layout is (m, d)
 
     def observe():
-        params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
-                               config.activation)
+        # at the full layout the chain's draws on the helper are W-sized: sampling lends nothing
+        with nullcontext() if d == 0 else _spare_thread(None):
+            params = sample_params(config.d, config.m, derive_seed(trial_seed, PARAMS_STREAM),
+                                   config.activation)
         batch = truth = sample_batch(config.d, config.B, derive_seed(trial_seed, DATA_STREAM))
         w_bounds = ()
         if d == 0:

@@ -19,15 +19,18 @@ never forms J: ``input_gram`` builds J J^T from per-sample factors.
 ``_beside`` is the one way a thread hands work to the helper it lends
 (``_spare_thread``), and that work runs under the handing thread's
 ``np.errstate``.  A trial hands it the defense draws, the attacks (with
-bounds on) and the upper half of each large kernel call (``_halves``:
-``W @ X`` and three in ``tensor_attack``).  A call's partition depends on
-its shape alone, so the helper decides where a half runs, never the bytes.
+bounds on), the upper half of each large kernel call (``_halves``:
+``W @ X`` and three in ``tensor_attack``) and the far half of a large
+weight draw (``_standard_normals``).  A call's partition depends on its
+shape alone, and a split draw keeps the sequential draw's bytes, so the
+helper decides where a half runs, never the bytes.
 
 On glibc, importing the module keeps freed memory in the process
 (``_keep_freed_memory``), so a trial reuses the pages the last one freed.
 """
 from __future__ import annotations
 
+import copy
 import ctypes
 import os
 import threading
@@ -53,8 +56,8 @@ __all__ = [
 ]
 
 
-# a call splits in two when its largest W-sized array holds at least this
-# many elements: attack-d64's W (m d = 2^22) does, bound-d32's (2^19) does not
+# a call or a weight draw splits in two when its largest W-sized array holds at
+# least this many elements: attack-d64's W (m d = 2^22) does, bound-d32's (2^19) does not
 _SPLIT_MIN = 1 << 21
 
 _lender = threading.local()
@@ -258,8 +261,73 @@ def sample_params(d: int, m: int, seed: int, activation: Activation) -> NetworkP
         raise DimensionError(f"d and m must be positive, got d={d}, m={m}")
     rng = rng_from(seed)
     a = rng.normal(0.0, 1.0 / m, size=m)
-    W = rng.standard_normal((m, d))
+    W = _standard_normals(rng, m * d).reshape(m, d)
     return NetworkParams(a=a, W=W, activation=activation)
+
+
+# a split draw's far half starts with a lead-in of h // _LEAD_IN normals
+# (3.1 %); at attack-d64 W the join falls near 2.2 % of h
+_LEAD_IN = 32
+
+
+def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.standard_normal(n)`` bit for bit; ``rng`` is spent.
+
+    From ``_SPLIT_MIN`` normals on, with a helper lent (``_spare_thread``),
+    the draw splits ``_beside``: here ``rng`` draws the first h = n // 2,
+    and there a copy of it advanced by h raw outputs draws a lead-in of
+    h // _LEAD_IN normals, then n - h more.
+    Each normal takes at least one raw output, so normal h starts at raw
+    output h or later, and numpy's ziggurat parse falls in step with
+    ``rng``'s within a few draws: normal h is lead-in normal o for some o.
+    ``_join`` locates o and proves it, and the far draws from o on move down
+    into place, in blocks.  Without a proof the rest is drawn here, as the
+    whole call would.  The returned array's buffer keeps the lead-in past
+    its end.  With no helper lent the draw is whole: its two parts in turn
+    would only add the lead-in, its second draw and the move."""
+    if n < _SPLIT_MIN or getattr(_lender, "spare", None) is None:
+        return rng.standard_normal(n)
+    h = n // 2
+    lead = h // _LEAD_IN
+    buf = np.empty(n + lead)
+    far = np.random.Generator(copy.copy(rng.bit_generator).advance(h))
+
+    def there():
+        far.standard_normal(out=buf[h:h + lead])
+        joined = far.bit_generator.state
+        far.standard_normal(out=buf[h + lead:])
+        return joined
+
+    joined, _ = _beside(there, lambda: rng.standard_normal(out=buf[:h]))
+    start = rng.bit_generator.state
+    o = _join(rng, buf[h:h + lead], joined)
+    if o is None:
+        rng.bit_generator.state = start
+        rng.standard_normal(out=buf[h:n])
+    else:
+        step = _PIECE_BYTES // 8  # an overlapping block is copied through a temporary
+        for lo in range(h, n, step):
+            hi = min(lo + step, n)
+            buf[lo:hi] = buf[lo + o:hi + o]
+    return buf[:n]
+
+
+def _join(rng: np.random.Generator, lead: np.ndarray, joined: dict) -> int | None:
+    """The offset o at which ``lead`` joins ``rng``'s stream, or None.
+
+    o is the first lead-in normal with the bits of ``rng``'s next normal.
+    ``rng`` then draws the rest of the lead-in again: the proof is that
+    these give the same bits and leave ``rng`` in ``joined``, the state the
+    far draw reached after its lead-in, so every later normal agrees too."""
+    bits = lead.view(np.uint64)
+    hits = np.flatnonzero(bits == rng.standard_normal(1).view(np.uint64))
+    if not hits.size:
+        return None
+    o = int(hits[0])
+    again = rng.standard_normal(lead.size - o - 1).view(np.uint64)
+    if np.array_equal(again, bits[o + 1:]) and rng.bit_generator.state == joined:
+        return o
+    return None
 
 
 def sample_batch(d: int, B: int, seed: int) -> DataBatch:

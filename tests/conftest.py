@@ -51,10 +51,11 @@ def whole_calls():
 
 @pytest.fixture
 def split_halves(monkeypatch):
-    """Every kernel call that can split does: the size floor is lowered to 0
-    and this thread lends a real one-thread pool, which the fixture returns.
-    ``network._spare_thread(None)`` inside a test runs the same halves one
-    after the other on this thread, and ``whole_calls()`` the whole calls.
+    """Every kernel call and weight draw that can split does: the size floor
+    is lowered to 0 and this thread lends a real one-thread pool, which the
+    fixture returns.  ``network._spare_thread(None)`` inside a test runs the
+    same kernel halves one after the other on this thread (a weight draw
+    whole), and ``whole_calls()`` the whole calls.
     Below the floor a split GEMM's bytes are not guaranteed (README names
     shapes where they differ), so a test comparing splits with whole calls
     holds for its own shapes only; the floor shapes are tested with the

@@ -7,7 +7,8 @@ Jacobian for the closed-form Gram, the sensitivity's pair draw written
 out, out-of-place descent loops and an
 allocating gradient-matching objective for the in-place ones, the
 whole-array input Gram for the blocked one, ``np.linalg.norm`` in the
-tensor decomposition.  Six call library code on purpose, for the part
+tensor decomposition, the weights drawn in one sequential piece for the
+split draw.  Six call library code on purpose, for the part
 they do not check: the allocating objective takes its distance groups
 and cosine coefficients from ``gradmatch``; the whole-array input Gram
 (``allocating_input_gram``) takes the forward internals and the
@@ -174,6 +175,13 @@ def cramer_rao(J: np.ndarray, sigma: float, B: int) -> BoundReport:
     if J.ndim != 2:
         raise DimensionError("J must be a matrix")
     return cramer_rao_gram(J @ J.T, J.shape[1], sigma, B)
+
+
+def sequential_sample_params(d: int, m: int, seed: int, activation) -> NetworkParams:
+    """``network.sample_params`` drawn in one piece: a, then all of W."""
+    rng = rng_from(seed)
+    a = rng.normal(0.0, 1.0 / m, size=m)
+    return NetworkParams(a=a, W=rng.standard_normal((m, d)), activation=activation)
 
 
 def local_aggregation_jacobian_fd(params: NetworkParams, batches: list[DataBatch],

@@ -21,6 +21,7 @@ import warnings
 import pytest
 
 import gradleak.harness as hz
+from gradleak import network
 from gradleak.errors import ConfigError
 from gradleak.harness import CSV_FIELDS, ExperimentConfig, aggregate_rows, run_trial
 from conftest import LAPACK_PRINTING
@@ -104,10 +105,9 @@ def _without_wall_ms(rec) -> str:
     return json.dumps({k: v for k, v in rec.to_dict().items() if k != "wall_ms"}, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "cfg", VALID_CONFIGS + list(FIXED.values()),
-    ids=[f"draw{i}" for i in range(len(VALID_CONFIGS))] + list(FIXED))
-def test_a_trial_keeps_its_contract(cfg, capfd, tmp_path):
+def _one_record(cfg, capfd):
+    """The trial's record, the same under either warnings filter and equal
+    to the sequential oracle's, with nothing printed."""
     records = []
     for action in ("error", "ignore"):
         with warnings.catch_warnings():
@@ -118,8 +118,16 @@ def test_a_trial_keeps_its_contract(cfg, capfd, tmp_path):
         records.append(sequential_run_trial(cfg, 0))
     assert len({_without_wall_ms(r) for r in records}) == 1  # record_hash included
     assert capfd.readouterr() == ("", "")
+    return records[0]
 
-    rec = records[0]
+
+CASES = dict(argvalues=VALID_CONFIGS + list(FIXED.values()),
+             ids=[f"draw{i}" for i in range(len(VALID_CONFIGS))] + list(FIXED))
+
+
+@pytest.mark.parametrize("cfg", **CASES)
+def test_a_trial_keeps_its_contract(cfg, capfd, tmp_path):
+    rec = _one_record(cfg, capfd)
     journal = tmp_path / "results.jsonl"
     journal.write_text(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
     (back,) = hz._read_journal(journal, {(rec.config_hash, rec.trial): 0})
@@ -135,3 +143,12 @@ def test_an_invalid_config_is_a_config_error_and_nothing_else():
     assert len(INVALID_DRAWS) >= 10  # the stream draws plenty of them
     for spec, e in INVALID_DRAWS:
         assert type(e) is ConfigError, (spec, e)
+
+
+@pytest.mark.parametrize("cfg", **CASES)
+def test_a_trial_that_splits_everything_keeps_its_contract(cfg, capfd, monkeypatch):
+    # with the split floor at 0 every kernel call and weight draw that can split
+    # does: a trial at layout (m, 0) splits its weight draw, and at these sizes
+    # the lead-in ends before the join, so the draw falls back
+    monkeypatch.setattr(network, "_SPLIT_MIN", 0)
+    _one_record(cfg, capfd)

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -22,9 +23,10 @@ from gradleak.network import (
     sample_batch,
     sample_params,
 )
-from conftest import traced_peak, whole_calls
+from conftest import RecordingPool, traced_peak, whole_calls
 from oracles import (allocating_input_gram, allocating_w_block_rows, fd_input_jacobian,
-                     fd_loss_gradient, gradient_input_vjp, input_jacobian)
+                     fd_loss_gradient, gradient_input_vjp, input_jacobian,
+                     sequential_sample_params)
 
 SP = Activation("softplus")
 
@@ -40,6 +42,76 @@ def test_sample_params_deterministic():
     p1 = sample_params(4, 1024, seed=7, activation=SP)
     p2 = sample_params(4, 1024, seed=7, activation=SP)
     assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.W, p2.W)
+
+
+# (d, m): W at the split floor (2^21), at attack-d64's 2^22, and an odd count above the floor
+SPLIT_DRAWS = {"floor": (64, 32768), "attack-d64": (64, 65536), "odd": (3, 699051)}
+FAR_DRAW = "_standard_normals.<locals>.there"
+
+
+def recorded_joins(monkeypatch, join=network._join):
+    """A list that gets every offset ``network._join`` returns, with
+    ``join`` run in its place."""
+    joins = []
+
+    def record(*args):
+        joins.append(join(*args))
+        return joins[-1]
+
+    monkeypatch.setattr(network, "_join", record)
+    return joins
+
+
+def assert_split_draws_are_sequential(d, m, seeds):
+    """Each seed's params, drawn with the far half on a lent helper and
+    whole with none lent, are ``sequential_sample_params``'s bit for bit."""
+    with RecordingPool(max_workers=1) as pool:
+        for seed in seeds:
+            want = sequential_sample_params(d, m, seed, SP)
+            for spare in (pool, None):
+                with network._spare_thread(spare):
+                    got = sample_params(d, m, seed, SP)
+                assert got.a.tobytes() == want.a.tobytes()
+                assert got.W.tobytes() == want.W.tobytes()
+    assert pool.names == [FAR_DRAW] * len(seeds)
+
+
+@pytest.mark.parametrize("d, m", SPLIT_DRAWS.values(), ids=SPLIT_DRAWS)
+def test_a_split_weight_draw_is_the_sequential_draw_bit_for_bit(monkeypatch, d, m):
+    # every split draw joins the far half, none falls back
+    joins = recorded_joins(monkeypatch)
+    assert_split_draws_are_sequential(d, m, range(20))
+    assert len(joins) == 20 and None not in joins
+
+
+def test_a_weight_draw_below_the_floor_runs_whole_here():
+    with RecordingPool(max_workers=1) as pool, network._spare_thread(pool):
+        p = sample_params(1, network._SPLIT_MIN - 1, 4, SP)
+    assert pool.names == []
+    assert p.W.tobytes() == sequential_sample_params(1, network._SPLIT_MIN - 1, 4, SP).W.tobytes()
+
+
+def test_a_lead_in_too_short_to_hold_the_join_falls_back_to_the_sequential_draw(monkeypatch):
+    # a lead-in of 0.1 % of h ends before the join, near 2.2 % of h
+    monkeypatch.setattr(network, "_LEAD_IN", 1000)
+    joins = recorded_joins(monkeypatch)
+    assert_split_draws_are_sequential(*SPLIT_DRAWS["floor"], range(3))
+    assert joins == [None] * 3
+
+
+def test_a_join_whose_state_check_fails_falls_back_to_the_sequential_draw(monkeypatch):
+    # the lead-in's bits match and the far draw's true state would prove the
+    # join; checked against another state, it falls back and draws the rest here
+    join = network._join
+
+    def other_state(rng, lead, joined):
+        assert join(copy.deepcopy(rng), lead, joined) is not None
+        pcg = joined["state"]
+        return join(rng, lead, {**joined, "state": {**pcg, "state": pcg["state"] ^ 1}})
+
+    joins = recorded_joins(monkeypatch, other_state)
+    assert_split_draws_are_sequential(*SPLIT_DRAWS["floor"], range(3))
+    assert joins == [None] * 3
 
 
 def test_sample_params_empirical_moments():
@@ -136,11 +208,12 @@ def test_gradient_equals_the_out_of_place_products_bit_for_bit(kind):
 @pytest.mark.parametrize("B", [1, 2, 3, 8])
 @pytest.mark.parametrize("kind", ["softplus", "exp", "cubic"])
 def test_gradient_split_in_halves_equals_the_whole_call(split_halves, kind, B):
-    # W @ X by row halves, C @ X^T whole; odd m and odd d put the cut off any block
+    # W @ X by row halves, C @ X^T whole; odd m and odd d put the cut off any block.
+    # The helper gets W's far draw, then, but at B = 1 (a GEMV, whole), W @ X's upper half
     p = sample_params(7, 1001, seed=B, activation=Activation(kind, 0.7))
     b = sample_batch(7, B, seed=B + 50)
     split = gradient(p, b)
-    assert len(split_halves.names) == (0 if B == 1 else 1)  # W @ X at B = 1 is a GEMV, whole
+    assert split_halves.names == [FAR_DRAW] + ["_halves.<locals>.<lambda>"] * (B > 1)
     with whole_calls():
         whole = gradient(p, b)
     assert split.flat.tobytes() == whole.flat.tobytes()
