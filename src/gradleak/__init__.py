@@ -4,9 +4,10 @@ two-layer random networks.
 The package treats the gradient a training client shares as the output of
 a known forward map applied to the unknown batch, and studies how well the
 batch can be recovered: a moment-based reconstruction attack, an
-optimization-based gradient-matching attack, six defense transforms, the
-Cramer-Rao limits each defense implies, a Gaussian-mechanism privacy
-calculator, and a reproducible sweep harness tying them together.
+optimization-based gradient-matching attack, seven defenses (five
+transforms of the observation and two aggregations), the Cramer-Rao
+limits each defense implies, a Gaussian-mechanism privacy calculator,
+and a reproducible sweep harness tying them together.
 """
 # before the imports: the harness writes it into every sweep manifest
 __version__ = "0.1.0"

@@ -9,9 +9,16 @@ invariant to flipping any target column.
 
 The objective works from the rank-B factor of the candidate's W-block
 gradient, g_W = C^T X^T with C = r * (a * s'(X^T W^T)) of shape (B, m), and
-never forms the m x d g_W or the distance's cograd u_W = alpha t_W + beta g_W:
+never forms the distance's m x d cograd u_W = alpha t_W + beta g_W.  The
+negative-cosine distance never forms the m x d g_W either:
 
-    ||g_W||^2 = sum(C C^T * X^T X),     <g_W, t_W> = <C, X^T t_W^T>,
+    ||g_W||^2 = sum(C C^T * X^T X),     <g_W, t_W> = <C, X^T t_W^T>.
+
+The default squared-l2 distance does: on every call it forms the m x d
+difference g_W - t_W and takes its value from that, because the expanded
+||g_W||^2 - 2 <g_W, t_W> + ||t_W||^2 cancels near a match, where the
+distance is small against each term.  Either way the cograd enters only as
+
     u_W x_i          = alpha t_W x_i + beta C^T (X^T x_i),
     u_W^T (a * s'_i) = alpha t_W^T (a * s'_i) + beta X C (a * s'_i).
 

@@ -345,14 +345,23 @@ def _inputs(config: ExperimentConfig, trial_idx: int):
     ``_stage``, the draws included, a non-finite observation is a
     DegenerateObservationError under any warnings filter.
 
-    A trial that reads only ``grad_a`` (``_reads_only_grad_a``) builds the
-    observation at layout (m, 0): its a-block alone, ``S0 @ r``, with the
-    chain drawn at that layout.  numpy fills a draw in order, so each draw
-    is the a-block prefix of the full one, and the a-block is the full
-    observation's bit for bit.  The finiteness rule is the full one: the
-    a-block is checked, and the W-block it leaves out is proven finite from
-    bounds on its factors and on the noise (``_PROVEN``); where that proof
-    fails, the full observation is built and checked instead."""
+    This stage alone decides which block of the observation a trial builds
+    and which it holds.  A trial that reads only ``grad_a``
+    (``_reads_only_grad_a``) builds the observation at layout (m, 0): its
+    a-block alone, ``S0 @ r``, with the chain drawn at that layout.  numpy
+    fills a draw in order, so each draw is the a-block prefix of the full
+    one, and the a-block is the full observation's bit for bit.  The
+    finiteness rule is the full one: the a-block is checked, and the
+    W-block it leaves out is proven finite from bounds on its factors and
+    on the noise (``_PROVEN``); where that proof fails, the full observation
+    is built and checked instead.
+
+    Past this stage only gradient matching reads the W-block: the tensor
+    attack reads ``grad_a``, the bound the observation's provenance and
+    utility training no observation.  So with no gradient matching the
+    stage returns an (m, 0) observation, a copy of the a-block with the
+    provenance, and frees the full buffer before the attacks and the bound
+    run; the record is the one the full observation gives."""
     trial_seed = derive_seed(config.base_seed, trial_idx)
     transforms, agg = config.transforms, (config.defenses or (None,))[0]
     d = 0 if _reads_only_grad_a(config) else config.d  # the observation's layout is (m, d)
@@ -401,6 +410,8 @@ def _inputs(config: ExperimentConfig, trial_idx: int):
         if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
             raise DegenerateObservationError("the inputs stage made a non-finite observation")
         if all(b <= _PROVEN for b in w_bounds):  # False for NaN
+            if config.gradmatch is None and obs.d:
+                obs = GradientObservation(obs.grad_a.copy(), obs.m, 0, obs.provenance)
             return trial_seed, params, batch, obs, truth
         d = config.d  # the W-block left out is not proven finite: build and check it
 
@@ -440,12 +451,7 @@ def _attacks(config: ExperimentConfig, trial_seed: int, params: NetworkParams,
 
 def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False) -> TrialRecord:
     """The trial's stages in order: inputs, the attacks, the bound, utility.
-
-    Past the inputs stage only gradient matching reads the W-block: the
-    tensor attack reads ``grad_a``, the bound the observation's provenance
-    and utility training no observation.  So with no gradient matching the
-    trial keeps an (m, 0) observation, the a-block and the provenance, and
-    frees the full buffer before the attacks and the bound run.
+    The inputs stage returns the observation block the later stages read.
 
     With bounds on, the attacks run beside the bound (``network._beside``),
     so on a lent helper while this thread computes the bound (its large
@@ -474,9 +480,6 @@ def _trial(config: ExperimentConfig, trial_idx: int, keep_samples: bool = False)
                    if getattr(config, n) is not None}
     else:
         trial_seed, params, batch, obs, truth = inputs
-        del inputs  # so that a trimmed observation's full buffer is freed
-        if config.gradmatch is None and obs.d:
-            obs = GradientObservation(obs.grad_a.copy(), obs.m, 0, obs.provenance)
         args = (config, trial_seed, params, obs, truth, keep_samples)
         if config.compute_bounds:  # the bound lends the helper, busy with the attacks, nothing
             attacks, bound = _beside(lambda: _attacks(*args), _spare_thread(None)(
@@ -510,11 +513,9 @@ def run_trial(
     inputs, so the record is byte for byte the one a run with no helper
     gives, under any BLAS thread count.
     Utility training applies only the chain's transforms, so a leading
-    aggregator is priced at the undefended utility.  A trial whose stages
-    read only ``grad_a`` observes at layout (m, 0), its a-block alone
-    (``_inputs``), and one with no gradient matching keeps only that block
-    past its inputs stage (``_trial``); either record is the one the full
-    observation gives."""
+    aggregator is priced at the undefended utility.  Which observation
+    block a trial builds and holds is the inputs stage's rule (``_inputs``);
+    the record is the one the full observation gives."""
     with ThreadPoolExecutor(max_workers=1) as helper, _spare_thread(helper):
         return _trial(config, trial_idx, keep_samples)
 

@@ -223,9 +223,8 @@ class GradientObservation:
     constructor takes ownership of ``flat`` and marks it read-only;
     ``grad_a`` and ``grad_W`` are read-only views of it.  ``provenance``
     records every defense applied, in order.  At layout (m, 0) the buffer
-    is the a-block alone and ``grad_W`` is empty: a trial whose stages read
-    only ``grad_a`` observes that (``harness._inputs``), and a trial with no
-    gradient matching keeps that past its inputs stage (``harness._trial``).
+    is the a-block alone and ``grad_W`` is empty; ``harness._inputs`` says
+    when a trial builds or holds that layout.
     """
 
     flat: np.ndarray

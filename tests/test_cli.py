@@ -383,6 +383,31 @@ def test_bound_lends_its_helper_kernel_halves(tmp_path, capsys, monkeypatch):
     assert pool.names == ["_inputs.<locals>.<lambda>"] + ["_halves.<locals>.<lambda>"] * 2
 
 
+@pytest.mark.parametrize("attacks", [{"tensor": {}},
+                                     {"tensor": {}, "gradmatch": {"optimizer": {"max_iters": 20}}}],
+                         ids=["tensor-only", "gradmatch"])
+def test_bound_holds_the_observation_block_a_trial_holds(tmp_path, capsys, monkeypatch, attacks):
+    # the bound receives what run_trial's bound receives: the a-block alone
+    # unless gradient matching reads the W-block
+    spec = {"d": 6, "m": 256, "B": 2, "activation": {"kind": "exp"}, "base_seed": 4,
+            "defenses": [{"variant": "clip", "threshold": 1e-3},
+                         {"variant": "noise", "sigma0": 0.01}], "attacks": attacks}
+    config = ExperimentConfig.from_dict(spec)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(spec))
+    layouts, real_bound = [], bnd.bound_for_observation
+
+    def bound(params, truth, sigma, obs):
+        layouts.append((obs.m, obs.d))
+        return real_bound(params, truth, sigma, obs)
+
+    monkeypatch.setattr(bnd, "bound_for_observation", bound)
+    code, out = run_cli(capsys, "bound", "--config", str(cfg_path), "--trial", "1")
+    assert code == 0
+    assert layouts == [(config.m, config.d if "gradmatch" in attacks else 0)]
+    assert json.loads(out) == json.loads(json.dumps(sequential_run_trial(config, 1).bound))
+
+
 def test_bound_on_a_config_without_bounds_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "nobounds.json"
     cfg_path.write_text(json.dumps({"d": 4, "m": 64, "B": 2, "compute_bounds": False}))

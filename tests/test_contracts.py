@@ -8,7 +8,9 @@ ConfigError and nothing else.  The configs are drawn from one seeded
 generator over small networks (d <= 5, m <= 33, B <= 3), every activation
 at scales 1e-200 to 1e100, chains of up to three defenses (aggregators
 included) with parameters from 0 to 1e300, and each attack, the bound and
-utility training on or off.
+utility training on or off.  Two fixed configs ride along: one whose moment
+matrix once made LAPACK print, and one with W at the split floor, whose
+weight draw splits and joins.
 
 Tier-1 checks the first 25 valid configs; the test-only environment
 variable ``GRADLEAK_PROBE_CONFIGS`` sets another count (CI runs 1000).
@@ -98,7 +100,12 @@ def _draw_cases(seed: int, valid: int):
 
 
 VALID_CONFIGS, INVALID_DRAWS = _draw_cases(SEED, VALID)
-FIXED = {"lapack": ExperimentConfig.from_dict(LAPACK_PRINTING)}
+# a trial that reads only grad_a with W at the split floor (2^21 elements): its
+# weight draw splits, and its lead-in is long enough to reach the join
+SPLIT_FLOOR = ExperimentConfig.from_dict({
+    "d": 32, "m": 65536, "B": 2, "activation": {"kind": "exp"}, "compute_bounds": False,
+    "defenses": [{"variant": "noise", "sigma0": 0.01}]})
+FIXED = {"lapack": ExperimentConfig.from_dict(LAPACK_PRINTING), "split-floor": SPLIT_FLOOR}
 
 
 def _without_wall_ms(rec) -> str:
@@ -148,7 +155,17 @@ def test_an_invalid_config_is_a_config_error_and_nothing_else():
 @pytest.mark.parametrize("cfg", **CASES)
 def test_a_trial_that_splits_everything_keeps_its_contract(cfg, capfd, monkeypatch):
     # with the split floor at 0 every kernel call and weight draw that can split
-    # does: a trial at layout (m, 0) splits its weight draw, and at these sizes
-    # the lead-in ends before the join, so the draw falls back
+    # does: a trial at layout (m, 0) splits its weight draw; at the drawn sizes
+    # the lead-in ends before the join, so the draw falls back, and at the
+    # split floor it joins
     monkeypatch.setattr(network, "_SPLIT_MIN", 0)
+    offsets, real_join = [], network._join
+
+    def join(*args):
+        offsets.append(real_join(*args))
+        return offsets[-1]
+
+    monkeypatch.setattr(network, "_join", join)
     _one_record(cfg, capfd)
+    if cfg is SPLIT_FLOOR:
+        assert offsets and all(o is not None for o in offsets)

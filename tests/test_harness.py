@@ -30,6 +30,7 @@ from gradleak.defenses import (
     PruneThresholdDefense,
 )
 from gradleak.errors import ConfigError, DegenerateObservationError, DivergenceError
+from gradleak.gradmatch import GradMatchConfig
 from gradleak.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -165,6 +166,13 @@ OVERLAP_CHAINS = {
 }
 
 
+def with_gradmatch(cfg):
+    """``cfg`` with gradient matching, a default ``GradMatchConfig()`` where it
+    has none.  With bounds on, its inputs stage builds the same layout and
+    makes the same draws, and it returns the full observation."""
+    return dataclasses.replace(cfg, gradmatch=cfg.gradmatch or GradMatchConfig())
+
+
 @pytest.mark.parametrize("chain", sorted(OVERLAP_CHAINS))
 def test_two_thread_trial_matches_the_sequential_oracle(chain):
     over, defenses = OVERLAP_CHAINS[chain]
@@ -173,12 +181,17 @@ def test_two_thread_trial_matches_the_sequential_oracle(chain):
         # the inputs stage draws the chain on the helper, then applies it: the
         # bytes of drawing each step just before it applies
         with ThreadPoolExecutor(max_workers=1) as helper, network._spare_thread(helper):
-            obs = hz._inputs(cfg, t)[3]
+            obs, full = hz._inputs(cfg, t)[3], hz._inputs(with_gradmatch(cfg), t)[3]
         aggregator = cfg.defenses[:len(cfg.defenses) - len(cfg.transforms)]
-        undefended = dataclasses.replace(cfg, defenses=aggregator)
+        undefended = with_gradmatch(dataclasses.replace(cfg, defenses=aggregator))
         seed, *_, release, _ = hz._inputs(undefended, t)
         ref_obs = interleaved_compose(cfg.transforms, release, derive_seed(seed, DEFENSE_STREAM))
-        assert obs.flat.tobytes() == ref_obs.flat.tobytes()
+        assert (full.m, full.d) == (cfg.m, cfg.d)
+        assert full.flat.tobytes() == ref_obs.flat.tobytes()
+        # only a trial with gradient matching holds the W-block past its inputs stage
+        kept = cfg.d if cfg.gradmatch is not None else 0
+        assert (obs.m, obs.d) == (cfg.m, kept)
+        assert obs.flat.tobytes() == ref_obs.flat[:cfg.m * (1 + kept)].tobytes()
         rec, ref = run_trial(cfg, t), sequential_run_trial(cfg, t)
         assert rec.bound is not None and rec.utility_loss is not None
         assert rec.record_hash() == ref.record_hash()
@@ -544,8 +557,18 @@ def test_only_a_trial_that_reads_no_w_block_leaves_it_out(monkeypatch, chain, bo
     cfg = small_config(defenses=defenses, compute_bounds=bounds, **over)
     a_only = not bounds and chain in ("noise-sigma0-zero", "dropout-node", "prune_threshold")
     assert hz._reads_only_grad_a(cfg) == a_only
+    layouts, real_draw = [], dfs.draw_chain
+
+    def draw(transforms, seed, m, d):
+        layouts.append((m, d))
+        return real_draw(transforms, seed, m, d)
+
+    monkeypatch.setattr(dfs, "draw_chain", draw)
     obs = hz._inputs(cfg, 0)[3]
-    assert (obs.m, obs.d) == (cfg.m, 0 if a_only else cfg.d)
+    # the layout it builds: every chain here has a transform to draw
+    assert layouts == [(cfg.m, 0 if a_only else cfg.d)]
+    # the layout it returns: the W-block only to gradient matching
+    assert (obs.m, obs.d) == (cfg.m, cfg.d if cfg.gradmatch is not None else 0)
     monkeypatch.setattr(hz, "_reads_only_grad_a", lambda config: False)
     assert obs.grad_a.tobytes() == hz._inputs(cfg, 0)[3].grad_a.tobytes()
 
@@ -575,7 +598,7 @@ def test_with_no_gradmatch_the_attacks_and_bound_receive_the_a_block(monkeypatch
     cfg = small_config(defenses=TRIMMED_CHAINS[chain], utility={"steps": 3})
     for t in (0, 1):
         # the untrimmed reference: the full observation, attacked and bounded
-        seed, params, _, full, truth = hz._inputs(cfg, t)
+        seed, params, _, full, truth = hz._inputs(with_gradmatch(cfg), t)
         assert (full.m, full.d) == (cfg.m, cfg.d)
         ref_bound = bound_for_observation(params, truth, cfg.sigma, full).to_dict()
         ref_attacks = hz._attacks(cfg, seed, params, full, truth, False)
